@@ -21,7 +21,6 @@ from .fem import (
     l2_inner,
     l2_norm,
     l2_project,
-    solve_spd,
     zero_field,
 )
 from .measures import (

@@ -58,7 +58,6 @@ def _build_parser():
             p.add_argument("--out", default=None, help="output directory override")
             p.add_argument("--seed", type=int, default=None, help="RNG seed override")
             p.add_argument("--tol", type=float, default=None, help="PDAP gap tolerance override")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for study levels")
         p.add_argument("-v", "--verbose", action="store_true")
         return p
 
@@ -157,33 +156,34 @@ def main(argv=None):
             )
             return 0 if report.converged else 2
         if args.command == "study-space":
-            table, converged = experiments.study_space(cfg, workers=args.threads)
+            table, converged = experiments.study_space(cfg)
             print(
                 f"study-space: slope={table.slope:.4g} levels={len(table.rows)} "
                 f"out={cfg.output_dir}"
             )
             return 0 if converged else 2
         if args.command == "study-time":
-            table, converged = experiments.study_time(cfg, workers=args.threads)
+            table, converged = experiments.study_time(cfg)
             print(
                 f"study-time: slope={table.slope:.4g} levels={len(table.rows)} "
                 f"out={cfg.output_dir}"
             )
             return 0 if converged else 2
         if args.command == "study-smoothing":
-            table = experiments.study_smoothing(cfg, workers=args.threads)
+            table = experiments.study_smoothing(cfg)
             print(
                 f"study-smoothing: slope={table.slope:.4g} levels={len(table.rows)} "
                 f"out={cfg.output_dir}"
             )
             return 0
         raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        # ConfigError, OutOfDomainError and the driver's argument checks.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_entry():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -251,10 +250,7 @@ def reconstruct(cfg):
         save_measure(result.measure, os.path.join(cfg.output_dir, "measure.json"))
         save_measure(lumped, os.path.join(cfg.output_dir, "measure_lumped.json"))
         result.log.write_csv(os.path.join(cfg.output_dir, "log.csv"))
-        field_to_csv(
-            forward_dirac(model, result.measure),
-            os.path.join(cfg.output_dir, "field.csv"),
-        )
+        field_to_csv(result.state, os.path.join(cfg.output_dir, "field.csv"))
     return report
 
 
@@ -271,14 +267,7 @@ def _nested_meshes(ns):
     return meshes
 
 
-def _map(fn, items, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def study_space(cfg, workers=1):
+def study_space(cfg):
     """Spatial refinement study of the optimal terminal state.
 
     Solves the control problem on each mesh level against data fixed on
@@ -296,7 +285,7 @@ def study_space(cfg, workers=1):
     ref_model = HeatModel(ref_mesh, grid, cfg.dg_order)
     u_d_ref = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
     ref_result = pdap.run(ref_model, u_d_ref, cfg.pdap)
-    u_ref = forward_dirac(ref_model, ref_result.measure)
+    u_ref = ref_result.state
     ud_ref_m = ref_model.mass.mat @ u_d_ref.values
 
     def solve_level(mesh):
@@ -305,14 +294,13 @@ def study_space(cfg, workers=1):
         # Same L2 data, represented on the coarse mesh.
         u_d = NodalField(mesh, model.mass.solve(interp.T @ ud_ref_m))
         result = pdap.run(model, u_d, cfg.pdap)
-        state = forward_dirac(model, result.measure)
-        lifted = NodalField(ref_mesh, interp @ state.values)
+        lifted = NodalField(ref_mesh, interp @ result.state.values)
         err = l2_norm(
             ref_model.mass, NodalField(ref_mesh, lifted.values - u_ref.values)
         )
         return err, result.converged
 
-    outcomes = _map(solve_level, meshes[:-1], workers)
+    outcomes = [solve_level(mesh) for mesh in meshes[:-1]]
     errors = [e for e, _ in outcomes]
     all_converged = all(ok for _, ok in outcomes) and ref_result.converged
     params = [m.h for m in meshes[:-1]]
@@ -323,7 +311,7 @@ def study_space(cfg, workers=1):
     return table, all_converged
 
 
-def study_time(cfg, workers=1):
+def study_time(cfg):
     """Temporal refinement study of the optimal terminal state.
 
     The data is the clean discrete terminal state of the truth measure on
@@ -344,16 +332,15 @@ def study_time(cfg, workers=1):
     ref_model = HeatModel(mesh, TimeGrid.uniform(cfg.T, Ms[-1]), cfg.dg_order)
     u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
     ref_result = pdap.run(ref_model, u_d, cfg.pdap)
-    u_ref = forward_dirac(ref_model, ref_result.measure)
+    u_ref = ref_result.state
 
     def solve_level(M):
         model = HeatModel(mesh, TimeGrid.uniform(cfg.T, M), cfg.dg_order)
         result = pdap.run(model, u_d, cfg.pdap)
-        state = forward_dirac(model, result.measure)
-        err = l2_norm(model.mass, NodalField(mesh, state.values - u_ref.values))
+        err = l2_norm(model.mass, NodalField(mesh, result.state.values - u_ref.values))
         return err, result.converged
 
-    outcomes = _map(solve_level, Ms[:-1], workers)
+    outcomes = [solve_level(M) for M in Ms[:-1]]
     errors = [e for e, _ in outcomes]
     all_converged = all(ok for _, ok in outcomes) and ref_result.converged
     params = [cfg.T / M for M in Ms[:-1]]
@@ -369,7 +356,7 @@ def first_eigenmode(x, y):
     return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
-def study_smoothing(cfg, v0=first_eigenmode, workers=1):
+def study_smoothing(cfg, v0=first_eigenmode):
     """Pointwise rate study for the plain forward solver at an interior point.
 
     Sweeps either the time grid (fixed mesh) or the mesh (fixed time
@@ -398,7 +385,7 @@ def study_smoothing(cfg, v0=first_eigenmode, workers=1):
             model = HeatModel(mesh, TimeGrid.uniform(cfg.T, M), cfg.dg_order)
             return eval_field(mesh, forward_field(model, v0h), x0)
 
-        values = _map(value, Ms, workers)
+        values = [value(M) for M in Ms]
         errors = [abs(v - values[-1]) for v in values[:-1]]
         params = [cfg.T / M for M in Ms[:-1]]
     else:
@@ -414,7 +401,7 @@ def study_smoothing(cfg, v0=first_eigenmode, workers=1):
             u = forward_field(model, l2_project(mesh, v0))
             return eval_field(mesh, u, x0)
 
-        values = _map(value, meshes, workers)
+        values = [value(mesh) for mesh in meshes]
         errors = [abs(v - values[-1]) for v in values[:-1]]
         params = [m.h for m in meshes[:-1]]
 

@@ -40,11 +40,6 @@ class SparseSpd:
     def dimension(self):
         return self.mat.shape[0]
 
-    def restrict(self, indices):
-        """Submatrix on a subset of indices, with its own solve cache."""
-        sub = self.mat[indices][:, indices]
-        return SparseSpd(sub, check_symmetry=False)
-
     def solve(self, rhs):
         """Solve A x = rhs by a cached sparse LU factorization.
 
@@ -68,11 +63,6 @@ class SparseSpd:
         return x
 
 
-def solve_spd(matrix, rhs):
-    """Solve with a SparseSpd, reusing its cached factorization."""
-    return matrix.solve(rhs)
-
-
 class NodalField:
     """Coefficient vector over the nodes of a mesh (one P1 function)."""
 
@@ -93,19 +83,10 @@ def zero_field(mesh):
     return NodalField(mesh, np.zeros(mesh.num_nodes))
 
 
-def _cell_geometry(mesh):
-    tri = mesh.nodes[mesh.cells]
-    d1 = tri[:, 1] - tri[:, 0]
-    d2 = tri[:, 2] - tri[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    return tri, area
-
-
 def assemble_mass(mesh):
     """P1 mass matrix, exact element integration (area/12 * [2,1,1] pattern)."""
     cells = mesh.cells
-    _, area = _cell_geometry(mesh)
-    w = area / 12.0
+    w = mesh.cell_areas() / 12.0
     rows, cols, vals = [], [], []
     for a in range(3):
         for b in range(3):
@@ -122,7 +103,7 @@ def assemble_mass(mesh):
 def assemble_stiffness(mesh):
     """P1 stiffness matrix; K_ab = (e_a . e_b) / (4 |T|) per cell."""
     cells = mesh.cells
-    tri, area = _cell_geometry(mesh)
+    tri, area = mesh.nodes[cells], mesh.cell_areas()
     # Edge opposite each vertex.
     e = np.stack(
         [tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0]],
@@ -160,7 +141,7 @@ def l2_project(mesh, f):
     for quadratics; the solve uses the full mass matrix (no boundary
     conditions). `f` must accept numpy arrays (x, y).
     """
-    tri, area = _cell_geometry(mesh)
+    tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
     mids = [
         0.5 * (tri[:, 0] + tri[:, 1]),
         0.5 * (tri[:, 1] + tri[:, 2]),

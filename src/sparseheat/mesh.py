@@ -120,7 +120,9 @@ class TriMesh:
         """
         p = np.asarray(point, dtype=float)
         if not (0.0 <= p[0] <= 1.0 and 0.0 <= p[1] <= 1.0):
-            raise OutOfDomainError(f"point {tuple(p)} lies outside the unit square")
+            raise OutOfDomainError(
+                f"point {tuple(p.tolist())} lies outside the unit square"
+            )
         buckets, g = self._bucket_grid()
         ix = min(int(p[0] * g), g - 1)
         iy = min(int(p[1] * g), g - 1)

@@ -44,6 +44,10 @@ class PdapConfig:
             raise ValueError("tol must be positive")
         if self.tol_mode not in ("relative", "absolute"):
             raise ValueError("tol_mode must be 'relative' or 'absolute'")
+        if self.max_outer_iterations < 0:
+            raise ValueError("max_outer_iterations must be nonnegative")
+        if self.subproblem_max_iterations < 1:
+            raise ValueError("subproblem_max_iterations must be positive")
 
 
 @dataclass
@@ -83,11 +87,19 @@ class IterationLog:
 
 @dataclass
 class PdapResult:
+    """Outcome of `run`.
+
+    `state` is the terminal state S q of the returned measure, assembled
+    from the cached columns (no extra propagation); `adjoint` is the
+    adjoint trace S*(S q - u_d) of the same iterate.
+    """
+
     measure: DiscreteMeasure
     log: IterationLog
     converged: bool
     objective: float
     gap: float
+    state: NodalField
     adjoint: NodalField
     m0: float
     active_nodes: list = field(default_factory=list)
@@ -115,6 +127,11 @@ def select_candidate(z0, interior):
     return int(interior[np.argmax(np.abs(z0.values[interior]))])
 
 
+def _gap_forms(pairing, tv, zmax, alpha, m0):
+    """Identity and general gap forms from <z0, q>, TV(q) and max |z0|."""
+    return m0 * (zmax - alpha), pairing + alpha * tv + m0 * max(zmax - alpha, 0.0)
+
+
 def primal_dual_gap(q, z0, alpha, m0, form="identity"):
     """Suboptimality certificate from the current adjoint state.
 
@@ -126,17 +143,12 @@ def primal_dual_gap(q, z0, alpha, m0, form="identity"):
     is valid for any iterate (in particular iteration 0) and agrees with
     the identity form after a subproblem solve.
     """
-    zmax = float(np.abs(z0.values).max()) if z0.values.size else 0.0
-    if form == "identity":
-        return m0 * (zmax - alpha)
-    if form != "general":
+    if form not in ("identity", "general"):
         raise ValueError("form must be 'identity' or 'general'")
+    zmax = float(np.abs(z0.values).max()) if z0.values.size else 0.0
     pairing = sum(b * eval_field(z0.mesh, z0, p) for p, b in q)
-    return pairing + alpha * tv_norm(q) + m0 * max(zmax - alpha, 0.0)
-
-
-def _shrink(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    identity, general = _gap_forms(pairing, tv_norm(q), zmax, alpha, m0)
+    return identity if form == "identity" else general
 
 
 def _subgradient_residual(G, c, alpha, beta):
@@ -160,11 +172,6 @@ def _sign_pattern_solve(G, c, alpha, idx, theta):
         x = np.linalg.lstsq(sub, rhs, rcond=None)[0]
     return x
 
-def _objective_1d(G, c, alpha):
-    def f(b):
-        return 0.5 * b @ G @ b - c @ b + alpha * np.abs(b).sum()
-
-    return f
 
 def _feature_sign_search(G, c, alpha, beta0, tol, max_iter):
     """Active-set semismooth Newton with sign line search (feature-sign search).
@@ -174,7 +181,10 @@ def _feature_sign_search(G, c, alpha, beta0, tol, max_iter):
     sign flip when the full step is infeasible. Finitely convergent and
     stable on strongly correlated columns.
     """
-    f = _objective_1d(G, c, alpha)
+
+    def f(b):
+        return 0.5 * b @ G @ b - c @ b + alpha * np.abs(b).sum()
+
     beta = beta0.copy()
     best, fbest = beta.copy(), f(beta)
     for it in range(1, max_iter + 1):
@@ -227,76 +237,17 @@ def _feature_sign_search(G, c, alpha, beta0, tol, max_iter):
             return beta, it, True
     return best, max_iter, False
 
-def _fista_polished(G, c, alpha, beta0, tol, max_iter, L):
-    """Accelerated proximal gradient with restart plus Newton polish tries."""
-    f = _objective_1d(G, c, alpha)
-    sigma = 1.0 / L
-    x = beta0.copy()
-    y = x.copy()
-    t = 1.0
-    best, fbest = x.copy(), f(x)
-    for it in range(1, max_iter + 1):
-        x_new = _shrink(y - (G @ y - c) / L, alpha / L)
-        if (y - x_new) @ (x_new - x) > 0.0:  # gradient restart
-            y = x.copy()
-            t = 1.0
-            x_new = _shrink(y - (G @ y - c) / L, alpha / L)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + (t - 1.0) / t_new * (x_new - x)
-        x, t = x_new, t_new
-        fx = f(x)
-        if fx < fbest:
-            best, fbest = x.copy(), fx
-        if it % 10 == 0:
-            w = x - sigma * (G @ x - c)
-            act = np.abs(w) > sigma * alpha
-            cand = np.zeros_like(x)
-            if act.any():
-                idx = np.flatnonzero(act)
-                cand[idx] = _sign_pattern_solve(G, c, alpha, idx, np.sign(w[idx]))
-            if f(cand) < fbest:
-                best, fbest = cand.copy(), f(cand)
-            if _subgradient_residual(G, c, alpha, cand) <= tol:
-                return cand, it, True
-        if _subgradient_residual(G, c, alpha, best) <= tol:
-            return best, it, True
-    return best, max_iter, False
-
-_ENUMERATION_LIMIT = 8
-
-def _enumerate_patterns(G, c, alpha):
-    """Exhaustive sign-pattern search; viable for small active sets only."""
-    import itertools
-
-    m = c.size
-    best, best_res = np.zeros(m), _subgradient_residual(G, c, alpha, np.zeros(m))
-    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=m):
-        s = np.asarray(signs)
-        act = s != 0.0
-        if not act.any():
-            continue
-        idx = np.flatnonzero(act)
-        beta = np.zeros(m)
-        beta[idx] = _sign_pattern_solve(G, c, alpha, idx, s[idx])
-        if np.any(np.sign(beta[idx]) != s[idx]):
-            continue
-        res = _subgradient_residual(G, c, alpha, beta)
-        if res < best_res:
-            best, best_res = beta, res
-    return best, best_res
-
 def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
     """Minimize 0.5 b'Gb - c'b + alpha |b|_1 over the active coefficients.
 
-    Primary method: damped semismooth Newton in feature-sign-search form
-    (exact solves per sign pattern, line search to the first sign flip).
-    Heat columns at neighboring nodes make the Gram matrix extremely
-    ill-conditioned (condition numbers beyond 1e8), which defeats plain
-    first-order methods, so the fallbacks are accelerated proximal
-    gradient with restart and Newton polish, then exhaustive sign-pattern
-    search for small active sets. Returns (beta, iterations); raises
-    SolverFailure with the best iterate attached if nothing reaches the
-    tolerance.
+    Feature-sign search (Lee, Battle, Raina & Ng, NIPS 2007): each step
+    solves the smooth restriction to one sign pattern exactly and damps
+    along the segment to the first sign flip, so it converges finitely.
+    The exact solves keep it reliable on the Gram matrices of heat columns
+    at neighbouring nodes, whose condition numbers exceed 1e8 and defeat
+    plain first-order methods. Returns (beta, iterations). Raises
+    SolverFailure, with the best iterate in `best_coefficients`, when the
+    first-order residual is still above `tol` after `max_iter` steps.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -307,36 +258,18 @@ def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
     tol = max(tol, 1e-14 * max(1.0, float(np.abs(c).max())))
     if _subgradient_residual(G, c, alpha, beta) <= tol:
         return beta, 0
-
-    L = float(np.linalg.eigvalsh(G)[-1])
-    if L <= 0.0:
+    if float(np.linalg.eigvalsh(G)[-1]) <= 0.0:
         return np.zeros_like(beta), 0
 
     beta, iters, ok = _feature_sign_search(G, c, alpha, beta, tol, max_iter)
-    if ok:
-        return beta, iters
-
-    fb_budget = max(2000, 20 * max_iter)
-    beta_fb, extra, ok = _fista_polished(G, c, alpha, beta, tol, fb_budget, L)
-    iters += extra
-    f = _objective_1d(G, c, alpha)
-    if f(beta_fb) <= f(beta):
-        beta = beta_fb
-    if ok:
-        return beta, iters
-
-    if c.size <= _ENUMERATION_LIMIT:
-        beta_en, res = _enumerate_patterns(G, c, alpha)
-        iters += 3**c.size
-        if res <= tol:
-            return beta_en, iters
-        if f(beta_en) <= f(beta):
-            beta = beta_en
-    raise SolverFailure(
-        f"subproblem stalled at residual "
-        f"{_subgradient_residual(G, c, alpha, beta):.3e} (tol {tol:.3e})",
-        best_coefficients=beta,
-    )
+    if not ok:
+        raise SolverFailure(
+            f"subproblem stalled after {iters} iterations at residual "
+            f"{_subgradient_residual(G, c, alpha, beta):.3e} (tol {tol:.3e}, "
+            f"m={c.size}, cond(G)={np.linalg.cond(G):.3e})",
+            best_coefficients=beta,
+        )
+    return beta, iters
 
 
 def run(model, u_d, config, q0=None):
@@ -345,7 +278,8 @@ def run(model, u_d, config, q0=None):
     Starting from q0 (default: the empty measure) the loop alternates
     adjoint evaluation, candidate-node selection and the active-set
     subproblem, pruning zero coefficients after each solve. Columns
-    S(delta_node) are computed once per activation and cached. Stops when
+    S(delta_node) are computed once per activation and cached; the
+    returned terminal state is assembled from them. Stops when
     the gap falls below the configured threshold; hitting the iteration
     cap returns the current iterate flagged as non-converged.
     """
@@ -408,8 +342,6 @@ def run(model, u_d, config, q0=None):
     sub_tol = config.subproblem_tol
     log = IterationLog()
     converged = False
-    phi = 0.0
-    z_field = model.embed(np.zeros(interior.size))
 
     for n in range(config.max_outer_iterations + 1):
         state = np.zeros(model.mesh.num_nodes)
@@ -423,17 +355,14 @@ def run(model, u_d, config, q0=None):
         if beta.size:
             pos = np.searchsorted(interior, np.asarray(active))
             pairing = float(beta @ zi[pos])
-        general = pairing + alpha * float(np.abs(beta).sum()) + m0 * max(
-            zmax - alpha, 0.0
+        identity, general = _gap_forms(
+            pairing, float(np.abs(beta).sum()), zmax, alpha, m0
         )
-        if n == 0:
-            phi = general
-        else:
-            # The closed form applies after a subproblem solve; it only
-            # drops below the general form when the iterate is already
-            # optimal with slack (max |z| < alpha), where the certificate
-            # is zero.
-            phi = max(m0 * (zmax - alpha), general)
+        # The identity form applies after a subproblem solve; it only
+        # drops below the general form when the iterate is already
+        # optimal with slack (max |z| < alpha), where the certificate is
+        # zero.
+        phi = general if n == 0 else max(identity, general)
 
         if m0 == 0.0 or phi < tol_abs:
             log.append(IterationRecord(n, phi, j, len(active), -1, 0))
@@ -443,7 +372,7 @@ def run(model, u_d, config, q0=None):
             log.append(IterationRecord(n, phi, j, len(active), -1, 0))
             break
 
-        node = int(interior[np.argmax(np.abs(zi))])
+        node = select_candidate(z_field, interior)
         support_before = len(active)
         if node in active:
             # Gap now stems from subproblem inexactness; tighten and re-solve.
@@ -472,6 +401,7 @@ def run(model, u_d, config, q0=None):
         converged=converged,
         objective=j,
         gap=phi,
+        state=NodalField(model.mesh, state),
         adjoint=z_field,
         m0=m0,
         active_nodes=list(active),

@@ -49,6 +49,23 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
     assert main(["reconstruct", "--config", path]) == 1
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"dg_order": 2},
+        {"mesh_n": 1},
+        {"truth": [{"x": [0.5, 1.5], "beta": 1.0}]},
+    ],
+    ids=["dg_order", "mesh_n", "atom_outside"],
+)
+def test_invalid_input_is_one_line_error(tmp_path, capsys, override):
+    path = write_config(tmp_path, {**TINY_RECONSTRUCT, **override})
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
 

@@ -13,6 +13,7 @@ from sparseheat import (
     study_space,
     study_time,
 )
+from sparseheat import pdap
 from sparseheat.errors import ConfigError
 from sparseheat.experiments import ExperimentConfig, SmoothingSpec, override_config
 from sparseheat.pdap import PdapConfig
@@ -180,6 +181,58 @@ def test_study_space_smoke():
     assert converged
     assert len(table.rows) == 2
     assert table.errors[0] > table.errors[-1] > 0
+
+
+@pytest.mark.parametrize("driver", ["reconstruct", "study_time", "study_space"])
+def test_no_propagation_outside_pdap_solves(tmp_path, monkeypatch, driver):
+    # Every optimal state comes from the columns PDAP already propagated:
+    # after the observation, each propagation happens inside a pdap.run,
+    # and each outer iteration costs exactly one adjoint propagation.
+    events, logs = [], []
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            events.append(kind)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_run = pdap.run
+
+    def run(*args, **kwargs):
+        events.append("run")
+        result = real_run(*args, **kwargs)
+        events.append("returned")
+        logs.append(len(result.log))
+        return result
+
+    for kind in ("load", "adjoint"):
+        name = f"propagate_{kind}"
+        monkeypatch.setattr(HeatModel, name, counted(kind, getattr(HeatModel, name)))
+    monkeypatch.setattr(pdap, "run", run)
+    cfg = ExperimentConfig(
+        T=0.1,
+        truth=CENTER_ATOM,
+        mesh_n=[4, 8, 16] if driver == "study_space" else 8,
+        time_steps=[4, 8, 16] if driver == "study_time" else 8,
+        dg_order=0,
+        alpha=1e-3,
+        noise_level=0.02 if driver == "reconstruct" else 0.0,
+        pdap=PdapConfig(alpha=1e-3, tol=1e-8),
+        output_dir=str(tmp_path / "out"),
+    )
+    drivers = dict(reconstruct=reconstruct, study_time=study_time, study_space=study_space)
+    drivers[driver](cfg)
+
+    depth, outside = 0, []
+    for i, kind in enumerate(events):
+        if kind in ("run", "returned"):
+            depth += 1 if kind == "run" else -1
+        elif depth == 0 and "run" in events[:i]:
+            outside.append(kind)
+    assert outside == []
+    assert events[-1] == "returned"
+    assert events.count("adjoint") == sum(logs)
 
 
 def test_study_space_requires_doubling():

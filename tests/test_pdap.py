@@ -1,5 +1,10 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseheat import (
     DiscreteMeasure,
@@ -9,6 +14,8 @@ from sparseheat import (
     l2_norm,
 )
 from sparseheat import pdap
+from sparseheat.errors import ConfigError, SolverFailure
+from sparseheat.experiments import config_from_dict
 from sparseheat.pdap import (
     PdapConfig,
     _subgradient_residual,
@@ -30,6 +37,13 @@ def test_config_validation():
         PdapConfig(alpha=1.0, tol=-1.0)
     with pytest.raises(ValueError):
         PdapConfig(alpha=1.0, tol_mode="weird")
+    with pytest.raises(ValueError):
+        PdapConfig(alpha=1.0, max_outer_iterations=-3)
+    with pytest.raises(ValueError):
+        PdapConfig(alpha=1.0, subproblem_max_iterations=0)
+    with pytest.raises(ConfigError):
+        config_from_dict({"pdap": {"max_outer_iterations": -3}})
+    PdapConfig(alpha=1.0, max_outer_iterations=0, subproblem_max_iterations=1)
 
 
 def test_subproblem_1d_shrinkage():
@@ -90,6 +104,125 @@ def test_subproblem_handles_near_collinear_columns():
         tol = 1e-10 * max(1.0, np.abs(c).max())
         beta, _ = solve_subproblem(G, c, alpha, np.zeros(m), tol, 100)
         assert _subgradient_residual(G, c, alpha, beta) <= tol
+
+
+def l1_objective(G, c, alpha, beta):
+    return 0.5 * beta @ G @ beta - c @ beta + alpha * np.abs(beta).sum()
+
+
+def enumerate_patterns(G, c, alpha):
+    """Reference oracle: the best stationary point over all 3^m sign patterns.
+
+    Each pattern's smooth restriction is solved directly; patterns whose
+    solution contradicts the assumed signs are discarded, and the point
+    with the smallest first-order residual wins. Viable for m <= 6.
+    """
+    m = c.size
+    best = np.zeros(m)
+    best_res = _subgradient_residual(G, c, alpha, best)
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=m):
+        theta = np.asarray(signs)
+        idx = np.flatnonzero(theta)
+        if idx.size == 0:
+            continue
+        sub = G[np.ix_(idx, idx)]
+        rhs = c[idx] - alpha * theta[idx]
+        beta = np.zeros(m)
+        beta[idx] = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        if np.any(np.sign(beta[idx]) != theta[idx]):
+            continue
+        res = _subgradient_residual(G, c, alpha, beta)
+        if res < best_res:
+            best, best_res = beta, res
+    return best, best_res
+
+
+HEAT_LATTICE = 16  # mesh_n of the heat columns; 15 x 15 interior nodes
+
+
+@functools.lru_cache(maxsize=None)
+def heat_model(T):
+    return HeatModel(build_uniform(HEAT_LATTICE), TimeGrid.uniform(T, 8), 0)
+
+
+@functools.lru_cache(maxsize=None)
+def heat_column(T, i, j):
+    """S(delta) at interior lattice node (i, j), on interior nodes."""
+    model = heat_model(T)
+    load = np.zeros(model.n_interior)
+    load[i * (HEAT_LATTICE - 1) + j] = 1.0
+    return model.propagate_load(load)
+
+
+def heat_subproblem(T, anchor, offsets, weights, noise_seed, alpha_frac):
+    """Gram system of heat columns at the interior lattice nodes anchor +
+    offsets, as PDAP builds it: G = C' M C and c = C' M u_d for data u_d
+    near span(C)."""
+    Mi = heat_model(T).mass_int
+    C = np.column_stack(
+        [heat_column(T, anchor[0] + di, anchor[1] + dj) for di, dj in offsets]
+    )
+    w = np.asarray(weights[: len(offsets)])
+    rng = np.random.default_rng(noise_seed)
+    u_d = C @ w + 1e-3 * np.abs(C @ w).max() * rng.standard_normal(C.shape[0])
+    G = C.T @ (Mi @ C)
+    c = C.T @ (Mi @ u_d)
+    return G, c, alpha_frac * np.abs(c).max()
+
+
+NEIGHBOUR = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T=st.sampled_from([0.02, 0.1]),
+    anchor=st.tuples(st.integers(1, 13), st.integers(1, 13)),
+    offsets=st.lists(NEIGHBOUR, min_size=2, max_size=6, unique=True),
+    weights=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+    noise_seed=st.integers(0, 2**16),
+    alpha_frac=st.floats(1e-4, 0.5),
+)
+def test_subproblem_matches_oracle_on_neighbouring_heat_columns(
+    T, anchor, offsets, weights, noise_seed, alpha_frac
+):
+    # Heat columns at neighbouring nodes are nearly collinear, so these
+    # Gram matrices are the ill-conditioned case feature-sign search must
+    # handle without a fallback.
+    G, c, alpha = heat_subproblem(T, anchor, offsets, weights, noise_seed, alpha_frac)
+    tol = max(1e-11, 1e-14 * max(1.0, np.abs(c).max()))
+    beta, _ = solve_subproblem(G, c, alpha, np.zeros(c.size), 1e-11, 100)
+    assert _subgradient_residual(G, c, alpha, beta) <= tol
+    oracle, _ = enumerate_patterns(G, c, alpha)
+    f_solver = l1_objective(G, c, alpha, beta)
+    f_oracle = l1_objective(G, c, alpha, oracle)
+    assert f_solver <= f_oracle + 1e-10 * max(1.0, abs(f_oracle))
+
+
+def test_subproblem_matches_oracle_on_random_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m = int(rng.integers(1, 7))
+        A = rng.standard_normal((10, m))
+        G = A.T @ A
+        c = A.T @ rng.standard_normal(10)
+        alpha = rng.uniform(0.05, 1.0) * np.abs(c).max()
+        beta, _ = solve_subproblem(G, c, alpha, np.zeros(m), 1e-12, 100)
+        oracle, res = enumerate_patterns(G, c, alpha)
+        assert res <= 1e-10
+        assert np.allclose(beta, oracle, atol=1e-9)
+
+
+def test_subproblem_stall_raises_with_best_iterate():
+    offsets = [(0, 0), (0, 1), (1, 0), (1, 1), (-1, 0)]
+    weights = [3.0, -2.0, 1.0, 4.0, -1.0]
+    G, c, alpha = heat_subproblem(0.1, (7, 7), offsets, weights, 0, 1e-4)
+    beta0 = np.zeros(c.size)
+    with pytest.raises(SolverFailure) as info:
+        solve_subproblem(G, c, alpha, beta0, 1e-11, 1)
+    best = info.value.best_coefficients
+    assert best.shape == (c.size,)
+    assert l1_objective(G, c, alpha, best) < l1_objective(G, c, alpha, beta0)
+    assert "cond(G)" in str(info.value)
 
 
 def test_subproblem_warm_start_noop():
@@ -189,6 +322,8 @@ def test_run_objective_matches_recompute():
     res = pdap.run(model, u_d, cfg)
     recomputed = pdap.objective(model, u_d, res.measure, cfg.alpha)
     assert res.objective == pytest.approx(recomputed, rel=1e-10, abs=1e-12)
+    state = forward_dirac(model, res.measure).values
+    assert np.allclose(res.state.values, state, rtol=1e-12, atol=1e-14)
 
 
 def test_run_flags_non_convergence():
