@@ -435,7 +435,26 @@ _PDAP_KEYS = {
     "subproblem_max_iterations",
     "prune_threshold",
 }
+_PDAP_FLOATS = {"tol", "subproblem_tol", "prune_threshold"}
 _SMOOTHING_KEYS = {"x0", "sweep"}
+
+
+def _number(name, value):
+    """A finite float, or ConfigError."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {out}")
+    return out
+
+
+def _point(name, value):
+    """A list of exactly two finite numbers, or ConfigError."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name} must be a list of two numbers, got {value!r}")
+    return [_number(name, v) for v in value]
 
 
 def config_from_dict(data):
@@ -448,7 +467,7 @@ def config_from_dict(data):
     kwargs = {}
     for key in ("T", "alpha", "noise_level"):
         if key in data:
-            kwargs[key] = float(data[key])
+            kwargs[key] = _number(key, data[key])
     for key in ("dg_order", "seed"):
         if key in data:
             kwargs[key] = int(data[key])
@@ -463,26 +482,36 @@ def config_from_dict(data):
         if not isinstance(atoms, list):
             raise ConfigError("truth must be a list of atoms")
         positions, betas = [], []
-        for atom in atoms:
+        for i, atom in enumerate(atoms):
+            if not isinstance(atom, dict):
+                raise ConfigError(f"truth[{i}] must be an object with keys x and beta")
             extra = set(atom) - {"x", "beta"}
             if extra:
                 raise ConfigError(f"unknown atom keys: {sorted(extra)}")
-            positions.append([float(atom["x"][0]), float(atom["x"][1])])
-            betas.append(float(atom["beta"]))
+            positions.append(_point(f"truth[{i}].x", atom.get("x")))
+            betas.append(_number(f"truth[{i}].beta", atom.get("beta")))
         kwargs["truth"] = DiscreteMeasure(positions, betas)
     if "smoothing" in data and data["smoothing"] is not None:
         block = data["smoothing"]
+        if not isinstance(block, dict):
+            raise ConfigError("smoothing must be an object")
         unknown = set(block) - _SMOOTHING_KEYS
         if unknown:
             raise ConfigError(f"unknown smoothing keys: {sorted(unknown)}")
         kwargs["smoothing"] = SmoothingSpec(
-            x0=tuple(float(v) for v in block.get("x0", (0.5, 0.5))),
+            x0=tuple(_point("smoothing.x0", block.get("x0", [0.5, 0.5]))),
             sweep=str(block.get("sweep", "time")),
         )
     pdap_block = data.get("pdap", {})
+    if not isinstance(pdap_block, dict):
+        raise ConfigError("pdap must be an object")
     unknown = set(pdap_block) - _PDAP_KEYS
     if unknown:
         raise ConfigError(f"unknown pdap keys: {sorted(unknown)}")
+    pdap_block = {
+        key: _number(f"pdap.{key}", v) if key in _PDAP_FLOATS else v
+        for key, v in pdap_block.items()
+    }
     try:
         kwargs["pdap"] = PdapConfig(alpha=kwargs.get("alpha", 1e-3), **pdap_block)
         return ExperimentConfig(**kwargs)

@@ -26,7 +26,8 @@ class PdapConfig:
 
     `tol` stops the outer loop once the gap drops below it; with
     tol_mode "relative" (the default) the threshold is tol * M0, where
-    M0 = j(q0)/alpha is the gap scale fixed at iteration 0.
+    M0 = j(0)/alpha is the gap scale fixed at iteration 0, j(0) being the
+    objective of the empty starting measure.
     """
 
     alpha: float
@@ -272,10 +273,10 @@ def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
     return beta, iters
 
 
-def run(model, u_d, config, q0=None):
+def run(model, u_d, config):
     """Primal-dual active-point loop on the interior-node control space.
 
-    Starting from q0 (default: the empty measure) the loop alternates
+    Starting from the empty measure the loop alternates
     adjoint evaluation, candidate-node selection and the active-set
     subproblem, pruning zero coefficients after each solve. Columns
     S(delta_node) are computed once per activation and cached; the
@@ -314,17 +315,6 @@ def run(model, u_d, config, q0=None):
         cols.append(col)
         active.append(int(node))
         beta = np.append(beta, 0.0)
-
-    if q0 is not None and len(q0) > 0:
-        node_of = {}
-        for p, b in q0:
-            loc = mesh_node_index(model.mesh, p)
-            if loc is None or model.mesh.boundary_mask[loc]:
-                raise ValueError("q0 atoms must sit on interior mesh nodes")
-            node_of[loc] = node_of.get(loc, 0.0) + b
-        for node, b in sorted(node_of.items()):
-            add_node(node)
-            beta[-1] = b
 
     def current_objective():
         if beta.size == 0:
@@ -408,9 +398,3 @@ def run(model, u_d, config, q0=None):
         coefficients=beta.copy(),
     )
 
-
-def mesh_node_index(mesh, point, tol=1e-12):
-    """Index of the mesh node at `point`, or None if no node matches."""
-    d = np.abs(mesh.nodes - np.asarray(point, dtype=float)).max(axis=1)
-    hit = int(np.argmin(d))
-    return hit if d[hit] <= tol else None

@@ -1,28 +1,34 @@
 """Fully discrete heat solvers: P1 elements in space, dG(r) in time, r in {0,1}.
 
-The map from initial data to the end-time state and its adjoint share one
-factorization per distinct step length. With the shifted Legendre basis
-{1, 2(t - t_{m-1})/k_m - 1} on each slab, the dG(1) slab system is
-
-    [ M + k A      M          ] [U0]   [ f]
-    [   -M         M + k/3 A  ] [U1] = [-f]
-
-with end-of-slab trace U0 + U1 and f the previous trace paired with M
-(first slab: the initial load hits both rows with weights +1/-1 because
-the two basis functions have traces 1 and -1 at the left slab end). The
-per-step amplification of a Laplacian eigenmode equals the subdiagonal
-Pade approximant of exp(-s): 1/(1+s) for dG(0) and the (1,2) approximant
-for dG(1); `pade_step_oracle` computes it from the raw 2x2 slab system.
+On a slab of length k a Laplacian eigenmode (A v = lam M v, s = k lam) is
+multiplied by the subdiagonal Pade approximant of exp(-s), which has the
+pole form r(s) = Re(c / (s - sigma)): sigma = -1, c = 1 gives 1/(1 + s)
+for dG(0); sigma = s1 = -2 + i sqrt(2), c = 2 (6 - 2 s1) / (s1 - conj(s1))
+gives (6 - 2s)/(s^2 + 4s + 6) for dG(1), the conjugate pole pair summed
+into one real part (Richter, Springer & Vexler, Numer. Math. 124, 2013).
+So one step of either order is one shifted N x N solve,
+u = Re(c (kA - sigma M)^{-1} f), with f the previous trace paired with M
+(first slab: the initial load) and one real (dG(0)) or complex (dG(1))
+factorization per distinct step length. The step operator is symmetric,
+so the adjoint is the same loop over the reversed steps.
+`pade_step_oracle` computes the amplification independently from the raw
+dG(1) slab system.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fem import NodalField, assemble_mass, assemble_stiffness, delta_load, zero_field
+
+_S1 = complex(-2.0, np.sqrt(2.0))
+# dG order -> (sigma, c) of the step kernel Re(c (kA - sigma M)^{-1} f).
+_POLES = {
+    0: (-1.0, 1.0),
+    1: (_S1, 2.0 * (6.0 - 2.0 * _S1) / (_S1 - _S1.conjugate())),
+}
 
 
 class TimeGrid:
@@ -54,8 +60,7 @@ class HeatModel:
 
     Bundles the mesh, full mass/stiffness matrices, the interior index
     set, the time grid and the dG order; slab factorizations are created
-    lazily per distinct step length and reused. Immutable after setup, so
-    several propagations may run concurrently against one model.
+    lazily per distinct step length and reused.
     """
 
     def __init__(self, mesh, grid, order):
@@ -79,54 +84,30 @@ class HeatModel:
         key = float(k)
         lu = self._slab_lu.get(key)
         if lu is None:
-            Mi, Ai = self.mass_int, self.stiff_int
-            if self.order == 0:
-                mat = (Mi + k * Ai).tocsc()
-            else:
-                mat = sp.bmat(
-                    [[Mi + k * Ai, Mi], [-Mi, Mi + (k / 3.0) * Ai]], format="csc"
-                )
+            sigma = _POLES[self.order][0]
             try:
-                lu = spla.splu(mat)
+                lu = spla.splu((k * self.stiff_int - sigma * self.mass_int).tocsc())
             except RuntimeError as exc:
                 raise NumericalError(f"slab factorization failed: {exc}") from exc
             self._slab_lu[key] = lu
         return lu
 
-    def _step_forward(self, k, f):
-        lu = self._lu(k)
-        if self.order == 0:
-            return lu.solve(f)
-        y = lu.solve(np.concatenate([f, -f]))
-        n = self.n_interior
-        return y[:n] + y[n:]
+    def _step(self, k, f):
+        return np.real(_POLES[self.order][1] * self._lu(k).solve(f))
 
-    def _step_adjoint(self, k, w):
-        lu = self._lu(k)
-        if self.order == 0:
-            return lu.solve(w)  # slab matrix is symmetric for dG(0)
-        y = lu.solve(np.concatenate([w, w]), trans="T")
-        n = self.n_interior
-        return y[:n] - y[n:]
-
-    def propagate_load(self, b_int, return_trajectory=False):
-        """End-time trace from a first-slab load vector on interior nodes."""
-        steps = self.grid.steps
-        u = self._step_forward(steps[0], b_int)
-        trajectory = [u] if return_trajectory else None
+    def _propagate(self, steps, f):
+        u = self._step(steps[0], f)
         for k in steps[1:]:
-            u = self._step_forward(k, self.mass_int @ u)
-            if return_trajectory:
-                trajectory.append(u)
-        return (u, trajectory) if return_trajectory else u
+            u = self._step(k, self.mass_int @ u)
+        return u
+
+    def propagate_load(self, b_int):
+        """End-time trace from a first-slab load vector on interior nodes."""
+        return self._propagate(self.grid.steps, b_int)
 
     def propagate_adjoint(self, w_int):
         """Transposed propagation: terminal pairing back to the initial trace."""
-        steps = self.grid.steps
-        w = self._step_adjoint(steps[-1], w_int)
-        for k in steps[-2::-1]:
-            w = self._step_adjoint(k, self.mass_int @ w)
-        return w
+        return self._propagate(self.grid.steps[::-1], w_int)
 
     def embed(self, interior_values):
         """Interior coefficient vector as a full nodal field (zero boundary)."""
@@ -135,7 +116,7 @@ class HeatModel:
         return NodalField(self.mesh, values)
 
 
-def forward_dirac(model, q, return_trajectory=False):
+def forward_dirac(model, q):
     """End-time state generated by an atomic initial measure.
 
     The measure enters through the duality pairing with the first-slab
@@ -143,12 +124,8 @@ def forward_dirac(model, q, return_trajectory=False):
     atom positions. An empty measure yields the zero field.
     """
     if len(q) == 0:
-        out = zero_field(model.mesh)
-        return (out, []) if return_trajectory else out
+        return zero_field(model.mesh)
     b = delta_load(model.mesh, q)[model.interior]
-    if return_trajectory:
-        u, traj = model.propagate_load(b, return_trajectory=True)
-        return model.embed(u), [model.embed(t) for t in traj]
     return model.embed(model.propagate_load(b))
 
 
@@ -179,9 +156,10 @@ def adjoint_dirac(model, g):
 def pade_step_oracle(lam, k, order):
     """Amplification of one dG slab for the scalar mode u' + lam*u = 0.
 
-    For order 0 this is 1/(1 + k*lam). For order 1 the 2x2 slab system is
-    solved numerically and the end trace returned; the result agrees with
-    the subdiagonal (1,2) Pade approximant of exp(-k*lam).
+    For order 0 this is 1/(1 + k*lam). For order 1 the 2x2 slab system in
+    the shifted Legendre basis {1, 2(t - t_{m-1})/k - 1} is solved
+    numerically and the end trace returned; the result agrees with the
+    subdiagonal (1,2) Pade approximant of exp(-k*lam).
     """
     if k <= 0 or lam < 0:
         raise ValueError("need k > 0 and lam >= 0")

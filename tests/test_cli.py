@@ -55,8 +55,32 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"dg_order": 2},
         {"mesh_n": 1},
         {"truth": [{"x": [0.5, 1.5], "beta": 1.0}]},
+        {"truth": [{"x": [0.5], "beta": 1.0}]},
+        {"truth": [{"x": 0.5, "beta": 1.0}]},
+        {"truth": [[0.5, 0.5]]},
+        {"truth": [{"x": [0.5, 0.5], "beta": "big"}]},
+        {"T": float("nan")},
+        {"alpha": float("nan")},
+        {"noise_level": float("inf")},
+        {"pdap": {"tol": float("nan")}},
+        {"pdap": {"prune_threshold": float("nan")}},
+        {"smoothing": []},
     ],
-    ids=["dg_order", "mesh_n", "atom_outside"],
+    ids=[
+        "dg_order",
+        "mesh_n",
+        "atom_outside",
+        "atom_one_coordinate",
+        "atom_scalar_x",
+        "atom_not_object",
+        "atom_beta_not_number",
+        "T_nan",
+        "alpha_nan",
+        "noise_level_inf",
+        "pdap_tol_nan",
+        "pdap_prune_threshold_nan",
+        "smoothing_not_object",
+    ],
 )
 def test_invalid_input_is_one_line_error(tmp_path, capsys, override):
     path = write_config(tmp_path, {**TINY_RECONSTRUCT, **override})

@@ -335,18 +335,6 @@ def test_run_flags_non_convergence():
     assert len(res.measure) >= 1
 
 
-def test_run_accepts_nodal_warm_start():
-    model = make_model(n=8, M=4)
-    node = model.interior[10]
-    truth = DiscreteMeasure([model.mesh.nodes[node]], [2.0])
-    u_d = forward_dirac(model, truth)
-    q0 = DiscreteMeasure([model.mesh.nodes[node]], [1.0])
-    res = pdap.run(model, u_d, PdapConfig(alpha=1e-3, tol=1e-9), q0=q0)
-    assert res.converged
-    with pytest.raises(ValueError):
-        pdap.run(model, u_d, PdapConfig(alpha=1e-3), q0=DiscreteMeasure([(0.33, 0.41)], [1.0]))
-
-
 def test_objective_of_empty_measure():
     model = make_model(n=4, M=2)
     rng = np.random.default_rng(8)

@@ -12,6 +12,7 @@ from sparseheat import (
     project_to_nodes,
     tv_norm,
 )
+from sparseheat import timestepping
 from sparseheat.timestepping import (
     HeatModel,
     TimeGrid,
@@ -22,8 +23,19 @@ from sparseheat.timestepping import (
 )
 
 
+def make_grid(T, M):
+    """M uniform steps, or for M == "graded" four steps in the ratio 1:2:3:4.
+
+    On the graded grid every step length is distinct, so a step that is
+    dropped, repeated or factored with the wrong length shows.
+    """
+    if M == "graded":
+        return TimeGrid(T, T * np.arange(1, 5) / 10.0)
+    return TimeGrid.uniform(T, M)
+
+
 def make_model(n=4, M=4, r=0, T=0.1):
-    return HeatModel(build_uniform(n), TimeGrid.uniform(T, M), r)
+    return HeatModel(build_uniform(n), make_grid(T, M), r)
 
 
 def embed(model, interior_values):
@@ -94,17 +106,16 @@ def eigenbasis(model):
 
 
 @pytest.mark.parametrize("r", [0, 1])
-@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("M", [1, 4, "graded"])
 def test_forward_field_matches_step_oracle_per_eigenmode(r, M):
     # Small T keeps every per-step factor O(1), so cross-mode round-off
     # cannot pollute the per-mode relative comparison.
     model = make_model(n=4, M=M, r=r, T=0.0025)
     lam, W = eigenbasis(model)
-    k = 0.0025 / M
     for j in range(len(lam)):
         w = W[:, j]
         out = forward_field(model, embed(model, w))
-        factor = pade_step_oracle(lam[j], k, r) ** M
+        factor = np.prod([pade_step_oracle(lam[j], k, r) for k in model.grid.steps])
         got = out.values[model.interior]
         assert np.linalg.norm(got - w * factor) <= 1e-10 * abs(factor) * np.linalg.norm(w)
 
@@ -144,7 +155,7 @@ def test_energy_decay(r):
 
 
 @pytest.mark.parametrize("r", [0, 1])
-@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("M", [1, 4, "graded"])
 def test_adjoint_identity(r, M):
     model = make_model(n=8, M=M, r=r)
     mesh = model.mesh
@@ -180,6 +191,24 @@ def test_adjoint_single_step_against_direct_path():
     )
 
 
+def test_propagations_factor_one_interior_matrix(monkeypatch):
+    # Forward and adjoint dG(1) propagation share one shifted N x N
+    # factorization on a uniform grid.
+    shapes = []
+    splu = timestepping.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
+    model = make_model(n=8, M=4, r=1)
+    b = np.random.default_rng(5).standard_normal(model.n_interior)
+    model.propagate_load(b)
+    model.propagate_adjoint(b)
+    assert shapes == [(model.n_interior, model.n_interior)]
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_nodal_projection_compatibility(r):
     # Splitting atoms onto nodes by hat weights leaves the propagated
@@ -194,14 +223,6 @@ def test_nodal_projection_compatibility(r):
         assert np.linalg.norm(direct - projected) <= 1e-12 * max(
             np.linalg.norm(direct), 1.0
         )
-
-
-def test_trajectory_option():
-    model = make_model(n=4, M=6, r=0)
-    q = DiscreteMeasure([(0.5, 0.5)], [1.0])
-    final, trajectory = forward_dirac(model, q, return_trajectory=True)
-    assert len(trajectory) == 6
-    assert np.array_equal(trajectory[-1].values, final.values)
 
 
 def test_forward_field_dimension_mismatch():
