@@ -47,6 +47,8 @@ print(f"projection of a linear: max nodal defect {np.abs(p.values - exact).max()
 mode = l2_project(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 print(f"projected eigenmode norm {l2_norm(M, mode):.6f} (continuum value 0.5)")
 
-# Point location drives all measure/point evaluations.
-loc = mesh.locate((0.33, 0.71))
-print(f"(0.33, 0.71) lies in cell {loc.cell} with weights {np.round(loc.lam, 4)}")
+# Point location drives all measure/point evaluations. It is closed form
+# on the lattice and takes many points at once.
+cells, lam = mesh.locate([(0.33, 0.71), (0.5, 0.5)])
+for point, cell, weights in zip([(0.33, 0.71), (0.5, 0.5)], cells, lam):
+    print(f"{point} lies in cell {cell} with weights {np.round(weights, 4)}")

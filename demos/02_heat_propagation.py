@@ -50,6 +50,6 @@ model = HeatModel(mesh, TimeGrid.uniform(0.1, 16), 1)
 rng = np.random.default_rng(1)
 g = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
 z = adjoint_dirac(model, g)
-lhs = sum(b * eval_field(mesh, z, p) for p, b in q)
+lhs = float(q.coefficients @ eval_field(mesh, z, q.positions))
 rhs = l2_inner(model.mass, forward_dirac(model, q), g)
 print(f"duality defect |<q, S*g> - (Sq, g)| = {abs(lhs - rhs):.2e}")

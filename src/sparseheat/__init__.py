@@ -16,7 +16,6 @@ from .fem import (
     delta_load,
     eval_field,
     field_to_csv,
-    interpolate_field,
     interpolation_matrix,
     l2_inner,
     l2_norm,
@@ -33,7 +32,7 @@ from .measures import (
     save_measure,
     tv_norm,
 )
-from .mesh import BaryLocation, TriMesh, build_uniform, refine
+from .mesh import TriMesh, build_uniform, refine
 from .pdap import (
     IterationLog,
     PdapConfig,

@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("T must be positive")
         if self.noise_level < 0:
             raise ValueError("noise level must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for name in ("mesh_n", "time_steps"):
             v = getattr(self, name)
             if isinstance(v, (list, tuple)):
@@ -383,7 +385,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
 
         def value(M):
             model = HeatModel(mesh, TimeGrid.uniform(cfg.T, M), cfg.dg_order)
-            return eval_field(mesh, forward_field(model, v0h), x0)
+            return eval_field(mesh, forward_field(model, v0h), [x0])[0]
 
         values = [value(M) for M in Ms]
         errors = [abs(v - values[-1]) for v in values[:-1]]
@@ -399,7 +401,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
         def value(mesh):
             model = HeatModel(mesh, grid, cfg.dg_order)
             u = forward_field(model, l2_project(mesh, v0))
-            return eval_field(mesh, u, x0)
+            return eval_field(mesh, u, [x0])[0]
 
         values = [value(mesh) for mesh in meshes]
         errors = [abs(v - values[-1]) for v in values[:-1]]
@@ -427,15 +429,9 @@ _TOP_KEYS = {
     "output_dir",
     "smoothing",
 }
-_PDAP_KEYS = {
-    "tol",
-    "tol_mode",
-    "max_outer_iterations",
-    "subproblem_tol",
-    "subproblem_max_iterations",
-    "prune_threshold",
-}
 _PDAP_FLOATS = {"tol", "subproblem_tol", "prune_threshold"}
+_PDAP_INTEGERS = {"max_outer_iterations", "subproblem_max_iterations"}
+_PDAP_KEYS = _PDAP_FLOATS | _PDAP_INTEGERS | {"tol_mode"}
 _SMOOTHING_KEYS = {"x0", "sweep"}
 
 
@@ -450,11 +446,27 @@ def _number(name, value):
     return out
 
 
+def _integer(name, value):
+    """An integer (integral floats such as 8.0 included), or ConfigError."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _point(name, value):
     """A list of exactly two finite numbers, or ConfigError."""
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{name} must be a list of two numbers, got {value!r}")
     return [_number(name, v) for v in value]
+
+
+def _construct(cls, **kwargs):
+    """cls(**kwargs), with its validation errors raised as ConfigError."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(data):
@@ -468,13 +480,11 @@ def config_from_dict(data):
     for key in ("T", "alpha", "noise_level"):
         if key in data:
             kwargs[key] = _number(key, data[key])
-    for key in ("dg_order", "seed"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    for key in ("mesh_n", "time_steps"):
+    for key in ("mesh_n", "time_steps", "dg_order", "seed"):
         if key in data:
             v = data[key]
-            kwargs[key] = [int(x) for x in v] if isinstance(v, list) else int(v)
+            listed = key in ("mesh_n", "time_steps") and isinstance(v, list)
+            kwargs[key] = [_integer(key, x) for x in v] if listed else _integer(key, v)
     if "output_dir" in data and data["output_dir"] is not None:
         kwargs["output_dir"] = str(data["output_dir"])
     if "truth" in data:
@@ -498,7 +508,8 @@ def config_from_dict(data):
         unknown = set(block) - _SMOOTHING_KEYS
         if unknown:
             raise ConfigError(f"unknown smoothing keys: {sorted(unknown)}")
-        kwargs["smoothing"] = SmoothingSpec(
+        kwargs["smoothing"] = _construct(
+            SmoothingSpec,
             x0=tuple(_point("smoothing.x0", block.get("x0", [0.5, 0.5]))),
             sweep=str(block.get("sweep", "time")),
         )
@@ -509,14 +520,13 @@ def config_from_dict(data):
     if unknown:
         raise ConfigError(f"unknown pdap keys: {sorted(unknown)}")
     pdap_block = {
-        key: _number(f"pdap.{key}", v) if key in _PDAP_FLOATS else v
+        key: _number(f"pdap.{key}", v) if key in _PDAP_FLOATS
+        else _integer(f"pdap.{key}", v) if key in _PDAP_INTEGERS
+        else v
         for key, v in pdap_block.items()
     }
-    try:
-        kwargs["pdap"] = PdapConfig(alpha=kwargs.get("alpha", 1e-3), **pdap_block)
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs["pdap"] = _construct(PdapConfig, alpha=kwargs.get("alpha", 1e-3), **pdap_block)
+    return _construct(ExperimentConfig, **kwargs)
 
 
 def load_config(path):

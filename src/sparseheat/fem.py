@@ -22,8 +22,7 @@ class SparseSpd:
     """Symmetric sparse matrix with a lazily cached direct factorization.
 
     The factorization is computed on the first solve and reused for all
-    subsequent right-hand sides; it is immutable afterwards, so repeated
-    solves may be issued concurrently.
+    subsequent right-hand sides.
     """
 
     def __init__(self, mat, check_symmetry=True):
@@ -127,10 +126,9 @@ def delta_load(mesh, q):
 
     Boundary rows are produced but ignored by Dirichlet solves.
     """
+    cells, lam = mesh.locate(q.positions)
     b = np.zeros(mesh.num_nodes)
-    for pos, beta in q:
-        loc = mesh.locate(pos)
-        b[mesh.cells[loc.cell]] += beta * loc.lam
+    np.add.at(b, mesh.cells[cells], q.coefficients[:, None] * lam)
     return b
 
 
@@ -157,10 +155,14 @@ def l2_project(mesh, f):
     return NodalField(mesh, mass.solve(F))
 
 
-def eval_field(mesh, v, point):
-    """Evaluate a nodal field at a point by barycentric interpolation."""
-    loc = mesh.locate(point)
-    return float(loc.lam @ v.values[mesh.cells[loc.cell]])
+def eval_field(mesh, v, points):
+    """Values of a nodal field at points by barycentric interpolation.
+
+    `points` has shape (k, 2); the result has shape (k,). Each value is
+    rounded like the single dot product `lam[i] @ v.values[cell_i]`.
+    """
+    cells, lam = mesh.locate(points)
+    return (lam[:, None, :] @ v.values[mesh.cells[cells]][:, :, None])[:, 0, 0]
 
 
 def l2_inner(mass, u, v):
@@ -193,25 +195,14 @@ def interpolation_matrix(coarse, fine):
     """Nodal interpolation matrix from a coarse mesh onto a finer one.
 
     Exact for P1 functions when the fine mesh refines the coarse one
-    (nested nodes): row k holds the barycentric weights of fine node k
-    within its containing coarse cell.
+    (nested nodes): row k holds the nonzero barycentric weights of fine
+    node k within its containing coarse cell.
     """
-    rows, cols, vals = [], [], []
-    for k, p in enumerate(fine.nodes):
-        loc = coarse.locate(p)
-        verts = coarse.cells[loc.cell]
-        for v, w in zip(verts, loc.lam):
-            if w != 0.0:
-                rows.append(k)
-                cols.append(v)
-                vals.append(w)
+    cells, lam = coarse.locate(fine.nodes)
+    rows = np.repeat(np.arange(fine.num_nodes), 3)
+    cols = coarse.cells[cells].ravel()
+    keep = lam.ravel() != 0.0
     return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(fine.num_nodes, coarse.num_nodes)
+        (lam.ravel()[keep], (rows[keep], cols[keep])),
+        shape=(fine.num_nodes, coarse.num_nodes),
     )
-
-
-def interpolate_field(field, fine, matrix=None):
-    """Interpolate a nodal field onto a finer nested mesh."""
-    if matrix is None:
-        matrix = interpolation_matrix(field.mesh, fine)
-    return NodalField(fine, matrix @ field.values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .fem import delta_load
 
 PRUNE_TOL = 1e-12
 
@@ -83,12 +83,7 @@ def project_to_nodes(mesh, q):
     falling on boundary nodes is dropped. Leaves nodal atoms unchanged
     and never increases the total variation.
     """
-    weights = np.zeros(mesh.num_nodes)
-    for pos, beta in q:
-        if not (0.0 <= pos[0] <= 1.0 and 0.0 <= pos[1] <= 1.0):
-            raise OutOfDomainError(f"atom at {tuple(pos)} outside the domain")
-        loc = mesh.locate(pos)
-        weights[mesh.cells[loc.cell]] += beta * loc.lam
+    weights = delta_load(mesh, q)
     interior = mesh.interior_nodes()
     mask = np.abs(weights[interior]) > PRUNE_TOL
     idx = interior[mask]

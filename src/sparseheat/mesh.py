@@ -4,7 +4,9 @@ All meshes are conforming triangulations of [0,1]^2 built either by
 `build_uniform` (the classic lattice-with-diagonals pattern, diagonal
 running lower-left to upper-right) or by `refine` (global edge-midpoint
 refinement into four congruent children). Meshes are immutable after
-construction and safe to share between threads.
+construction. Both builders yield a uniform lattice of squares, each
+split along its lower-left to upper-right diagonal, so point location
+is closed form.
 """
 
 from __future__ import annotations
@@ -18,21 +20,10 @@ from .errors import NumericalError, OutOfDomainError
 # Barycentric containment slack: points this far outside a cell still
 # count as inside, with weights clamped and renormalized.
 _CONTAIN_TOL = 1e-12
+# Reach, in lattice units, within which a square counts as touching a
+# point; far above the containment slack and the rounding of p * n.
+_SQUARE_SLACK = 1e-9
 _BOUNDARY_TOL = 1e-12
-
-
-class BaryLocation:
-    """A located point: containing cell plus barycentric coordinates."""
-
-    __slots__ = ("cell", "lam")
-
-    def __init__(self, cell, lam):
-        self.cell = int(cell)
-        self.lam = np.asarray(lam, dtype=float)
-
-    def point(self, mesh):
-        """Reconstruct the located point from the barycentric weights."""
-        return self.lam @ mesh.nodes[mesh.cells[self.cell]]
 
 
 class TriMesh:
@@ -62,8 +53,7 @@ class TriMesh:
         self.cells.setflags(write=False)
         self.boundary_mask.setflags(write=False)
         self._interior = None
-        self._buckets = None
-        self._grid_res = None
+        self._lattice = None
 
     @property
     def num_nodes(self):
@@ -89,55 +79,66 @@ class TriMesh:
 
     # -- point location ------------------------------------------------
 
-    def _bucket_grid(self):
-        """Background grid mapping squares to candidate cell indices."""
-        if self._buckets is None:
-            g = max(1, int(round(math.sqrt(self.num_cells / 2.0))))
-            buckets = [[] for _ in range(g * g)]
-            tri = self.nodes[self.cells]
-            lo = np.clip((tri.min(axis=1) * g).astype(int), 0, g - 1)
-            hi = np.clip((tri.max(axis=1) * g).astype(int), 0, g - 1)
-            for idx in range(self.num_cells):
-                for ix in range(lo[idx, 0], hi[idx, 0] + 1):
-                    for iy in range(lo[idx, 1], hi[idx, 1] + 1):
-                        buckets[ix * g + iy].append(idx)
-            self._buckets = buckets
-            self._grid_res = g
-        return self._buckets, self._grid_res
+    def _lattice_cells(self):
+        """(n, n, 2) table of cell indices by lattice square and side.
 
-    def _barycentric(self, cell, p):
-        a, b, c = self.nodes[self.cells[cell]]
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        l1 = ((p[0] - a[0]) * (c[1] - a[1]) - (p[1] - a[1]) * (c[0] - a[0])) / det
-        l2 = ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])) / det
-        return np.array([1.0 - l1 - l2, l1, l2])
-
-    def locate(self, point):
-        """Find a cell containing `point` and its barycentric coordinates.
-
-        Points on shared edges resolve to the containing cell of lowest
-        index. Raises OutOfDomainError for points outside [0,1]^2.
+        Entry [i, j, 0] is the cell below the diagonal of the square
+        [i/n, (i+1)/n] x [j/n, (j+1)/n], entry [i, j, 1] the one above.
+        `refine` numbers cells in child blocks, not in lattice order, so
+        the table is read off the cell centroids.
         """
-        p = np.asarray(point, dtype=float)
-        if not (0.0 <= p[0] <= 1.0 and 0.0 <= p[1] <= 1.0):
-            raise OutOfDomainError(
-                f"point {tuple(p.tolist())} lies outside the unit square"
-            )
-        buckets, g = self._bucket_grid()
-        ix = min(int(p[0] * g), g - 1)
-        iy = min(int(p[1] * g), g - 1)
-        for cell in buckets[ix * g + iy]:
-            lam = self._barycentric(cell, p)
-            if lam.min() >= -_CONTAIN_TOL:
-                lam = np.clip(lam, 0.0, 1.0)
-                return BaryLocation(cell, lam / lam.sum())
-        # Fallback scan covers degenerate rounding at bucket borders.
-        for cell in range(self.num_cells):
-            lam = self._barycentric(cell, p)
-            if lam.min() >= -_CONTAIN_TOL:
-                lam = np.clip(lam, 0.0, 1.0)
-                return BaryLocation(cell, lam / lam.sum())
-        raise NumericalError(f"no cell contains point {tuple(p)}")
+        if self._lattice is None:
+            n = int(round(math.sqrt(self.num_cells / 2.0)))
+            centroids = self.nodes[self.cells].sum(axis=1) * (n / 3.0)
+            squares = np.floor(centroids).astype(np.int64)
+            frac = centroids - squares
+            above = (frac[:, 1] > frac[:, 0]).astype(np.int64)
+            lattice = np.empty((n, n, 2), dtype=np.int64)
+            lattice[squares[:, 0], squares[:, 1], above] = np.arange(self.num_cells)
+            lattice.setflags(write=False)
+            self._lattice = lattice
+        return self._lattice
+
+    def locate(self, points):
+        """Containing cells of points and their barycentric coordinates.
+
+        `points` has shape (k, 2); returns `(cells, lam)` with shapes (k,)
+        and (k, 3). The candidates of a point are the two cells of each
+        lattice square touching it (one square inside a square, two on
+        an edge, four at a lattice node). Points on shared edges resolve
+        to the containing cell of lowest index. Raises OutOfDomainError
+        for points outside [0,1]^2.
+        """
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        outside = ~((p >= 0.0) & (p <= 1.0)).all(axis=1)
+        if outside.any():
+            bad = tuple(p[outside][0].tolist())
+            raise OutOfDomainError(f"point {bad} lies outside the unit square")
+        lattice = self._lattice_cells()
+        n = lattice.shape[0]
+        near = np.floor(p[:, :, None] * n + [-_SQUARE_SLACK, _SQUARE_SLACK])
+        near = np.clip(near, 0, n - 1).astype(np.int64)
+        candidates = lattice[near[:, 0, :, None], near[:, 1, None, :]].reshape(-1, 8)
+
+        px, py = p[:, 0], p[:, 1]
+        cells = np.full(len(p), self.num_cells)
+        lam = np.zeros((len(p), 3))
+        for cand in candidates.T:
+            a, b, c = (self.nodes[self.cells[cand, v]].T for v in range(3))
+            det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            l1 = ((px - a[0]) * (c[1] - a[1]) - (py - a[1]) * (c[0] - a[0])) / det
+            l2 = ((b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])) / det
+            cand_lam = np.column_stack([1.0 - l1 - l2, l1, l2])
+            take = (cand_lam.min(axis=1) >= -_CONTAIN_TOL) & (cand < cells)
+            cells[take] = cand[take]
+            lam[take] = cand_lam[take]
+        missed = cells == self.num_cells
+        if missed.any():
+            bad = tuple(p[missed][0].tolist())
+            raise NumericalError(f"no cell contains point {bad}")
+        lam = np.clip(lam, 0.0, 1.0)
+        total = lam[:, 0] + lam[:, 1] + lam[:, 2]
+        return cells, lam / total[:, None]
 
     # -- debug export ----------------------------------------------------
 

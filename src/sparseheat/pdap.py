@@ -147,7 +147,7 @@ def primal_dual_gap(q, z0, alpha, m0, form="identity"):
     if form not in ("identity", "general"):
         raise ValueError("form must be 'identity' or 'general'")
     zmax = float(np.abs(z0.values).max()) if z0.values.size else 0.0
-    pairing = sum(b * eval_field(z0.mesh, z0, p) for p, b in q)
+    pairing = float(q.coefficients @ eval_field(z0.mesh, z0, q.positions))
     identity, general = _gap_forms(pairing, tv_norm(q), zmax, alpha, m0)
     return identity if form == "identity" else general
 

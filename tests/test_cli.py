@@ -65,6 +65,11 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"pdap": {"tol": float("nan")}},
         {"pdap": {"prune_threshold": float("nan")}},
         {"smoothing": []},
+        {"mesh_n": [[8]]},
+        {"mesh_n": 8.7},
+        {"time_steps": "8"},
+        {"pdap": {"max_outer_iterations": 2.5}},
+        {"seed": -1},
     ],
     ids=[
         "dg_order",
@@ -80,6 +85,11 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         "pdap_tol_nan",
         "pdap_prune_threshold_nan",
         "smoothing_not_object",
+        "mesh_n_nested_list",
+        "mesh_n_fraction",
+        "time_steps_string",
+        "pdap_max_outer_iterations_fraction",
+        "seed_negative",
     ],
 )
 def test_invalid_input_is_one_line_error(tmp_path, capsys, override):

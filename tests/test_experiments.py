@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseheat import (
     DiscreteMeasure,
@@ -321,6 +323,55 @@ def test_config_validates_values():
         config_from_dict({"T": -1.0})
     with pytest.raises(ConfigError):
         config_from_dict({"mesh_n": [16, 8]})
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_object(keys):
+    """Objects over known keys with arbitrary JSON values."""
+    return st.dictionaries(st.sampled_from(sorted(keys)), JSON, max_size=len(keys))
+
+
+PDAP_KEYS = {
+    "tol",
+    "tol_mode",
+    "max_outer_iterations",
+    "subproblem_tol",
+    "subproblem_max_iterations",
+    "prune_threshold",
+}
+CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "T": JSON,
+        "truth": JSON | st.lists(json_object({"x", "beta"}), max_size=3),
+        "mesh_n": JSON,
+        "time_steps": JSON,
+        "dg_order": JSON,
+        "alpha": JSON,
+        "noise_level": JSON,
+        "seed": JSON,
+        "pdap": JSON | json_object(PDAP_KEYS),
+        "output_dir": JSON,
+        "smoothing": JSON | json_object({"x0", "sweep"}),
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=CONFIGS)
+def test_config_from_dict_raises_only_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_override_config():

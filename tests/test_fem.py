@@ -11,7 +11,7 @@ from sparseheat import (
     delta_load,
     eval_field,
     field_to_csv,
-    interpolate_field,
+    interpolation_matrix,
     l2_inner,
     l2_norm,
     l2_project,
@@ -195,22 +195,21 @@ def test_eval_field_nodal_and_centroid():
     rng = np.random.default_rng(3)
     v = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
     i = lattice_node(4, 1, 2)
-    assert eval_field(mesh, v, mesh.nodes[i]) == pytest.approx(v.values[i], abs=1e-13)
     cell = 7
     centroid = mesh.nodes[mesh.cells[cell]].mean(axis=0)
-    assert eval_field(mesh, v, centroid) == pytest.approx(
-        v.values[mesh.cells[cell]].mean(), abs=1e-13
+    values = eval_field(mesh, v, [mesh.nodes[i], centroid])
+    assert values == pytest.approx(
+        [v.values[i], v.values[mesh.cells[cell]].mean()], abs=1e-13
     )
 
 
 def test_eval_field_exact_for_linears():
     mesh = build_uniform(4)
     v = NodalField(mesh, 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] + 1.0)
-    rng = np.random.default_rng(4)
-    for x, y in rng.random((20, 2)):
-        assert eval_field(mesh, v, (x, y)) == pytest.approx(
-            2.0 * x - 0.5 * y + 1.0, abs=1e-12
-        )
+    points = np.random.default_rng(4).random((20, 2))
+    assert eval_field(mesh, v, points) == pytest.approx(
+        2.0 * points[:, 0] - 0.5 * points[:, 1] + 1.0, abs=1e-12
+    )
 
 
 def test_l2_inner_norm_basics():
@@ -235,7 +234,7 @@ def test_duality_pairing_identity():
     coef = rng.standard_normal(4)
     q = DiscreteMeasure(pos, coef)
     lhs = float(delta_load(mesh, q) @ z.values)
-    rhs = sum(b * eval_field(mesh, z, p) for p, b in q)
+    rhs = float(q.coefficients @ eval_field(mesh, z, q.positions))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -254,14 +253,23 @@ def test_field_csv_roundtrip(tmp_path):
 def test_nested_interpolation_exact_at_parent_nodes():
     coarse = build_uniform(4)
     fine = refine(coarse)
+    interp = interpolation_matrix(coarse, fine)
+    assert interp.shape == (fine.num_nodes, coarse.num_nodes)
     rng = np.random.default_rng(8)
-    v = NodalField(coarse, rng.standard_normal(coarse.num_nodes))
-    lifted = interpolate_field(v, fine)
-    assert np.array_equal(lifted.values[: coarse.num_nodes], v.values)
+    v = rng.standard_normal(coarse.num_nodes)
+    assert np.array_equal((interp @ v)[: coarse.num_nodes], v)
     # Midpoint nodes interpolate linearly, so a linear field lifts exactly.
-    lin = NodalField(coarse, coarse.nodes @ [1.5, -2.0] + 0.25)
-    assert np.allclose(
-        interpolate_field(lin, fine).values,
-        fine.nodes @ [1.5, -2.0] + 0.25,
-        atol=1e-14,
-    )
+    lin = coarse.nodes @ [1.5, -2.0] + 0.25
+    assert np.allclose(interp @ lin, fine.nodes @ [1.5, -2.0] + 0.25, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_two_level_interpolation_is_product_of_one_level_steps(n):
+    coarse = build_uniform(n)
+    mid = refine(coarse)
+    fine = refine(mid)
+    direct = interpolation_matrix(coarse, fine)
+    chained = interpolation_matrix(mid, fine) @ interpolation_matrix(coarse, mid)
+    assert abs(direct - chained).max() <= 1e-15
+    lin = coarse.nodes @ [-0.75, 2.5] + 1.0
+    assert np.allclose(direct @ lin, fine.nodes @ [-0.75, 2.5] + 1.0, atol=1e-14, rtol=0)

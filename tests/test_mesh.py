@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseheat import OutOfDomainError, build_uniform, refine
 
@@ -100,11 +102,32 @@ def test_refine_nests_parent_nodes():
     assert fine.level == mesh.level + 1
 
 
+def locate_one(mesh, point):
+    cells, lam = mesh.locate([point])
+    return int(cells[0]), lam[0]
+
+
+def brute_force_locate(mesh, point):
+    """Lowest-index cell over all cells whose barycentric weights of
+    `point` are >= -1e-12, with weights clamped and renormalized."""
+    p = np.asarray(point, dtype=float)
+    for cell in range(mesh.num_cells):
+        a, b, c = mesh.nodes[mesh.cells[cell]]
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        l1 = ((p[0] - a[0]) * (c[1] - a[1]) - (p[1] - a[1]) * (c[0] - a[0])) / det
+        l2 = ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])) / det
+        lam = np.array([1.0 - l1 - l2, l1, l2])
+        if lam.min() >= -1e-12:
+            lam = np.clip(lam, 0.0, 1.0)
+            return cell, lam / lam.sum()
+    raise AssertionError(f"no cell contains {point}")
+
+
 def test_locate_vertex():
     mesh = build_uniform(4)
-    loc = mesh.locate(mesh.nodes[12])
-    assert 12 in mesh.cells[loc.cell]
-    lam_sorted = np.sort(loc.lam)
+    cell, lam = locate_one(mesh, mesh.nodes[12])
+    assert 12 in mesh.cells[cell]
+    lam_sorted = np.sort(lam)
     assert lam_sorted[-1] == pytest.approx(1.0, abs=1e-12)
     assert lam_sorted[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
 
@@ -112,38 +135,91 @@ def test_locate_vertex():
 def test_locate_centroid():
     mesh = build_uniform(2)
     centroid = mesh.nodes[mesh.cells[3]].mean(axis=0)
-    loc = mesh.locate(centroid)
-    assert loc.cell == 3
-    assert loc.lam == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
+    cell, lam = locate_one(mesh, centroid)
+    assert cell == 3
+    assert lam == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
 
 
 def test_locate_reconstruction_identity():
     mesh = refine(build_uniform(3))
-    rng = np.random.default_rng(5)
-    for point in rng.random((50, 2)):
-        loc = mesh.locate(point)
-        assert np.linalg.norm(loc.point(mesh) - point) < 1e-12
+    points = np.random.default_rng(5).random((50, 2))
+    cells, lam = mesh.locate(points)
+    assert cells.shape == (50,) and lam.shape == (50, 3)
+    rebuilt = np.einsum("kv,kvd->kd", lam, mesh.nodes[mesh.cells[cells]])
+    assert np.abs(rebuilt - points).max() < 1e-12
 
 
 def test_locate_center_of_coarse_mesh():
     mesh = build_uniform(2)
-    loc = mesh.locate((0.5, 0.5))
-    assert np.linalg.norm(loc.point(mesh) - [0.5, 0.5]) < 1e-12
+    cell, lam = locate_one(mesh, (0.5, 0.5))
+    assert np.linalg.norm(lam @ mesh.nodes[mesh.cells[cell]] - [0.5, 0.5]) < 1e-12
 
 
 def test_locate_edge_point_takes_lowest_cell():
     mesh = build_uniform(2)
     # The point sits on the diagonal shared by cells 0 and 1.
-    loc = mesh.locate((0.25, 0.25))
-    assert loc.cell == 0
+    cell, _ = locate_one(mesh, (0.25, 0.25))
+    assert cell == 0
 
 
 def test_locate_outside_domain():
     mesh = build_uniform(2)
     with pytest.raises(OutOfDomainError):
-        mesh.locate((1.2, 0.5))
+        mesh.locate([(0.5, 0.5), (1.2, 0.5)])
     with pytest.raises(OutOfDomainError):
-        mesh.locate((0.5, -0.01))
+        mesh.locate([(0.5, -0.01)])
+    with pytest.raises(OutOfDomainError):
+        mesh.locate([(np.nan, 0.5)])
+
+
+def test_locate_no_points():
+    cells, lam = build_uniform(2).locate(np.zeros((0, 2)))
+    assert cells.shape == (0,) and lam.shape == (0, 3)
+
+
+def lattice_meshes():
+    for n in (2, 3, 5):
+        mesh = build_uniform(n)
+        yield f"uniform{n}", mesh
+        for level in (1, 2):
+            mesh = refine(mesh)
+            yield f"uniform{n}_refined{level}", mesh
+
+
+LATTICE_MESHES = dict(lattice_meshes())
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def lattice_points(draw, mesh):
+    """Random points plus the points where ties and rounding happen:
+    nodes, edge midpoints, diagonals and the corners of the square."""
+    kind = draw(st.sampled_from(["random", "node", "midpoint", "diagonal", "corner"]))
+    if kind == "random":
+        return (draw(UNIT), draw(UNIT))
+    if kind == "corner":
+        return draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))
+    cell = mesh.cells[draw(st.integers(0, mesh.num_cells - 1))]
+    a, b = draw(st.permutations(range(3)))[:2]
+    pa, pb = mesh.nodes[cell[a]], mesh.nodes[cell[b]]
+    if kind == "node":
+        return tuple(pa)
+    if kind == "midpoint":
+        return tuple(0.5 * (pa + pb))
+    t = draw(UNIT)  # a point on a cell edge, diagonals included
+    return tuple(np.clip((1.0 - t) * pa + t * pb, 0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(LATTICE_MESHES)))
+def test_locate_matches_brute_force_scan(data, name):
+    mesh = LATTICE_MESHES[name]
+    points = data.draw(st.lists(lattice_points(mesh), min_size=1, max_size=6))
+    cells, lam = mesh.locate(points)
+    for k, point in enumerate(points):
+        cell, expected = brute_force_locate(mesh, point)
+        assert cells[k] == cell
+        assert np.array_equal(lam[k], expected)
 
 
 def test_interior_nodes_ascending_and_interior():

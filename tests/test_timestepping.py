@@ -166,7 +166,7 @@ def test_adjoint_identity(r, M):
         g = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
         sq = forward_dirac(model, q)
         z = adjoint_dirac(model, g)
-        lhs = sum(b * eval_field(mesh, z, p) for p, b in q)
+        lhs = float(q.coefficients @ eval_field(mesh, z, q.positions))
         rhs = l2_inner(model.mass, sq, g)
         assert abs(lhs - rhs) <= 1e-10 * tv_norm(q) * l2_norm(model.mass, g)
 
@@ -185,7 +185,7 @@ def test_adjoint_single_step_against_direct_path():
     assert np.allclose(z.values[model.interior], direct, atol=1e-12)
     x = (0.3, 0.45)
     q = DiscreteMeasure([x], [1.0])
-    pairing = eval_field(model.mesh, z, x)
+    pairing = eval_field(model.mesh, z, [x])[0]
     assert pairing == pytest.approx(
         l2_inner(model.mass, forward_dirac(model, q), g), abs=1e-12
     )
