@@ -2,9 +2,10 @@
 
 Subcommands bind JSON configurations to the experiment drivers and print
 a one-line summary. Exit codes: 0 success, 1 usage/config error, 2
-solver non-convergence, 3 numerical failure. Configuration paths resolve
-first against the filesystem, then against the bundled configs shipped
-with the package (paper_10_1.json and friends).
+solver non-convergence, 3 numerical failure or out of memory.
+Configuration paths resolve first against the filesystem, then against
+the bundled configs shipped with the package (paper_10_1.json and
+friends).
 """
 
 from __future__ import annotations
@@ -179,6 +180,9 @@ def main(argv=None):
         raise ConfigError(f"unknown command {args.command}")
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         # ConfigError, OutOfDomainError and the driver's argument checks.

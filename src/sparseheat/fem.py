@@ -16,6 +16,13 @@ from .errors import NumericalError
 
 _RESIDUAL_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
+# SuperLU settings for every factorization in the package: multiple
+# minimum degree on the pattern of A^T + A, diagonal pivots only. No
+# pivoting is safe because each matrix factored is symmetric with a
+# positive definite real part (mass, kA + M, and kA - s1 M of dG(1)).
+SPLU_SYMMETRIC = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+)
 
 
 class SparseSpd:
@@ -25,13 +32,12 @@ class SparseSpd:
     subsequent right-hand sides.
     """
 
-    def __init__(self, mat, check_symmetry=True):
+    def __init__(self, mat):
         mat = sp.csr_matrix(mat)
-        if check_symmetry:
-            asym = abs(mat - mat.T)
-            scale = max(abs(mat).max(), 1.0)
-            if asym.nnz and asym.max() > _SYMMETRY_TOL * scale:
-                raise ValueError("matrix is not symmetric")
+        asym = abs(mat - mat.T)
+        scale = max(abs(mat).max(), 1.0)
+        if asym.nnz and asym.max() > _SYMMETRY_TOL * scale:
+            raise ValueError("matrix is not symmetric")
         self.mat = mat
         self._lu = None
 
@@ -50,7 +56,7 @@ class SparseSpd:
             raise ValueError("dimension mismatch in solve")
         if self._lu is None:
             try:
-                self._lu = spla.splu(sp.csc_matrix(self.mat))
+                self._lu = spla.splu(sp.csc_matrix(self.mat), **SPLU_SYMMETRIC)
             except RuntimeError as exc:
                 raise NumericalError(f"factorization failed: {exc}") from exc
         x = self._lu.solve(rhs)
@@ -73,9 +79,6 @@ class NodalField:
             raise ValueError("value vector does not match node count")
         self.mesh = mesh
         self.values = values
-
-    def copy(self):
-        return NodalField(self.mesh, self.values.copy())
 
 
 def zero_field(mesh):

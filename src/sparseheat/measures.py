@@ -51,18 +51,11 @@ class DiscreteMeasure:
             self.positions = np.zeros((0, 2))
             self.coefficients = np.zeros(0)
 
-    @classmethod
-    def empty(cls):
-        return cls()
-
     def __len__(self):
         return self.positions.shape[0]
 
     def __iter__(self):
         return zip(self.positions, self.coefficients)
-
-    def scaled(self, factor):
-        return DiscreteMeasure(self.positions, factor * self.coefficients)
 
     def __repr__(self):
         atoms = ", ".join(

@@ -1,12 +1,10 @@
 """Structured right-triangle meshes of the unit square.
 
-All meshes are conforming triangulations of [0,1]^2 built either by
-`build_uniform` (the classic lattice-with-diagonals pattern, diagonal
-running lower-left to upper-right) or by `refine` (global edge-midpoint
-refinement into four congruent children). Meshes are immutable after
-construction. Both builders yield a uniform lattice of squares, each
-split along its lower-left to upper-right diagonal, so point location
-is closed form.
+Every mesh is the uniform n-by-n lattice of squares built by
+`build_uniform`, each square split along its lower-left to upper-right
+diagonal; `refine` builds the lattice of twice the resolution. Nodes and
+cells are numbered lexicographically by lattice row and column, so point
+location is closed form. Meshes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ _CONTAIN_TOL = 1e-12
 # Reach, in lattice units, within which a square counts as touching a
 # point; far above the containment slack and the rounding of p * n.
 _SQUARE_SLACK = 1e-9
-_BOUNDARY_TOL = 1e-12
 
 
 class TriMesh:
@@ -37,23 +34,22 @@ class TriMesh:
         Node-index triples, positively oriented.
     boundary_mask : ndarray of bool, shape (n_nodes,)
         True exactly for nodes on the boundary of the square.
+    n : int
+        Lattice resolution: the square has n cells of side 1/n per axis.
     h : float
-        Mesh size, the maximum cell diameter.
-    level : int
-        Refinement level (0 for a freshly built uniform mesh).
+        Mesh size, the maximum cell diameter sqrt(2)/n.
     """
 
-    def __init__(self, nodes, cells, boundary_mask, h, level):
+    def __init__(self, nodes, cells, boundary_mask, n):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.boundary_mask = np.ascontiguousarray(boundary_mask, dtype=bool)
-        self.h = float(h)
-        self.level = int(level)
+        self.n = int(n)
+        self.h = math.sqrt(2.0) / self.n
         self.nodes.setflags(write=False)
         self.cells.setflags(write=False)
         self.boundary_mask.setflags(write=False)
         self._interior = None
-        self._lattice = None
 
     @property
     def num_nodes(self):
@@ -79,46 +75,28 @@ class TriMesh:
 
     # -- point location ------------------------------------------------
 
-    def _lattice_cells(self):
-        """(n, n, 2) table of cell indices by lattice square and side.
-
-        Entry [i, j, 0] is the cell below the diagonal of the square
-        [i/n, (i+1)/n] x [j/n, (j+1)/n], entry [i, j, 1] the one above.
-        `refine` numbers cells in child blocks, not in lattice order, so
-        the table is read off the cell centroids.
-        """
-        if self._lattice is None:
-            n = int(round(math.sqrt(self.num_cells / 2.0)))
-            centroids = self.nodes[self.cells].sum(axis=1) * (n / 3.0)
-            squares = np.floor(centroids).astype(np.int64)
-            frac = centroids - squares
-            above = (frac[:, 1] > frac[:, 0]).astype(np.int64)
-            lattice = np.empty((n, n, 2), dtype=np.int64)
-            lattice[squares[:, 0], squares[:, 1], above] = np.arange(self.num_cells)
-            lattice.setflags(write=False)
-            self._lattice = lattice
-        return self._lattice
-
     def locate(self, points):
         """Containing cells of points and their barycentric coordinates.
 
         `points` has shape (k, 2); returns `(cells, lam)` with shapes (k,)
         and (k, 3). The candidates of a point are the two cells of each
         lattice square touching it (one square inside a square, two on
-        an edge, four at a lattice node). Points on shared edges resolve
-        to the containing cell of lowest index. Raises OutOfDomainError
-        for points outside [0,1]^2.
+        an edge, four at a lattice node); the square in lattice row r and
+        column c holds cells 2 (r n + c) below and 2 (r n + c) + 1 above
+        its diagonal. Points on shared edges resolve to the containing
+        cell of lowest index. Raises OutOfDomainError for points outside
+        [0,1]^2.
         """
         p = np.asarray(points, dtype=float).reshape(-1, 2)
         outside = ~((p >= 0.0) & (p <= 1.0)).all(axis=1)
         if outside.any():
             bad = tuple(p[outside][0].tolist())
             raise OutOfDomainError(f"point {bad} lies outside the unit square")
-        lattice = self._lattice_cells()
-        n = lattice.shape[0]
+        n = self.n
         near = np.floor(p[:, :, None] * n + [-_SQUARE_SLACK, _SQUARE_SLACK])
         near = np.clip(near, 0, n - 1).astype(np.int64)
-        candidates = lattice[near[:, 0, :, None], near[:, 1, None, :]].reshape(-1, 8)
+        squares = near[:, 1, :, None] * n + near[:, 0, None, :]
+        candidates = (2 * squares[..., None] + [0, 1]).reshape(-1, 8)
 
         px, py = p[:, 0], p[:, 1]
         cells = np.full(len(p), self.num_cells)
@@ -139,19 +117,6 @@ class TriMesh:
         lam = np.clip(lam, 0.0, 1.0)
         total = lam[:, 0] + lam[:, 1] + lam[:, 2]
         return cells, lam / total[:, None]
-
-    # -- debug export ----------------------------------------------------
-
-    def export_csv(self, nodes_path, cells_path):
-        """Write nodes (x,y,boundary) and cells (v0,v1,v2), one per line."""
-        with open(nodes_path, "w") as f:
-            f.write("x,y,boundary\n")
-            for (x, y), b in zip(self.nodes, self.boundary_mask):
-                f.write(f"{x:.17g},{y:.17g},{int(b)}\n")
-        with open(cells_path, "w") as f:
-            f.write("v0,v1,v2\n")
-            for v0, v1, v2 in self.cells:
-                f.write(f"{v0},{v1},{v2}\n")
 
 
 def build_uniform(n):
@@ -181,42 +146,13 @@ def build_uniform(n):
 
     ri, ci = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     boundary = (ri == 0) | (ri == n) | (ci == 0) | (ci == n)
-    return TriMesh(nodes, cells, boundary.ravel(), math.sqrt(2.0) / n, 0)
+    return TriMesh(nodes, cells, boundary.ravel(), n)
 
 
 def refine(mesh):
-    """Global edge-midpoint refinement.
+    """The lattice of twice the resolution, `build_uniform(2 * mesh.n)`.
 
-    Every cell splits into four congruent children; parent nodes keep
-    their indices and edge midpoints are appended, so coefficient vectors
-    on the parent mesh inject into the child mesh by position.
+    Coarse node (r, c) is fine node 2r (2n + 1) + 2c, so the meshes nest
+    geometrically; `fem.interpolation_matrix` carries fields between them.
     """
-    cells = mesh.cells
-    edges = np.concatenate(
-        [cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]], axis=0
-    )
-    edges = np.sort(edges, axis=1)
-    unique_edges, inverse = np.unique(edges, axis=0, return_inverse=True)
-    n_old = mesh.num_nodes
-    midpoints = 0.5 * (mesh.nodes[unique_edges[:, 0]] + mesh.nodes[unique_edges[:, 1]])
-    nodes = np.vstack([mesh.nodes, midpoints])
-
-    nc = mesh.num_cells
-    m01 = n_old + inverse[:nc]
-    m12 = n_old + inverse[nc : 2 * nc]
-    m20 = n_old + inverse[2 * nc :]
-    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    children = np.empty((4 * nc, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([a, m01, m20])
-    children[1::4] = np.column_stack([m01, b, m12])
-    children[2::4] = np.column_stack([m20, m12, c])
-    children[3::4] = np.column_stack([m01, m12, m20])
-
-    x, y = nodes[:, 0], nodes[:, 1]
-    boundary = (
-        (np.abs(x) < _BOUNDARY_TOL)
-        | (np.abs(x - 1.0) < _BOUNDARY_TOL)
-        | (np.abs(y) < _BOUNDARY_TOL)
-        | (np.abs(y - 1.0) < _BOUNDARY_TOL)
-    )
-    return TriMesh(nodes, children, boundary, mesh.h / 2.0, mesh.level + 1)
+    return build_uniform(2 * mesh.n)

@@ -41,8 +41,8 @@ class PdapConfig:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
         if self.tol_mode not in ("relative", "absolute"):
             raise ValueError("tol_mode must be 'relative' or 'absolute'")
         if self.max_outer_iterations < 0:

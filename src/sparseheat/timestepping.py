@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import NodalField, assemble_mass, assemble_stiffness, delta_load, zero_field
+from .fem import SPLU_SYMMETRIC, NodalField, assemble_mass, assemble_stiffness
+from .fem import delta_load, zero_field
 
 _S1 = complex(-2.0, np.sqrt(2.0))
 # dG order -> (sigma, c) of the step kernel Re(c (kA - sigma M)^{-1} f).
@@ -86,7 +87,8 @@ class HeatModel:
         if lu is None:
             sigma = _POLES[self.order][0]
             try:
-                lu = spla.splu((k * self.stiff_int - sigma * self.mass_int).tocsc())
+                mat = (k * self.stiff_int - sigma * self.mass_int).tocsc()
+                lu = spla.splu(mat, **SPLU_SYMMETRIC)
             except RuntimeError as exc:
                 raise NumericalError(f"slab factorization failed: {exc}") from exc
             self._slab_lu[key] = lu

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparseheat import experiments
 from sparseheat.cli import main, _resolve_config
 from sparseheat.errors import ConfigError
 
@@ -97,6 +98,29 @@ def test_invalid_input_is_one_line_error(tmp_path, capsys, override):
     assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_flag_is_one_line_error(tmp_path, capsys, tol):
+    path = write_config(tmp_path, TINY_RECONSTRUCT)
+    argv = ["reconstruct", "--config", path, "--out", str(tmp_path / "o"), "--tol", tol]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    def no_memory(n):
+        raise MemoryError(f"Unable to allocate mesh arrays for n = {n}")
+
+    monkeypatch.setattr(experiments, "build_uniform", no_memory)
+    path = write_config(tmp_path, TINY_RECONSTRUCT)
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ")
     assert err.count("\n") == 1
 
 

@@ -159,7 +159,7 @@ def test_sparse_spd_rejects_asymmetric():
 def test_solve_spd_detects_singular():
     import scipy.sparse as sp
 
-    singular = SparseSpd(sp.csr_matrix(np.zeros((2, 2))), check_symmetry=False)
+    singular = SparseSpd(sp.csr_matrix(np.zeros((2, 2))))
     with pytest.raises(NumericalError):
         singular.solve(np.array([1.0, 0.0]))
 
@@ -251,13 +251,18 @@ def test_field_csv_roundtrip(tmp_path):
 
 
 def test_nested_interpolation_exact_at_parent_nodes():
-    coarse = build_uniform(4)
+    n = 4
+    coarse = build_uniform(n)
     fine = refine(coarse)
     interp = interpolation_matrix(coarse, fine)
     assert interp.shape == (fine.num_nodes, coarse.num_nodes)
+    # Coarse node (r, c) is fine node (2r, 2c); its row is a unit row.
+    r, c = np.divmod(np.arange(coarse.num_nodes), n + 1)
+    parents = lattice_node(2 * n, 2 * r, 2 * c)
+    assert np.array_equal(interp[parents].toarray(), np.eye(coarse.num_nodes))
     rng = np.random.default_rng(8)
     v = rng.standard_normal(coarse.num_nodes)
-    assert np.array_equal((interp @ v)[: coarse.num_nodes], v)
+    assert np.array_equal((interp @ v)[parents], v)
     # Midpoint nodes interpolate linearly, so a linear field lifts exactly.
     lin = coarse.nodes @ [1.5, -2.0] + 0.25
     assert np.allclose(interp @ lin, fine.nodes @ [1.5, -2.0] + 0.25, atol=1e-14)

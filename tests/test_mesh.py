@@ -15,15 +15,12 @@ def edge_counts(mesh):
     return counts
 
 
-def coord_set(nodes, digits=12):
-    return {(round(x, digits), round(y, digits)) for x, y in nodes}
-
-
-def cell_vertex_sets(mesh, digits=12):
-    out = set()
-    for cell in mesh.cells:
-        out.add(frozenset((round(x, digits), round(y, digits)) for x, y in mesh.nodes[cell]))
-    return out
+def assert_same_mesh(mesh, target):
+    assert mesh.n == target.n
+    assert mesh.h == target.h
+    assert np.array_equal(mesh.nodes, target.nodes)
+    assert np.array_equal(mesh.cells, target.cells)
+    assert np.array_equal(mesh.boundary_mask, target.boundary_mask)
 
 
 def test_build_uniform_counts_n2():
@@ -79,27 +76,21 @@ def test_conformity_edge_counts():
 
 
 def test_refine_matches_finer_uniform():
-    fine = refine(build_uniform(2))
-    target = build_uniform(4)
-    assert fine.num_nodes == target.num_nodes
-    assert fine.num_cells == target.num_cells
-    assert fine.h == pytest.approx(target.h, abs=1e-16)
-    assert coord_set(fine.nodes) == coord_set(target.nodes)
-    assert cell_vertex_sets(fine) == cell_vertex_sets(target)
+    for n in (2, 3, 5):
+        assert_same_mesh(refine(build_uniform(n)), build_uniform(2 * n))
 
 
 def test_refine_twice_equals_uniform_4n():
-    twice = refine(refine(build_uniform(3)))
-    target = build_uniform(12)
-    assert coord_set(twice.nodes) == coord_set(target.nodes)
-    assert cell_vertex_sets(twice) == cell_vertex_sets(target)
+    assert_same_mesh(refine(refine(build_uniform(3))), build_uniform(12))
 
 
 def test_refine_nests_parent_nodes():
-    mesh = build_uniform(3)
-    fine = refine(mesh)
-    assert np.array_equal(fine.nodes[: mesh.num_nodes], mesh.nodes)
-    assert fine.level == mesh.level + 1
+    # Coarse node (r, c) sits at fine index 2r (2n + 1) + 2c.
+    for n in (2, 3, 5):
+        mesh = build_uniform(n)
+        fine = refine(mesh)
+        r, c = np.divmod(np.arange(mesh.num_nodes), n + 1)
+        assert np.array_equal(fine.nodes[2 * r * (2 * n + 1) + 2 * c], mesh.nodes)
 
 
 def locate_one(mesh, point):
@@ -177,16 +168,7 @@ def test_locate_no_points():
     assert cells.shape == (0,) and lam.shape == (0, 3)
 
 
-def lattice_meshes():
-    for n in (2, 3, 5):
-        mesh = build_uniform(n)
-        yield f"uniform{n}", mesh
-        for level in (1, 2):
-            mesh = refine(mesh)
-            yield f"uniform{n}_refined{level}", mesh
-
-
-LATTICE_MESHES = dict(lattice_meshes())
+LATTICE_MESHES = {f"uniform{n}": build_uniform(n) for n in (2, 3, 4, 5, 6, 8, 10, 12, 20)}
 UNIT = st.floats(0.0, 1.0)
 
 
@@ -229,14 +211,3 @@ def test_interior_nodes_ascending_and_interior():
     pts = mesh.nodes[interior]
     assert (pts > 0).all() and (pts < 1).all()
 
-
-def test_export_csv(tmp_path):
-    mesh = build_uniform(2)
-    nodes_path = tmp_path / "nodes.csv"
-    cells_path = tmp_path / "cells.csv"
-    mesh.export_csv(nodes_path, cells_path)
-    node_lines = nodes_path.read_text().strip().splitlines()
-    cell_lines = cells_path.read_text().strip().splitlines()
-    assert len(node_lines) == mesh.num_nodes + 1
-    assert len(cell_lines) == mesh.num_cells + 1
-    assert node_lines[0] == "x,y,boundary"

@@ -33,8 +33,9 @@ def make_model(n=8, M=8, r=0):
 def test_config_validation():
     with pytest.raises(ValueError):
         PdapConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        PdapConfig(alpha=1.0, tol=-1.0)
+    for tol in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            PdapConfig(alpha=1.0, tol=tol)
     with pytest.raises(ValueError):
         PdapConfig(alpha=1.0, tol_mode="weird")
     with pytest.raises(ValueError):

@@ -209,6 +209,29 @@ def test_propagations_factor_one_interior_matrix(monkeypatch):
     assert shapes == [(model.n_interior, model.n_interior)]
 
 
+def test_factorizations_keep_minimum_degree_fill(monkeypatch):
+    # LU fill at n = 64 under the shared SuperLU ordering. COLAMD, the
+    # SuperLU default, gives 270,474 for either slab matrix and 297,882
+    # for the mass matrix.
+    fills = []
+    splu = timestepping.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        lu = splu(mat, *args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
+    for r in (0, 1):
+        model = make_model(n=64, M=2, r=r)
+        model.propagate_load(np.ones(model.n_interior))
+    model.mass.solve(np.ones(model.mass.dimension))
+    slab_dg0, slab_dg1, mass = fills
+    assert slab_dg0 <= 200_000
+    assert slab_dg1 <= 200_000
+    assert mass <= 215_000
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_nodal_projection_compatibility(r):
     # Splitting atoms onto nodes by hat weights leaves the propagated
