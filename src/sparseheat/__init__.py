@@ -39,9 +39,8 @@ from .pdap import (
     PdapResult,
     adjoint_state,
     objective,
-    primal_dual_gap,
     run,
-    select_candidate,
+    select_candidates,
     solve_subproblem,
 )
 from .timestepping import (

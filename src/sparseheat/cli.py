@@ -5,12 +5,15 @@ a one-line summary. Exit codes: 0 success, 1 usage/config error, 2
 solver non-convergence, 3 numerical failure or out of memory.
 Configuration paths resolve first against the filesystem, then against
 the bundled configs shipped with the package (paper_10_1.json and
-friends).
+friends). With -v, the solver logs one progress line per PDAP
+iteration to standard error; standard output and the artifacts are the
+same with and without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from importlib import resources
 
@@ -143,6 +146,12 @@ def main(argv=None):
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
+    logger = logging.getLogger("sparseheat")
+    level, handler = logger.level, None
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         if args.command == "selftest":
             return 3 if _selftest(args.verbose) else 0
@@ -188,6 +197,10 @@ def main(argv=None):
         # ConfigError, OutOfDomainError and the driver's argument checks.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
 
 
 def console_entry():

@@ -400,6 +400,60 @@ def test_criterion_10_on_grid_reconstruction():
     )
 
 
+def test_criterion_10_true_support_is_not_optimal():
+    """Certificate behind criterion 10's failure, on its exact config.
+
+    The best coefficients on the two snapped true nodes leave an
+    objective strictly above the one `reconstruct` certifies with a gap
+    of at most 1e-10 * M0, so the minimizer is not supported on the true
+    nodes and criterion 10's windows cannot be met at alpha = 1e-4.
+    """
+    n, alpha = 64, 1e-4
+    snap = lambda x: round(x * n) / n
+    truth = DiscreteMeasure(
+        [
+            [snap(0.263091083266217), snap(0.258378565204941)],
+            [snap(0.76061544960808), snap(0.734190309666141)],
+        ],
+        [-10.0, 25.0],
+    )
+    cfg = ExperimentConfig(
+        T=0.1,
+        truth=truth,
+        mesh_n=n,
+        time_steps=256,
+        dg_order=0,
+        alpha=alpha,
+        noise_level=0.0,
+        seed=0,
+        pdap=PdapConfig(alpha=alpha, tol=1e-8, max_outer_iterations=300),
+    )
+    report_out = reconstruct(cfg)
+
+    model = HeatModel(build_uniform(n), TimeGrid.uniform(cfg.T, 256), 0)
+    u_d = make_observation(model, truth, 0.0, 0)
+    cols = [
+        forward_dirac(model, DiscreteMeasure([x], [1.0])) for x in truth.positions
+    ]
+    G = np.array([[l2_inner(model.mass, a, b) for b in cols] for a in cols])
+    c = np.array([l2_inner(model.mass, col, u_d) for col in cols])
+    beta, _ = pdap.solve_subproblem(G, c, alpha, np.zeros(2), 1e-12, 100)
+    on_truth = pdap.objective(model, u_d, DiscreteMeasure(truth.positions, beta), alpha)
+    m0 = 0.5 * l2_norm(model.mass, u_d) ** 2 / alpha
+    ok = (
+        report_out.converged
+        and report_out.objective < on_truth
+        and report_out.gap <= 1e-10 * m0
+    )
+    assert report(
+        10,
+        "true support is not optimal",
+        ok,
+        f"objective {report_out.objective:.7g} < {on_truth:.7g} on the true nodes, "
+        f"gap/M0 {report_out.gap / m0:.1e}",
+    )
+
+
 def test_criterion_11_artifact_determinism(tmp_path):
     start = time.time()
     out1, out2 = tmp_path / "run1", tmp_path / "run2"

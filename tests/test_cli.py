@@ -146,6 +146,25 @@ def test_reconstruct_deterministic_artifacts(tmp_path):
     assert artifact_bytes(out1) == artifact_bytes(out2)
 
 
+def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
+    path = write_config(tmp_path, TINY_RECONSTRUCT)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["reconstruct", "--config", path, "--out", str(quiet)]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["reconstruct", "--config", path, "--out", str(loud), "-v"]) == 0
+    verbose = capsys.readouterr()
+    rows = (loud / "log.csv").read_text().splitlines()[1:]
+    lines = verbose.err.splitlines()
+    assert len(lines) == len(rows) >= 2
+    for line, row in zip(lines, rows):
+        assert line.startswith(f"pdap n={row.split(',')[0]} phi=")
+        for key in ("support=", "inserted=", "ms="):
+            assert key in line
+    assert verbose.out.replace(str(loud), str(quiet)) == plain.out
+    assert artifact_bytes(loud) == artifact_bytes(quiet)
+
+
 def test_seed_override_changes_noise(tmp_path):
     cfg = dict(TINY_RECONSTRUCT)
     cfg["noise_level"] = 0.05

@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 from sparseheat import (
     DiscreteMeasure,
     NodalField,
+    assemble_mass,
     build_uniform,
+    eval_field,
     l2_inner,
     l2_norm,
+    tv_norm,
 )
 from sparseheat import pdap
 from sparseheat.errors import ConfigError, SolverFailure
 from sparseheat.experiments import config_from_dict
 from sparseheat.pdap import (
+    MAX_INSERTIONS,
     PdapConfig,
     _subgradient_residual,
-    primal_dual_gap,
-    select_candidate,
+    select_candidates,
     solve_subproblem,
 )
 from sparseheat.timestepping import HeatModel, TimeGrid, forward_dirac
@@ -235,19 +238,143 @@ def test_subproblem_warm_start_noop():
     assert beta[0] == beta0[0]
 
 
+@functools.lru_cache(maxsize=None)
+def lattice_mass(n):
+    return assemble_mass(build_uniform(n)).mat
+
+
+def select(z, active=(), alpha=1.0):
+    mesh = z.mesh
+    interior = mesh.interior_nodes()
+    return select_candidates(z, lattice_mass(mesh.n), interior, list(active), alpha)
+
+
 def test_select_candidate_prefers_largest_and_lowest():
     mesh = build_uniform(4)
     interior = mesh.interior_nodes()
     z = NodalField(mesh, np.zeros(mesh.num_nodes))
     z.values[interior[3]] = -2.0
     z.values[interior[5]] = 1.5
-    assert select_candidate(z, interior) == interior[3]
-    # Exact tie: the lower node index wins.
+    assert select(z) == [interior[3], interior[5]]
+    # Extra nodes need |z| strictly above alpha.
+    assert select(z, alpha=1.5) == [interior[3]]
+    # An active argmax node is returned alone; inactive extras wait.
+    assert select(z, active=[interior[3]]) == [interior[3]]
+    # Exact tie: the lower node index comes first.
     z.values[interior[5]] = 2.0
-    z.values[interior[3]] = -2.0
-    assert select_candidate(z, interior) == interior[3]
+    assert select(z) == [interior[3], interior[5]]
     zero = NodalField(mesh, np.zeros(mesh.num_nodes))
-    assert select_candidate(zero, interior) == interior[0]
+    assert select(zero) == [interior[0]]
+    # A plateau over two neighbouring nodes: both are neighbourhood
+    # maxima, taken in index order.
+    plateau = NodalField(mesh, np.zeros(mesh.num_nodes))
+    plateau.values[interior[[0, 1, 8]]] = [2.0, -2.0, 2.0]
+    assert select(plateau) == list(interior[[0, 1, 8]])
+    # The cap holds the batch to MAX_INSERTIONS nodes, largest first.
+    fine = build_uniform(8)
+    spikes = NodalField(fine, np.zeros(fine.num_nodes))
+    nodes = [2 * 9 + 2, 2 * 9 + 6, 6 * 9 + 2, 6 * 9 + 6, 4 * 9 + 4]
+    spikes.values[nodes] = [5.0, 4.0, 3.0, 2.0, 6.0]
+    expected = [nodes[4]] + nodes[:MAX_INSERTIONS - 1]
+    assert select(spikes) == expected
+
+
+def lattice_neighbours(mesh):
+    """Each node's P1 neighbours, itself included, read off the cells."""
+    nbrs = [{i} for i in range(mesh.num_nodes)]
+    for cell in mesh.cells:
+        for a in cell:
+            nbrs[a].update(int(b) for b in cell)
+    return nbrs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    alpha=st.sampled_from([0.5, 1.0, 2.5]),
+    data=st.data(),
+)
+def test_select_candidates_rule(n, alpha, data):
+    # Values from a small set, so ties and plateaus are common.
+    mesh = build_uniform(n)
+    interior = mesh.interior_nodes()
+    values = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    z = NodalField(mesh, np.zeros(mesh.num_nodes))  # z = 0 on the boundary
+    z.values[interior] = data.draw(
+        st.lists(values, min_size=interior.size, max_size=interior.size)
+    )
+    active = data.draw(st.lists(st.sampled_from(list(interior)), unique=True))
+    nodes = select(z, active, alpha)
+    absz = np.abs(z.values)
+
+    top = absz[interior].max()
+    assert nodes[0] == min(i for i in interior if absz[i] == top)
+    assert len(set(nodes)) == len(nodes) <= MAX_INSERTIONS
+    if nodes[0] in active:
+        assert nodes == [nodes[0]]
+        return
+    nbrs = lattice_neighbours(mesh)
+    interior_set = set(int(i) for i in interior)
+    for i in nodes[1:]:
+        assert i in interior_set and i not in active
+        assert absz[i] > alpha
+        assert all(absz[i] >= absz[j] for j in nbrs[i])
+    qualifying = [
+        i
+        for i in interior_set - set(active) - {nodes[0]}
+        if absz[i] > alpha and all(absz[i] >= absz[j] for j in nbrs[i])
+    ]
+    # Decreasing |z|; a plateau tie goes to the lowest index.
+    expected = sorted(qualifying, key=lambda i: (-absz[i], i))
+    assert nodes[1:] == expected[: MAX_INSERTIONS - 1]
+
+
+def test_two_sources_enter_in_one_batched_propagation(monkeypatch):
+    # Two separated sources are both local maxima of |z| at iteration 0,
+    # so one outer iteration activates both with one (N, 2) propagation
+    # and the next one certifies convergence.
+    model = HeatModel(build_uniform(8), TimeGrid.uniform(0.01, 8), 0)
+    truth = DiscreteMeasure([[0.25, 0.25], [0.75, 0.625]], [5.0, -4.0])
+    u_d = forward_dirac(model, truth)
+    loads, adjoints = [], []
+
+    def counted(calls, fn):
+        def wrapper(self, b):
+            calls.append(np.shape(b))
+            return fn(self, b)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        HeatModel, "propagate_load", counted(loads, HeatModel.propagate_load)
+    )
+    monkeypatch.setattr(
+        HeatModel, "propagate_adjoint", counted(adjoints, HeatModel.propagate_adjoint)
+    )
+    res = pdap.run(model, u_d, PdapConfig(alpha=1e-3, tol=1e-8))
+    assert res.converged
+    assert loads == [(model.n_interior, 2)]
+    assert len(adjoints) == len(res.log) == 2
+    assert [r.inserted for r in res.log] == [2, 0]
+    assert sorted(res.measure.positions.tolist()) == sorted(truth.positions.tolist())
+
+
+def primal_dual_gap(q, z0, alpha, m0, form="identity"):
+    """Oracle for the gap certificate of `pdap.run`.
+
+    The identity form m0 * (max_node |z0| - alpha) is valid for iterates
+    that follow a subproblem solve. The general form
+
+        <z0, q> + alpha TV(q) + m0 * max(max_node |z0| - alpha, 0)
+
+    is valid for any iterate (in particular iteration 0) and agrees with
+    the identity form after a subproblem solve.
+    """
+    zmax = float(np.abs(z0.values).max()) if z0.values.size else 0.0
+    if form == "identity":
+        return m0 * (zmax - alpha)
+    pairing = float(q.coefficients @ eval_field(z0.mesh, z0, q.positions))
+    return pairing + alpha * tv_norm(q) + m0 * max(zmax - alpha, 0.0)
 
 
 def test_gap_forms_agree_after_subproblem():
@@ -263,6 +390,7 @@ def test_gap_forms_agree_after_subproblem():
     ident = primal_dual_gap(res.measure, z, cfg.alpha, res.m0, form="identity")
     general = primal_dual_gap(res.measure, z, cfg.alpha, res.m0, form="general")
     assert ident == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
+    assert res.gap == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
     assert all(r.phi >= -1e-12 for r in res.log.records)
 
 
@@ -364,5 +492,5 @@ def test_iteration_log_csv(tmp_path):
     path = tmp_path / "log.csv"
     res.log.write_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,phi,objective,support_size,new_node,subproblem_iters"
+    assert lines[0] == "n,phi,objective,support_size,new_node,subproblem_iters,inserted"
     assert len(lines) == len(res.log) + 1

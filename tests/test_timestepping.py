@@ -209,6 +209,21 @@ def test_propagations_factor_one_interior_matrix(monkeypatch):
     assert shapes == [(model.n_interior, model.n_interior)]
 
 
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("M", [4, "graded"])
+def test_batched_propagation_matches_columnwise(r, M):
+    # PDAP propagates several new columns in one (N, k) call; each column
+    # must equal its own single-vector propagation.
+    model = make_model(n=8, M=M, r=r)
+    loads = np.random.default_rng(6).standard_normal((model.n_interior, 4))
+    for propagate in (model.propagate_load, model.propagate_adjoint):
+        batched = propagate(loads)
+        assert batched.shape == loads.shape
+        for j in range(loads.shape[1]):
+            single = propagate(loads[:, j])
+            assert np.linalg.norm(batched[:, j] - single) <= 1e-13 * np.linalg.norm(single)
+
+
 def test_factorizations_keep_minimum_degree_fill(monkeypatch):
     # LU fill at n = 64 under the shared SuperLU ordering. COLAMD, the
     # SuperLU default, gives 270,474 for either slab matrix and 297,882
