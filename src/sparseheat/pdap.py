@@ -157,9 +157,17 @@ def select_candidates(z, mass, interior, active, alpha):
     ok[list(active)] = False
     ok[first] = False
     ok &= (absz > alpha) & (absz >= nbr_max)
-    extra = np.flatnonzero(ok)
-    extra = extra[np.argsort(-absz[extra], kind="stable")]
-    return [first] + [int(i) for i in extra[: MAX_INSERTIONS - 1]]
+    # Repeated argmax rather than a sort: the first maximum breaks ties
+    # to the lowest index, and no sorting kernel is paged in, which would
+    # raise the peak RSS by its library code.
+    cand = np.flatnonzero(ok)
+    vals = absz[cand]
+    nodes = [first]
+    for _ in range(min(MAX_INSERTIONS - 1, cand.size)):
+        i = int(np.argmax(vals))
+        nodes.append(int(cand[i]))
+        vals[i] = -1.0
+    return nodes
 
 
 def _gap_forms(pairing, tv, zmax, alpha, m0):
@@ -314,29 +322,29 @@ def run(model, u_d, config):
 
     active = []  # node indices into the full numbering
     beta = np.zeros(0)
-    cols = np.zeros((interior.size, 0))  # S(delta_node) per active node, interior
+    cols = []  # interior vectors S(delta_node), aligned with `active`
     G = np.zeros((0, 0))
     c = np.zeros(0)
 
     def add_nodes(nodes):
-        nonlocal beta, G, c, cols
-        m, k = len(active), len(nodes)
+        nonlocal beta, G, c
+        m, k = len(cols), len(nodes)
         load = np.zeros((interior.size, k))
         load[np.searchsorted(interior, nodes), np.arange(k)] = 1.0
-        new = model.propagate_load(load)
-        new_m = Mi @ new
-        cross = cols.T @ new_m
-        block = new.T @ new_m
-        upper = np.triu_indices(k, 1)
-        block[upper[::-1]] = block[upper]  # mirror: G stays exactly symmetric
-        G_new = np.empty((m + k, m + k))
+        new = [col.copy() for col in model.propagate_load(load).T]
+        # Each Gram entry is one dot product, mirrored, so G stays exactly
+        # symmetric. Dot products instead of a matrix product keep to the
+        # BLAS kernels that single insertion used: a newly executed kernel
+        # pages in library code and raises the peak RSS.
+        G_new = np.zeros((m + k, m + k))
         G_new[:m, :m] = G
-        G_new[:m, m:] = cross
-        G_new[m:, :m] = cross.T
-        G_new[m:, m:] = block
+        for i, col in enumerate(new):
+            col_m = Mi @ col
+            for j, other in enumerate(cols + new[: i + 1]):
+                G_new[m + i, j] = G_new[j, m + i] = col_m @ other
         G = G_new
-        c = np.concatenate([c, new.T @ ud_pairing])
-        cols = np.hstack([cols, new])
+        c = np.concatenate([c, [col @ ud_pairing for col in new]])
+        cols.extend(new)
         active.extend(nodes)
         beta = np.concatenate([beta, np.zeros(k)])
 
@@ -355,7 +363,7 @@ def run(model, u_d, config):
         log.append(r)
         _log.info(
             "pdap n=%d phi=%.3e support=%d inserted=%d ms=%.1f",
-            r.n, r.phi, len(active), r.inserted,
+            r.n, r.phi, r.support_size, r.inserted,
             1e3 * (time.perf_counter() - started),
         )
 
@@ -370,7 +378,7 @@ def run(model, u_d, config):
         started = time.perf_counter()
         state = np.zeros(model.mesh.num_nodes)
         if beta.size:
-            state[interior] = cols @ beta
+            state[interior] = np.column_stack(cols) @ beta
         resid = NodalField(model.mesh, state - ud)
         z_field = adjoint_dirac(model, resid)
         zi = z_field.values[interior]
@@ -414,7 +422,7 @@ def run(model, u_d, config):
             beta = beta[keep]
             G = G[np.ix_(keep, keep)]
             c = c[keep]
-            cols = cols[:, keep]
+            cols = [col for col, k in zip(cols, keep) if k]
             active = [a for a, k in zip(active, keep) if k]
 
         record(n, phi, j, support_before, nodes[0], sub_iters, inserted)

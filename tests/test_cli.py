@@ -158,9 +158,13 @@ def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
     lines = verbose.err.splitlines()
     assert len(lines) == len(rows) >= 2
     for line, row in zip(lines, rows):
-        assert line.startswith(f"pdap n={row.split(',')[0]} phi=")
-        for key in ("support=", "inserted=", "ms="):
-            assert key in line
+        n, _, _, support, _, _, inserted = row.split(",")
+        fields = dict(item.split("=") for item in line.split()[1:])
+        assert line.startswith("pdap ")
+        assert fields.keys() == {"n", "phi", "support", "inserted", "ms"}
+        assert (fields["n"], fields["support"], fields["inserted"]) == (
+            n, support, inserted
+        )
     assert verbose.out.replace(str(loud), str(quiet)) == plain.out
     assert artifact_bytes(loud) == artifact_bytes(quiet)
 
