@@ -24,7 +24,7 @@ mesh = build_uniform(16)
 q = DiscreteMeasure([(0.3, 0.4), (0.7, 0.6)], [1.0, -2.0])
 
 for order in (0, 1):
-    model = HeatModel(mesh, TimeGrid.uniform(0.1, 32), order)
+    model = HeatModel(mesh, TimeGrid(0.1, 32), order)
     u = forward_dirac(model, q)
     print(f"order {order}: |u(T)|_L2 = {l2_norm(model.mass, u):.6f}, "
           f"value range [{u.values.min():.4f}, {u.values.max():.4f}]")
@@ -36,7 +36,7 @@ print(f"  order 0: {pade_step_oracle(0.5, 1.0, 0):.6f} (1/(1+s) = {1/1.5:.6f})")
 print(f"  order 1: {pade_step_oracle(0.5, 1.0, 1):.6f} (exp(-s) = {np.exp(-0.5):.6f})")
 
 # Propagating an exact discrete eigenmode multiplies it by that factor.
-model = HeatModel(build_uniform(4), TimeGrid.uniform(0.002, 2), 1)
+model = HeatModel(build_uniform(4), TimeGrid(0.002, 2), 1)
 interior = model.interior
 lam, W = sla.eigh(model.stiff_int.toarray(), model.mass_int.toarray())
 w = W[:, 0]
@@ -46,7 +46,7 @@ print(f"\nlowest discrete mode, two steps: max defect vs oracle "
       f"{np.abs(out - w * factor).max():.2e}")
 
 # Adjoint identity: both sides computed through independent paths.
-model = HeatModel(mesh, TimeGrid.uniform(0.1, 16), 1)
+model = HeatModel(mesh, TimeGrid(0.1, 16), 1)
 rng = np.random.default_rng(1)
 g = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
 z = adjoint_dirac(model, g)

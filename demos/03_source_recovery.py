@@ -22,7 +22,7 @@ truth = DiscreteMeasure(
     [-10.0, 25.0],
 )
 mesh = build_uniform(64)
-model = HeatModel(mesh, TimeGrid.uniform(0.1, 256), 0)
+model = HeatModel(mesh, TimeGrid(0.1, 256), 0)
 u_d = make_observation(model, truth, noise_level=0.05, seed=20)
 
 result = run(model, u_d, PdapConfig(alpha=1e-3, tol=1e-7, max_outer_iterations=100))

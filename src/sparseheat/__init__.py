@@ -20,15 +20,12 @@ from .fem import (
     l2_inner,
     l2_norm,
     l2_project,
-    zero_field,
 )
 from .measures import (
     DiscreteMeasure,
     SupportMatch,
-    load_measure,
     lump_clusters,
     match_supports,
-    project_to_nodes,
     save_measure,
     tv_norm,
 )

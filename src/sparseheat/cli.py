@@ -24,7 +24,6 @@ from .experiments import load_config, override_config
 from . import experiments
 from .measures import DiscreteMeasure
 from .mesh import build_uniform
-from .pdap import PdapConfig
 from .timestepping import HeatModel, TimeGrid, adjoint_dirac, forward_dirac
 from .timestepping import pade_step_oracle
 from . import fem
@@ -48,9 +47,8 @@ def _build_parser():
         ),
         epilog=(
             "Config keys: T, truth, mesh_n, time_steps, dg_order, alpha, "
-            "noise_level, seed, pdap{tol, tol_mode, max_outer_iterations, "
-            "subproblem_tol, subproblem_max_iterations, prune_threshold}, "
-            "output_dir, smoothing{x0, sweep}. See docs/config.md."
+            "noise_level, seed, pdap{tol, max_outer_iterations}, output_dir, "
+            "smoothing{x0, sweep}. See docs/config.md."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,7 +93,7 @@ def _load(args):
     return cfg
 
 
-def _selftest(verbose=False):
+def _selftest():
     """Quick consistency checks on small discretizations. Returns failures."""
     failures = []
 
@@ -119,7 +117,7 @@ def _selftest(verbose=False):
         mesh = build_uniform(n)
         for M in (1, 4):
             for r in (0, 1):
-                model = HeatModel(mesh, TimeGrid.uniform(0.1, M), r)
+                model = HeatModel(mesh, TimeGrid(0.1, M), r)
                 for _ in range(3):
                     pos = 0.1 + 0.8 * rng.random((3, 2))
                     q = DiscreteMeasure(pos, rng.standard_normal(3))
@@ -154,7 +152,7 @@ def main(argv=None):
         logger.setLevel(logging.INFO)
     try:
         if args.command == "selftest":
-            return 3 if _selftest(args.verbose) else 0
+            return 3 if _selftest() else 0
         cfg = _load(args)
         if args.command == "reconstruct":
             report = experiments.reconstruct(cfg)

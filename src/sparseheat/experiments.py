@@ -52,6 +52,7 @@ class ExperimentConfig:
 
     mesh_n and time_steps are single values or ascending lists; studies
     interpret the finest entry of the swept parameter as the reference.
+    pdap defaults to PdapConfig(alpha) and must carry the same alpha.
     """
 
     T: float = 0.1
@@ -80,6 +81,10 @@ class ExperimentConfig:
                     raise ValueError(f"{name} list must be ascending")
         if self.pdap is None:
             self.pdap = PdapConfig(alpha=self.alpha)
+        elif self.pdap.alpha != self.alpha:
+            raise ValueError(
+                f"alpha {self.alpha} differs from pdap.alpha {self.pdap.alpha}"
+            )
 
 
 @dataclass
@@ -96,10 +101,6 @@ class EocTable:
     rows: list
     slope: float
     skipped: list = field(default_factory=list)
-
-    @property
-    def params(self):
-        return [r.param for r in self.rows]
 
     @property
     def errors(self):
@@ -157,14 +158,15 @@ def compute_eoc(params, errors):
     return EocTable(rows=rows, slope=_fit_slope(params, errors), skipped=skipped)
 
 
-def _reference_biased_table(params, errors):
+def _study_table(cfg, params, errors):
     """EOC table for errors measured against the finest-level reference.
 
     The error next to the reference is biased small, so the headline
     slope is fitted without the last point whenever three or more error
     rows are available; the full table keeps every row. A healthy study
     decays monotonically up to at most one inversion; anything worse is
-    flagged with a warning.
+    flagged with a warning. The table goes to errors.csv in
+    cfg.output_dir when that is set.
     """
     table = compute_eoc(params, errors)
     if len(params) >= 3:
@@ -175,6 +177,9 @@ def _reference_biased_table(params, errors):
             f"error sequence has {inversions} inversions; study may be unhealthy",
             stacklevel=3,
         )
+    if cfg.output_dir:
+        _ensure_dir(cfg.output_dir)
+        table.write_csv(os.path.join(cfg.output_dir, "errors.csv"))
     return table
 
 
@@ -230,7 +235,7 @@ def reconstruct(cfg):
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
     mesh = build_uniform(n)
-    model = HeatModel(mesh, TimeGrid.uniform(cfg.T, M), cfg.dg_order)
+    model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
     u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
     result = pdap.run(model, u_d, cfg.pdap)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
@@ -281,7 +286,7 @@ def study_space(cfg):
     ns = list(cfg.mesh_n) if isinstance(cfg.mesh_n, (list, tuple)) else [cfg.mesh_n]
     meshes = _nested_meshes(ns)
     M = _single(cfg.time_steps, "time_steps")
-    grid = TimeGrid.uniform(cfg.T, M)
+    grid = TimeGrid(cfg.T, M)
 
     ref_mesh = meshes[-1]
     ref_model = HeatModel(ref_mesh, grid, cfg.dg_order)
@@ -306,11 +311,7 @@ def study_space(cfg):
     errors = [e for e, _ in outcomes]
     all_converged = all(ok for _, ok in outcomes) and ref_result.converged
     params = [m.h for m in meshes[:-1]]
-    table = _reference_biased_table(params, errors)
-    if cfg.output_dir:
-        _ensure_dir(cfg.output_dir)
-        table.write_csv(os.path.join(cfg.output_dir, "errors.csv"))
-    return table, all_converged
+    return _study_table(cfg, params, errors), all_converged
 
 
 def study_time(cfg):
@@ -331,13 +332,13 @@ def study_time(cfg):
     n = _single(cfg.mesh_n, "mesh_n")
     mesh = build_uniform(n)
 
-    ref_model = HeatModel(mesh, TimeGrid.uniform(cfg.T, Ms[-1]), cfg.dg_order)
+    ref_model = HeatModel(mesh, TimeGrid(cfg.T, Ms[-1]), cfg.dg_order)
     u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
     ref_result = pdap.run(ref_model, u_d, cfg.pdap)
     u_ref = ref_result.state
 
     def solve_level(M):
-        model = HeatModel(mesh, TimeGrid.uniform(cfg.T, M), cfg.dg_order)
+        model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
         result = pdap.run(model, u_d, cfg.pdap)
         err = l2_norm(model.mass, NodalField(mesh, result.state.values - u_ref.values))
         return err, result.converged
@@ -346,11 +347,7 @@ def study_time(cfg):
     errors = [e for e, _ in outcomes]
     all_converged = all(ok for _, ok in outcomes) and ref_result.converged
     params = [cfg.T / M for M in Ms[:-1]]
-    table = _reference_biased_table(params, errors)
-    if cfg.output_dir:
-        _ensure_dir(cfg.output_dir)
-        table.write_csv(os.path.join(cfg.output_dir, "errors.csv"))
-    return table, all_converged
+    return _study_table(cfg, params, errors), all_converged
 
 
 def first_eigenmode(x, y):
@@ -384,7 +381,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
             raise ConfigError("need at least three time-grid levels")
 
         def value(M):
-            model = HeatModel(mesh, TimeGrid.uniform(cfg.T, M), cfg.dg_order)
+            model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
             return eval_field(mesh, forward_field(model, v0h), [x0])[0]
 
         values = [value(M) for M in Ms]
@@ -396,7 +393,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
         if dist <= 4.0 * meshes[0].h:
             raise ConfigError("x0 is too close to the boundary for this mesh")
         M = _single(cfg.time_steps, "time_steps")
-        grid = TimeGrid.uniform(cfg.T, M)
+        grid = TimeGrid(cfg.T, M)
 
         def value(mesh):
             model = HeatModel(mesh, grid, cfg.dg_order)
@@ -407,11 +404,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
         errors = [abs(v - values[-1]) for v in values[:-1]]
         params = [m.h for m in meshes[:-1]]
 
-    table = _reference_biased_table(params, errors)
-    if cfg.output_dir:
-        _ensure_dir(cfg.output_dir)
-        table.write_csv(os.path.join(cfg.output_dir, "errors.csv"))
-    return table
+    return _study_table(cfg, params, errors)
 
 
 # -- configuration files -----------------------------------------------
@@ -429,9 +422,7 @@ _TOP_KEYS = {
     "output_dir",
     "smoothing",
 }
-_PDAP_FLOATS = {"tol", "subproblem_tol", "prune_threshold"}
-_PDAP_INTEGERS = {"max_outer_iterations", "subproblem_max_iterations"}
-_PDAP_KEYS = _PDAP_FLOATS | _PDAP_INTEGERS | {"tol_mode"}
+_PDAP_KEYS = {"tol", "max_outer_iterations"}
 _SMOOTHING_KEYS = {"x0", "sweep"}
 
 
@@ -520,9 +511,7 @@ def config_from_dict(data):
     if unknown:
         raise ConfigError(f"unknown pdap keys: {sorted(unknown)}")
     pdap_block = {
-        key: _number(f"pdap.{key}", v) if key in _PDAP_FLOATS
-        else _integer(f"pdap.{key}", v) if key in _PDAP_INTEGERS
-        else v
+        key: (_number if key == "tol" else _integer)(f"pdap.{key}", v)
         for key, v in pdap_block.items()
     }
     kwargs["pdap"] = _construct(PdapConfig, alpha=kwargs.get("alpha", 1e-3), **pdap_block)

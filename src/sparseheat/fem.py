@@ -81,10 +81,6 @@ class NodalField:
         self.values = values
 
 
-def zero_field(mesh):
-    return NodalField(mesh, np.zeros(mesh.num_nodes))
-
-
 def assemble_mass(mesh):
     """P1 mass matrix, exact element integration (area/12 * [2,1,1] pattern)."""
     cells = mesh.cells

@@ -1,20 +1,17 @@
 """Atomic (finitely supported) signed measures on the unit square.
 
 A measure is a list of (position, coefficient) atoms. The module covers
-total-variation arithmetic, splitting atoms onto interior mesh nodes via
-hat-function weights, merging of clustered atoms, and support-matching
-error metrics between a reference and a reconstructed measure.
+total-variation arithmetic, merging of clustered atoms, support-matching
+error metrics between a reference and a reconstructed measure, and the
+measure.json writer.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .fem import delta_load
 
 PRUNE_TOL = 1e-12
 
@@ -67,20 +64,6 @@ class DiscreteMeasure:
 def tv_norm(q):
     """Total variation of an atomic measure: sum of |coefficients|."""
     return float(np.abs(q.coefficients).sum())
-
-
-def project_to_nodes(mesh, q):
-    """Split every atom onto the interior mesh nodes by hat-function weights.
-
-    The coefficient at node i becomes sum_j beta_j phi_i(x_j); mass
-    falling on boundary nodes is dropped. Leaves nodal atoms unchanged
-    and never increases the total variation.
-    """
-    weights = delta_load(mesh, q)
-    interior = mesh.interior_nodes()
-    mask = np.abs(weights[interior]) > PRUNE_TOL
-    idx = interior[mask]
-    return DiscreteMeasure(mesh.nodes[idx], weights[idx])
 
 
 def lump_clusters(q, radius):
@@ -201,11 +184,3 @@ def save_measure(q, path):
     text = "[\n  " + ",\n  ".join(entries) + "\n]\n" if entries else "[]\n"
     with open(path, "w") as f:
         f.write(text)
-
-
-def load_measure(path):
-    with open(path) as f:
-        data = json.load(f)
-    positions = [entry["x"] for entry in data]
-    coefficients = [entry["beta"] for entry in data]
-    return DiscreteMeasure(positions, coefficients)

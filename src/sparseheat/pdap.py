@@ -21,44 +21,40 @@ import numpy as np
 
 from .errors import SolverFailure
 from .fem import NodalField
-from .measures import DiscreteMeasure, tv_norm
+from .measures import PRUNE_TOL, DiscreteMeasure, tv_norm
 from .timestepping import adjoint_dirac, forward_dirac
 
 # Nodes activated per outer iteration at most, the argmax node included.
 MAX_INSERTIONS = 4
+# First-order residual target and iteration budget of the coefficient
+# solves; running out of iterations is a SolverFailure.
+SUBPROBLEM_TOL = 1e-11
+SUBPROBLEM_MAX_ITERATIONS = 100
 
 _log = logging.getLogger("sparseheat")
 
 
 @dataclass
 class PdapConfig:
-    """Tuning knobs for `run`.
+    """Regularization weight and stopping rule of `run`.
 
-    `tol` stops the outer loop once the gap drops below it; with
-    tol_mode "relative" (the default) the threshold is tol * M0, where
+    The outer loop stops once the gap drops below tol * M0, where
     M0 = j(0)/alpha is the gap scale fixed at iteration 0, j(0) being the
-    objective of the empty starting measure.
+    objective of the empty starting measure, or after
+    max_outer_iterations iterations without convergence.
     """
 
     alpha: float
     tol: float = 1e-8
-    tol_mode: str = "relative"
     max_outer_iterations: int = 200
-    subproblem_tol: float = 1e-11
-    subproblem_max_iterations: int = 100
-    prune_threshold: float = 1e-12
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite positive number, got {self.tol}")
-        if self.tol_mode not in ("relative", "absolute"):
-            raise ValueError("tol_mode must be 'relative' or 'absolute'")
         if self.max_outer_iterations < 0:
             raise ValueError("max_outer_iterations must be nonnegative")
-        if self.subproblem_max_iterations < 1:
-            raise ValueError("subproblem_max_iterations must be positive")
 
 
 @dataclass
@@ -301,17 +297,18 @@ def run(model, u_d, config):
 
     Starting from the empty measure the loop alternates adjoint
     evaluation, candidate selection and the active-set subproblem,
-    pruning zero coefficients after each solve. Each iteration activates
+    pruning coefficients of magnitude at most PRUNE_TOL (the rule of
+    `DiscreteMeasure`) after each solve. Each iteration activates
     the argmax node of |z| and up to MAX_INSERTIONS - 1 inactive local
     maxima of |z| above alpha (`select_candidates`); their columns
     S(delta_node) are propagated together in one batched solve and
     cached, and the returned terminal state is assembled from them. When
     the argmax node is already active the gap stems from subproblem
     inexactness, so the subproblem tolerance is tightened and nothing is
-    inserted. Stops when the gap falls below the configured threshold;
-    hitting the iteration cap returns the current iterate flagged as
-    non-converged. Logs one progress line per iteration to the
-    "sparseheat" logger at INFO level.
+    inserted. Stops when the gap falls below config.tol * M0; hitting the
+    iteration cap returns the current iterate flagged as non-converged.
+    Logs one progress line per iteration to the "sparseheat" logger at
+    INFO level.
     """
     alpha = config.alpha
     interior = model.interior
@@ -369,8 +366,8 @@ def run(model, u_d, config):
 
     j = current_objective()
     m0 = j / alpha
-    tol_abs = config.tol * m0 if config.tol_mode == "relative" else config.tol
-    sub_tol = config.subproblem_tol
+    tol_abs = config.tol * m0
+    sub_tol = SUBPROBLEM_TOL
     log = IterationLog()
     converged = False
 
@@ -414,10 +411,10 @@ def run(model, u_d, config):
             add_nodes(nodes)
             inserted = len(nodes)
         beta, sub_iters = solve_subproblem(
-            G, c, alpha, beta, sub_tol, config.subproblem_max_iterations
+            G, c, alpha, beta, sub_tol, SUBPROBLEM_MAX_ITERATIONS
         )
 
-        keep = np.abs(beta) > config.prune_threshold
+        keep = np.abs(beta) > PRUNE_TOL
         if not keep.all():
             beta = beta[keep]
             G = G[np.ix_(keep, keep)]

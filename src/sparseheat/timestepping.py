@@ -9,8 +9,8 @@ into one real part (Richter, Springer & Vexler, Numer. Math. 124, 2013).
 So one step of either order is one shifted N x N solve,
 u = Re(c (kA - sigma M)^{-1} f), with f the previous trace paired with M
 (first slab: the initial load) and one real (dG(0)) or complex (dG(1))
-factorization per distinct step length. The step operator is symmetric,
-so the adjoint is the same loop over the reversed steps.
+factorization per model, since every grid is uniform. The step operator
+is symmetric, so the adjoint is the same loop as the forward solve.
 `pade_step_oracle` computes the amplification independently from the raw
 dG(1) slab system.
 """
@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fem import SPLU_SYMMETRIC, NodalField, assemble_mass, assemble_stiffness
-from .fem import delta_load, zero_field
+from .fem import delta_load
 
 _S1 = complex(-2.0, np.sqrt(2.0))
 # dG order -> (sigma, c) of the step kernel Re(c (kA - sigma M)^{-1} f).
@@ -33,35 +33,24 @@ _POLES = {
 
 
 class TimeGrid:
-    """Partition of (0, T] into subintervals."""
+    """Uniform partition of (0, T] into M steps of length k = T / M."""
 
-    def __init__(self, T, steps):
-        steps = np.asarray(steps, dtype=float)
-        if T <= 0 or steps.size == 0 or np.any(steps <= 0):
-            raise ValueError("final time and all steps must be positive")
-        if abs(steps.sum() - T) > 1e-14 * max(T, 1.0):
-            raise ValueError("step lengths do not sum to the final time")
-        self.T = float(T)
-        self.steps = steps
-        self.steps.setflags(write=False)
-
-    @classmethod
-    def uniform(cls, T, M):
+    def __init__(self, T, M):
+        if not T > 0:
+            raise ValueError("final time must be positive")
         if M < 1:
             raise ValueError("need at least one time step")
-        return cls(T, np.full(M, T / M))
-
-    @property
-    def M(self):
-        return self.steps.size
+        self.T = float(T)
+        self.M = int(M)
+        self.k = self.T / self.M
 
 
 class HeatModel:
     """Assembled discretization of the homogeneous heat equation.
 
     Bundles the mesh, full mass/stiffness matrices, the interior index
-    set, the time grid and the dG order; slab factorizations are created
-    lazily per distinct step length and reused.
+    set, the time grid and the dG order; the slab matrix is factored on
+    the first propagation and reused.
     """
 
     def __init__(self, mesh, grid, order):
@@ -75,41 +64,35 @@ class HeatModel:
         self.interior = mesh.interior_nodes()
         self.mass_int = self.mass.mat[self.interior][:, self.interior].tocsr()
         self.stiff_int = self.stiffness.mat[self.interior][:, self.interior].tocsr()
-        self._slab_lu = {}
+        self._slab_lu = None
 
     @property
     def n_interior(self):
         return self.interior.size
 
-    def _lu(self, k):
-        key = float(k)
-        lu = self._slab_lu.get(key)
-        if lu is None:
+    def _step(self, f):
+        if self._slab_lu is None:
             sigma = _POLES[self.order][0]
             try:
-                mat = (k * self.stiff_int - sigma * self.mass_int).tocsc()
-                lu = spla.splu(mat, **SPLU_SYMMETRIC)
+                mat = (self.grid.k * self.stiff_int - sigma * self.mass_int).tocsc()
+                self._slab_lu = spla.splu(mat, **SPLU_SYMMETRIC)
             except RuntimeError as exc:
                 raise NumericalError(f"slab factorization failed: {exc}") from exc
-            self._slab_lu[key] = lu
-        return lu
+        return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))
 
-    def _step(self, k, f):
-        return np.real(_POLES[self.order][1] * self._lu(k).solve(f))
-
-    def _propagate(self, steps, f):
-        u = self._step(steps[0], f)
-        for k in steps[1:]:
-            u = self._step(k, self.mass_int @ u)
+    def _propagate(self, f):
+        u = self._step(f)
+        for _ in range(self.grid.M - 1):
+            u = self._step(self.mass_int @ u)
         return u
 
     def propagate_load(self, b_int):
         """End-time trace from a first-slab load vector on interior nodes."""
-        return self._propagate(self.grid.steps, b_int)
+        return self._propagate(b_int)
 
     def propagate_adjoint(self, w_int):
         """Transposed propagation: terminal pairing back to the initial trace."""
-        return self._propagate(self.grid.steps[::-1], w_int)
+        return self._propagate(w_int)
 
     def embed(self, interior_values):
         """Interior coefficient vector as a full nodal field (zero boundary)."""
@@ -126,7 +109,7 @@ def forward_dirac(model, q):
     atom positions. An empty measure yields the zero field.
     """
     if len(q) == 0:
-        return zero_field(model.mesh)
+        return NodalField(model.mesh, np.zeros(model.mesh.num_nodes))
     b = delta_load(model.mesh, q)[model.interior]
     return model.embed(model.propagate_load(b))
 

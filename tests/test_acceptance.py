@@ -25,7 +25,6 @@ from sparseheat import (
     l2_norm,
     lump_clusters,
     match_supports,
-    project_to_nodes,
     tv_norm,
 )
 from sparseheat import pdap
@@ -48,6 +47,8 @@ from sparseheat.timestepping import (
     pade_step_oracle,
 )
 
+from measure_helpers import project_to_nodes
+
 TRUTH = DiscreteMeasure(
     [[0.263091083266217, 0.258378565204941], [0.76061544960808, 0.734190309666141]],
     [-10.0, 25.0],
@@ -69,7 +70,7 @@ def test_criterion_1_adjoint_identity():
         mesh = build_uniform(n)
         for M in (1, 4, 16):
             for r in (0, 1):
-                model = HeatModel(mesh, TimeGrid.uniform(0.1, M), r)
+                model = HeatModel(mesh, TimeGrid(0.1, M), r)
                 for _ in range(10):
                     pos = 0.1 + 0.8 * rng.random((3, 2))
                     q = DiscreteMeasure(pos, rng.standard_normal(3))
@@ -102,7 +103,7 @@ def test_criterion_2_step_oracle_equivalence():
 
     for r in (0, 1):
         for M in (1, 2, 4):
-            model = HeatModel(mesh, TimeGrid.uniform(T, M), r)
+            model = HeatModel(mesh, TimeGrid(T, M), r)
             k = T / M
             for j in range(lam.size):
                 w = W[:, j]
@@ -146,7 +147,7 @@ def test_criterion_4_nodal_projection_laws():
     worst_state = 0.0
     tv_ok = True
     for r in (0, 1):
-        model = HeatModel(mesh, TimeGrid.uniform(0.1, 4), r)
+        model = HeatModel(mesh, TimeGrid(0.1, 4), r)
         for _ in range(10):
             pos = 0.1 + 0.8 * rng.random((3, 2))
             q = DiscreteMeasure(pos, rng.standard_normal(3))
@@ -164,9 +165,9 @@ def test_criterion_5_pdap_optimality_and_gap():
     start = time.time()
     alpha = 1e-3
     mesh = build_uniform(32)
-    model = HeatModel(mesh, TimeGrid.uniform(0.1, 64), 0)
+    model = HeatModel(mesh, TimeGrid(0.1, 64), 0)
     u_d = make_observation(model, TRUTH, 0.0, 0)
-    cfg = PdapConfig(alpha=alpha, tol=1e-8, tol_mode="relative", max_outer_iterations=300)
+    cfg = PdapConfig(alpha=alpha, tol=1e-8, max_outer_iterations=300)
     res = pdap.run(model, u_d, cfg)
     records = res.log.records
     monotone = all(
@@ -191,7 +192,7 @@ def test_criterion_5_pdap_optimality_and_gap():
 
 def test_criterion_6_brute_force_equivalence():
     mesh = build_uniform(4)
-    model = HeatModel(mesh, TimeGrid.uniform(0.1, 4), 0)
+    model = HeatModel(mesh, TimeGrid(0.1, 4), 0)
     rng = np.random.default_rng(42)
     u_d = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
     interior = mesh.interior_nodes()
@@ -430,7 +431,7 @@ def test_criterion_10_true_support_is_not_optimal():
     )
     report_out = reconstruct(cfg)
 
-    model = HeatModel(build_uniform(n), TimeGrid.uniform(cfg.T, 256), 0)
+    model = HeatModel(build_uniform(n), TimeGrid(cfg.T, 256), 0)
     u_d = make_observation(model, truth, 0.0, 0)
     cols = [
         forward_dirac(model, DiscreteMeasure([x], [1.0])) for x in truth.positions

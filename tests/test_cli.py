@@ -71,6 +71,9 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"time_steps": "8"},
         {"pdap": {"max_outer_iterations": 2.5}},
         {"seed": -1},
+        {"pdap": {"tol_mode": "absolute"}},
+        {"pdap": {"subproblem_tol": 1e-12}},
+        {"pdap": {"subproblem_max_iterations": 50}},
     ],
     ids=[
         "dg_order",
@@ -91,6 +94,9 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         "time_steps_string",
         "pdap_max_outer_iterations_fraction",
         "seed_negative",
+        "pdap_tol_mode",
+        "pdap_subproblem_tol",
+        "pdap_subproblem_max_iterations",
     ],
 )
 def test_invalid_input_is_one_line_error(tmp_path, capsys, override):

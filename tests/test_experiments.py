@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from sparseheat.timestepping import HeatModel, TimeGrid
 
 
 def small_model(n=8, M=4, r=0):
-    return HeatModel(build_uniform(n), TimeGrid.uniform(0.1, M), r)
+    return HeatModel(build_uniform(n), TimeGrid(0.1, M), r)
 
 
 CENTER_ATOM = DiscreteMeasure([(0.5, 0.5)], [5.0])
@@ -381,3 +383,16 @@ def test_override_config():
     assert out.seed == 9
     assert out.pdap.tol == 1e-3
     assert cfg.pdap.tol == 1e-5  # original untouched
+
+
+def test_alpha_and_pdap_alpha_must_agree():
+    # The drivers solve with cfg.pdap.alpha, so a second, different copy
+    # of alpha would be silently ignored.
+    cfg = config_from_dict({"alpha": 0.5})
+    assert cfg.pdap.alpha == 0.5
+    with pytest.raises(ValueError, match="alpha"):
+        dataclasses.replace(cfg, alpha=1e-4)
+    with pytest.raises(ValueError, match="alpha"):
+        ExperimentConfig(alpha=0.5, pdap=PdapConfig(alpha=1e-4))
+    agreed = ExperimentConfig(alpha=0.5, pdap=PdapConfig(alpha=0.5, tol=1e-6))
+    assert (agreed.alpha, agreed.pdap.alpha, agreed.pdap.tol) == (0.5, 0.5, 1e-6)

@@ -9,7 +9,6 @@ from sparseheat import (
     l2_inner,
     l2_norm,
     eval_field,
-    project_to_nodes,
     tv_norm,
 )
 from sparseheat import timestepping
@@ -22,20 +21,11 @@ from sparseheat.timestepping import (
     pade_step_oracle,
 )
 
-
-def make_grid(T, M):
-    """M uniform steps, or for M == "graded" four steps in the ratio 1:2:3:4.
-
-    On the graded grid every step length is distinct, so a step that is
-    dropped, repeated or factored with the wrong length shows.
-    """
-    if M == "graded":
-        return TimeGrid(T, T * np.arange(1, 5) / 10.0)
-    return TimeGrid.uniform(T, M)
+from measure_helpers import project_to_nodes
 
 
 def make_model(n=4, M=4, r=0, T=0.1):
-    return HeatModel(build_uniform(n), make_grid(T, M), r)
+    return HeatModel(build_uniform(n), TimeGrid(T, M), r)
 
 
 def embed(model, interior_values):
@@ -43,20 +33,21 @@ def embed(model, interior_values):
 
 
 def test_time_grid_uniform_sums_exactly():
-    grid = TimeGrid.uniform(0.1, 256)
-    assert grid.M == 256
-    assert grid.steps.sum() == pytest.approx(0.1, abs=1e-16)
-    grid3 = TimeGrid.uniform(0.1, 3)
-    assert abs(grid3.steps.sum() - 0.1) <= 1e-15
+    grid = TimeGrid(0.1, 256)
+    assert (grid.T, grid.M, grid.k) == (0.1, 256, 0.1 / 256)
+    assert type(grid.M) is int
+    assert grid.M * grid.k == pytest.approx(0.1, abs=1e-16)
+    grid3 = TimeGrid(0.1, 3)
+    assert abs(grid3.M * grid3.k - 0.1) <= 1e-15
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, [0.1])
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, [0.5, -0.5, 1.0])
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, [0.2, 0.2])
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            TimeGrid(T, 4)
+    for M in (0, -2):
+        with pytest.raises(ValueError):
+            TimeGrid(1.0, M)
 
 
 def test_dg_order_validated():
@@ -106,7 +97,7 @@ def eigenbasis(model):
 
 
 @pytest.mark.parametrize("r", [0, 1])
-@pytest.mark.parametrize("M", [1, 4, "graded"])
+@pytest.mark.parametrize("M", [1, 4])
 def test_forward_field_matches_step_oracle_per_eigenmode(r, M):
     # Small T keeps every per-step factor O(1), so cross-mode round-off
     # cannot pollute the per-mode relative comparison.
@@ -115,7 +106,7 @@ def test_forward_field_matches_step_oracle_per_eigenmode(r, M):
     for j in range(len(lam)):
         w = W[:, j]
         out = forward_field(model, embed(model, w))
-        factor = np.prod([pade_step_oracle(lam[j], k, r) for k in model.grid.steps])
+        factor = pade_step_oracle(lam[j], model.grid.k, r) ** M
         got = out.values[model.interior]
         assert np.linalg.norm(got - w * factor) <= 1e-10 * abs(factor) * np.linalg.norm(w)
 
@@ -155,7 +146,7 @@ def test_energy_decay(r):
 
 
 @pytest.mark.parametrize("r", [0, 1])
-@pytest.mark.parametrize("M", [1, 4, "graded"])
+@pytest.mark.parametrize("M", [1, 4])
 def test_adjoint_identity(r, M):
     model = make_model(n=8, M=M, r=r)
     mesh = model.mesh
@@ -178,7 +169,7 @@ def test_adjoint_single_step_against_direct_path():
     rng = np.random.default_rng(3)
     g = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
     z = adjoint_dirac(model, g)
-    k = model.grid.steps[0]
+    k = model.grid.k
     mat = (model.mass_int + k * model.stiff_int).toarray()
     rhs = (model.mass.mat @ g.values)[model.interior]
     direct = np.linalg.solve(mat, rhs)
@@ -210,7 +201,7 @@ def test_propagations_factor_one_interior_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [0, 1])
-@pytest.mark.parametrize("M", [4, "graded"])
+@pytest.mark.parametrize("M", [4])
 def test_batched_propagation_matches_columnwise(r, M):
     # PDAP propagates several new columns in one (N, k) call; each column
     # must equal its own single-vector propagation.
