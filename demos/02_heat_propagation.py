@@ -10,7 +10,7 @@ the duality relation that the inversion relies on:
 import numpy as np
 import scipy.linalg as sla
 
-from sparseheat import DiscreteMeasure, NodalField, build_uniform, eval_field, l2_inner, l2_norm
+from sparseheat import DiscreteMeasure, build_uniform, eval_field, l2_inner, l2_norm
 from sparseheat.timestepping import (
     HeatModel,
     TimeGrid,
@@ -27,7 +27,7 @@ for order in (0, 1):
     model = HeatModel(mesh, TimeGrid(0.1, 32), order)
     u = forward_dirac(model, q)
     print(f"order {order}: |u(T)|_L2 = {l2_norm(model.mass, u):.6f}, "
-          f"value range [{u.values.min():.4f}, {u.values.max():.4f}]")
+          f"value range [{u.min():.4f}, {u.max():.4f}]")
 
 # The per-step amplification of a Laplacian eigenmode is a rational
 # function of k*lambda; the oracle solves the scalar slab system.
@@ -40,7 +40,7 @@ model = HeatModel(build_uniform(4), TimeGrid(0.002, 2), 1)
 interior = model.interior
 lam, W = sla.eigh(model.stiff_int.toarray(), model.mass_int.toarray())
 w = W[:, 0]
-out = forward_field(model, model.embed(w)).values[interior]
+out = forward_field(model, model.embed(w))[interior]
 factor = pade_step_oracle(lam[0], 0.001, 1) ** 2
 print(f"\nlowest discrete mode, two steps: max defect vs oracle "
       f"{np.abs(out - w * factor).max():.2e}")
@@ -48,7 +48,7 @@ print(f"\nlowest discrete mode, two steps: max defect vs oracle "
 # Adjoint identity: both sides computed through independent paths.
 model = HeatModel(mesh, TimeGrid(0.1, 16), 1)
 rng = np.random.default_rng(1)
-g = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+g = rng.standard_normal(mesh.num_nodes)
 z = adjoint_dirac(model, g)
 lhs = float(q.coefficients @ eval_field(mesh, z, q.positions))
 rhs = l2_inner(model.mass, forward_dirac(model, q), g)

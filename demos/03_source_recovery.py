@@ -51,5 +51,5 @@ print(f"\nversus the truth: position error {match.position_error:.4f}, "
 print("(noise and regularization bias the atoms toward the domain interior,")
 print(" where less heat is absorbed by the boundary)")
 
-zmax = np.abs(result.adjoint.values).max()
+zmax = np.abs(result.adjoint).max()
 print(f"\noptimality: max |adjoint| = {zmax:.6e} vs alpha = 1e-3")

@@ -33,7 +33,6 @@ for order in (0, 1):
         mesh_n=16,
         time_steps=[16, 32, 64, 128, 256],
         dg_order=order,
-        alpha=1e-3,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8, max_outer_iterations=300),
     )
     table, _ = study_time(cfg)
@@ -45,7 +44,6 @@ cfg = ExperimentConfig(
     mesh_n=[8, 16, 32, 64],
     time_steps=32,
     dg_order=0,
-    alpha=1e-3,
     pdap=PdapConfig(alpha=1e-3, tol=1e-8, max_outer_iterations=300),
 )
 table, _ = study_space(cfg)

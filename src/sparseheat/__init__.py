@@ -9,8 +9,6 @@ measure the convergence orders of the scheme.
 
 from .errors import ConfigError, NumericalError, OutOfDomainError, SolverFailure
 from .fem import (
-    NodalField,
-    SparseSpd,
     assemble_mass,
     assemble_stiffness,
     delta_load,
@@ -20,6 +18,7 @@ from .fem import (
     l2_inner,
     l2_norm,
     l2_project,
+    spd_solve,
 )
 from .measures import (
     DiscreteMeasure,

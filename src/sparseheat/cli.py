@@ -5,9 +5,9 @@ a one-line summary. Exit codes: 0 success, 1 usage/config error, 2
 solver non-convergence, 3 numerical failure or out of memory.
 Configuration paths resolve first against the filesystem, then against
 the bundled configs shipped with the package (paper_10_1.json and
-friends). With -v, the solver logs one progress line per PDAP
-iteration to standard error; standard output and the artifacts are the
-same with and without it.
+friends). With -v (config-driven subcommands only), the solver logs one
+progress line per PDAP iteration to standard error; standard output and
+the artifacts are the same with and without it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _build_parser():
             p.add_argument("--out", default=None, help="output directory override")
             p.add_argument("--seed", type=int, default=None, help="RNG seed override")
             p.add_argument("--tol", type=float, default=None, help="PDAP gap tolerance override")
-        p.add_argument("-v", "--verbose", action="store_true")
+            p.add_argument("-v", "--verbose", action="store_true")
         return p
 
     add("reconstruct", "recover a sparse initial measure from the configured observation")
@@ -121,7 +121,7 @@ def _selftest():
                 for _ in range(3):
                     pos = 0.1 + 0.8 * rng.random((3, 2))
                     q = DiscreteMeasure(pos, rng.standard_normal(3))
-                    g = fem.NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+                    g = rng.standard_normal(mesh.num_nodes)
                     sq = forward_dirac(model, q)
                     z = adjoint_dirac(model, g)
                     lhs = float(q.coefficients @ fem.eval_field(mesh, z, q.positions))
@@ -146,7 +146,7 @@ def main(argv=None):
 
     logger = logging.getLogger("sparseheat")
     level, handler = logger.level, None
-    if args.verbose:
+    if getattr(args, "verbose", False):
         handler = logging.StreamHandler(sys.stderr)
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)

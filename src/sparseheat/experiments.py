@@ -20,20 +20,19 @@ import numpy as np
 from . import pdap
 from .errors import ConfigError
 from .fem import (
-    NodalField,
     eval_field,
     field_to_csv,
     interpolation_matrix,
     l2_norm,
     l2_project,
+    spd_solve,
 )
-from .measures import DiscreteMeasure, lump_clusters, match_supports, save_measure
+from .measures import DiscreteMeasure, lump_clusters, save_measure
 from .mesh import build_uniform, refine
 from .pdap import PdapConfig
 from .timestepping import HeatModel, TimeGrid, forward_dirac, forward_field
 
 LUMP_RADIUS_FACTOR = 2.0  # lumping radius in units of the mesh size
-MATCH_RADIUS = 0.15
 
 
 @dataclass
@@ -52,7 +51,7 @@ class ExperimentConfig:
 
     mesh_n and time_steps are single values or ascending lists; studies
     interpret the finest entry of the swept parameter as the reference.
-    pdap defaults to PdapConfig(alpha) and must carry the same alpha.
+    pdap carries the regularization weight alpha (default 1e-3).
     """
 
     T: float = 0.1
@@ -60,10 +59,9 @@ class ExperimentConfig:
     mesh_n: object = 32
     time_steps: object = 64
     dg_order: int = 0
-    alpha: float = 1e-3
     noise_level: float = 0.0
     seed: int = 0
-    pdap: PdapConfig = None
+    pdap: PdapConfig = field(default_factory=lambda: PdapConfig(alpha=1e-3))
     output_dir: str = None
     smoothing: SmoothingSpec = None
 
@@ -79,12 +77,6 @@ class ExperimentConfig:
             if isinstance(v, (list, tuple)):
                 if len(v) >= 2 and any(b <= a for a, b in zip(v, v[1:])):
                     raise ValueError(f"{name} list must be ascending")
-        if self.pdap is None:
-            self.pdap = PdapConfig(alpha=self.alpha)
-        elif self.pdap.alpha != self.alpha:
-            raise ValueError(
-                f"alpha {self.alpha} differs from pdap.alpha {self.pdap.alpha}"
-            )
 
 
 @dataclass
@@ -195,16 +187,15 @@ def make_observation(model, q_truth, noise_level, seed):
     if noise_level == 0.0:
         return u
     rng = np.random.default_rng(seed)
-    delta = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    delta = rng.standard_normal(model.mesh.num_nodes)
     scale = noise_level * l2_norm(model.mass, u) / l2_norm(model.mass, delta)
-    return NodalField(model.mesh, u.values + scale * delta.values)
+    return u + scale * delta
 
 
 @dataclass
 class ReconstructionReport:
     measure: DiscreteMeasure
     lumped: DiscreteMeasure
-    match: object  # SupportMatch against the truth, or None
     adjoint_max: float
     objective: float
     gap: float
@@ -226,9 +217,8 @@ def _ensure_dir(path):
 def reconstruct(cfg):
     """Recover the initial measure from the configured observation.
 
-    Runs the active-point solver, lumps clustered atoms within twice the
-    mesh size, and matches the lumped measure against the configured
-    truth. Artifacts (measure.json, measure_lumped.json, log.csv,
+    Runs the active-point solver and lumps clustered atoms within twice
+    the mesh size. Artifacts (measure.json, measure_lumped.json, log.csv,
     field.csv) go to cfg.output_dir when set. Solver non-convergence is
     reported in the result, not raised.
     """
@@ -239,14 +229,10 @@ def reconstruct(cfg):
     u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
     result = pdap.run(model, u_d, cfg.pdap)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
-    match = None
-    if len(cfg.truth) > 0:
-        match = match_supports(cfg.truth, lumped, MATCH_RADIUS)
     report = ReconstructionReport(
         measure=result.measure,
         lumped=lumped,
-        match=match,
-        adjoint_max=float(np.abs(result.adjoint.values).max()),
+        adjoint_max=float(np.abs(result.adjoint).max()),
         objective=result.objective,
         gap=result.gap,
         converged=result.converged,
@@ -257,7 +243,7 @@ def reconstruct(cfg):
         save_measure(result.measure, os.path.join(cfg.output_dir, "measure.json"))
         save_measure(lumped, os.path.join(cfg.output_dir, "measure_lumped.json"))
         result.log.write_csv(os.path.join(cfg.output_dir, "log.csv"))
-        field_to_csv(result.state, os.path.join(cfg.output_dir, "field.csv"))
+        field_to_csv(mesh, result.state, os.path.join(cfg.output_dir, "field.csv"))
     return report
 
 
@@ -293,18 +279,15 @@ def study_space(cfg):
     u_d_ref = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
     ref_result = pdap.run(ref_model, u_d_ref, cfg.pdap)
     u_ref = ref_result.state
-    ud_ref_m = ref_model.mass.mat @ u_d_ref.values
+    ud_ref_m = ref_model.mass @ u_d_ref
 
     def solve_level(mesh):
         model = HeatModel(mesh, grid, cfg.dg_order)
         interp = interpolation_matrix(mesh, ref_mesh)
         # Same L2 data, represented on the coarse mesh.
-        u_d = NodalField(mesh, model.mass.solve(interp.T @ ud_ref_m))
+        u_d = spd_solve(model.mass, interp.T @ ud_ref_m)
         result = pdap.run(model, u_d, cfg.pdap)
-        lifted = NodalField(ref_mesh, interp @ result.state.values)
-        err = l2_norm(
-            ref_model.mass, NodalField(ref_mesh, lifted.values - u_ref.values)
-        )
+        err = l2_norm(ref_model.mass, interp @ result.state - u_ref)
         return err, result.converged
 
     outcomes = [solve_level(mesh) for mesh in meshes[:-1]]
@@ -340,7 +323,7 @@ def study_time(cfg):
     def solve_level(M):
         model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
         result = pdap.run(model, u_d, cfg.pdap)
-        err = l2_norm(model.mass, NodalField(mesh, result.state.values - u_ref.values))
+        err = l2_norm(model.mass, result.state - u_ref)
         return err, result.converged
 
     outcomes = [solve_level(M) for M in Ms[:-1]]
@@ -514,7 +497,7 @@ def config_from_dict(data):
         key: (_number if key == "tol" else _integer)(f"pdap.{key}", v)
         for key, v in pdap_block.items()
     }
-    kwargs["pdap"] = _construct(PdapConfig, alpha=kwargs.get("alpha", 1e-3), **pdap_block)
+    kwargs["pdap"] = _construct(PdapConfig, alpha=kwargs.pop("alpha", 1e-3), **pdap_block)
     return _construct(ExperimentConfig, **kwargs)
 
 

@@ -1,9 +1,11 @@
 """P1 finite elements on TriMesh.
 
-Provides mass/stiffness assembly, cached direct solves, point
-evaluation, Dirac load vectors, L2 projection and mass-weighted inner
-products. Matrices are assembled over all nodes; homogeneous Dirichlet
-conditions are imposed by restricting to the interior index set.
+Provides mass/stiffness assembly as CSR matrices, a checked sparse
+direct solve, point evaluation, Dirac load vectors, L2 projection and
+mass-weighted inner products. A discrete field is the float array of its
+nodal values. Matrices are assembled over all nodes; homogeneous
+Dirichlet conditions are imposed by restricting to the interior index
+set.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError
 
 _RESIDUAL_TOL = 1e-12
-_SYMMETRY_TOL = 1e-12
 # SuperLU settings for every factorization in the package: multiple
 # minimum degree on the pattern of A^T + A, diagonal pivots only. No
 # pivoting is safe because each matrix factored is symmetric with a
@@ -25,60 +26,27 @@ SPLU_SYMMETRIC = dict(
 )
 
 
-class SparseSpd:
-    """Symmetric sparse matrix with a lazily cached direct factorization.
+def spd_solve(mat, rhs):
+    """Solve A x = rhs for a symmetric positive definite sparse matrix A.
 
-    The factorization is computed on the first solve and reused for all
-    subsequent right-hand sides.
+    Factors A once per call. The relative residual is checked against
+    1e-12; a larger residual (singular or badly conditioned matrix)
+    raises NumericalError.
     """
-
-    def __init__(self, mat):
-        mat = sp.csr_matrix(mat)
-        asym = abs(mat - mat.T)
-        scale = max(abs(mat).max(), 1.0)
-        if asym.nnz and asym.max() > _SYMMETRY_TOL * scale:
-            raise ValueError("matrix is not symmetric")
-        self.mat = mat
-        self._lu = None
-
-    @property
-    def dimension(self):
-        return self.mat.shape[0]
-
-    def solve(self, rhs):
-        """Solve A x = rhs by a cached sparse LU factorization.
-
-        The relative residual is checked against 1e-12; a larger residual
-        (singular or badly conditioned matrix) raises NumericalError.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.dimension:
-            raise ValueError("dimension mismatch in solve")
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(sp.csc_matrix(self.mat), **SPLU_SYMMETRIC)
-            except RuntimeError as exc:
-                raise NumericalError(f"factorization failed: {exc}") from exc
-        x = self._lu.solve(rhs)
-        bnorm = np.linalg.norm(rhs)
-        if bnorm > 0.0:
-            res = np.linalg.norm(self.mat @ x - rhs) / bnorm
-            if not res <= _RESIDUAL_TOL:
-                raise NumericalError(f"solve residual {res:.3e} exceeds 1e-12")
-        return x
-
-
-class NodalField:
-    """Coefficient vector over the nodes of a mesh (one P1 function)."""
-
-    __slots__ = ("mesh", "values")
-
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.num_nodes,):
-            raise ValueError("value vector does not match node count")
-        self.mesh = mesh
-        self.values = values
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[0] != mat.shape[0]:
+        raise ValueError("dimension mismatch in solve")
+    try:
+        lu = spla.splu(sp.csc_matrix(mat), **SPLU_SYMMETRIC)
+    except RuntimeError as exc:
+        raise NumericalError(f"factorization failed: {exc}") from exc
+    x = lu.solve(rhs)
+    bnorm = np.linalg.norm(rhs)
+    if bnorm > 0.0:
+        res = np.linalg.norm(mat @ x - rhs) / bnorm
+        if not res <= _RESIDUAL_TOL:
+            raise NumericalError(f"solve residual {res:.3e} exceeds 1e-12")
+    return x
 
 
 def assemble_mass(mesh):
@@ -95,7 +63,7 @@ def assemble_mass(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.num_nodes, mesh.num_nodes),
     )
-    return SparseSpd(mat.tocsr())
+    return mat.tocsr()
 
 
 def assemble_stiffness(mesh):
@@ -117,7 +85,7 @@ def assemble_stiffness(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.num_nodes, mesh.num_nodes),
     )
-    return SparseSpd(mat.tocsr())
+    return mat.tocsr()
 
 
 def delta_load(mesh, q):
@@ -150,31 +118,31 @@ def l2_project(mesh, f):
     adjacent = {0: (0, 2), 1: (0, 1), 2: (1, 2)}
     for vert, (ea, eb) in adjacent.items():
         np.add.at(F, mesh.cells[:, vert], area / 3.0 * 0.5 * (fvals[ea] + fvals[eb]))
-    mass = assemble_mass(mesh)
-    return NodalField(mesh, mass.solve(F))
+    return spd_solve(assemble_mass(mesh), F)
 
 
 def eval_field(mesh, v, points):
-    """Values of a nodal field at points by barycentric interpolation.
+    """Values of the P1 function with nodal values v at points.
 
     `points` has shape (k, 2); the result has shape (k,). Each value is
-    rounded like the single dot product `lam[i] @ v.values[cell_i]`.
+    barycentric interpolation, rounded like the single dot product
+    `lam[i] @ v[cell_i]`.
     """
     cells, lam = mesh.locate(points)
-    return (lam[:, None, :] @ v.values[mesh.cells[cells]][:, :, None])[:, 0, 0]
+    return (lam[:, None, :] @ v[mesh.cells[cells]][:, :, None])[:, 0, 0]
 
 
 def l2_inner(mass, u, v):
-    """L2 inner product u^T M v of two nodal fields.
+    """L2 inner product u^T M v of two nodal value vectors.
 
     Evaluated through the polarization identity, which is bitwise
     symmetric in the two arguments.
     """
-    if u.values.shape != v.values.shape or mass.dimension != u.values.shape[0]:
+    if u.shape != v.shape or mass.shape[0] != u.shape[0]:
         raise ValueError("dimension mismatch in l2_inner")
-    plus = u.values + v.values
-    minus = u.values - v.values
-    return 0.25 * (float(plus @ (mass.mat @ plus)) - float(minus @ (mass.mat @ minus)))
+    plus = u + v
+    minus = u - v
+    return 0.25 * (float(plus @ (mass @ plus)) - float(minus @ (mass @ minus)))
 
 
 def l2_norm(mass, u):
@@ -182,11 +150,11 @@ def l2_norm(mass, u):
     return float(np.sqrt(max(l2_inner(mass, u, u), 0.0)))
 
 
-def field_to_csv(field, path):
-    """Write a nodal field as CSV rows `x,y,value` (17 significant digits)."""
+def field_to_csv(mesh, values, path):
+    """Write nodal values as CSV rows `x,y,value` (17 significant digits)."""
     with open(path, "w") as f:
         f.write("x,y,value\n")
-        for (x, y), v in zip(field.mesh.nodes, field.values):
+        for (x, y), v in zip(mesh.nodes, values):
             f.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverFailure
-from .fem import NodalField
 from .measures import PRUNE_TOL, DiscreteMeasure, tv_norm
 from .timestepping import adjoint_dirac, forward_dirac
 
@@ -108,8 +107,8 @@ class PdapResult:
     converged: bool
     objective: float
     gap: float
-    state: NodalField
-    adjoint: NodalField
+    state: np.ndarray
+    adjoint: np.ndarray
     m0: float
     active_nodes: list = field(default_factory=list)
     coefficients: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -117,19 +116,18 @@ class PdapResult:
 
 def objective(model, u_d, q, alpha):
     """0.5 ||S q - u_d||^2 + alpha TV(q), recomputed from scratch."""
-    resid = forward_dirac(model, q).values - u_d.values
-    sq = float(resid @ (model.mass.mat @ resid))
+    resid = forward_dirac(model, q) - u_d
+    sq = float(resid @ (model.mass @ resid))
     return 0.5 * max(sq, 0.0) + alpha * tv_norm(q)
 
 
 def adjoint_state(model, u_d, q):
-    """Initial adjoint trace S*(S q - u_d) as a nodal field."""
-    resid = forward_dirac(model, q).values - u_d.values
-    return adjoint_dirac(model, NodalField(model.mesh, resid))
+    """Initial adjoint trace S*(S q - u_d) as nodal values."""
+    return adjoint_dirac(model, forward_dirac(model, q) - u_d)
 
 
 def select_candidates(z, mass, interior, active, alpha):
-    """Nodes to activate for the adjoint field z, argmax node first.
+    """Nodes to activate for the adjoint nodal values z, argmax node first.
 
     The first node is the interior maximizer of |z|, ties to the lowest
     node index. If it is already active, it is returned alone. Otherwise
@@ -141,7 +139,7 @@ def select_candidates(z, mass, interior, active, alpha):
     interior = np.asarray(interior)
     if interior.size == 0:
         raise ValueError("empty interior node list")
-    absz = np.abs(z.values)
+    absz = np.abs(z)
     first = int(interior[np.argmax(absz[interior])])
     if first in active:
         return [first]
@@ -312,9 +310,8 @@ def run(model, u_d, config):
     """
     alpha = config.alpha
     interior = model.interior
-    ud = u_d.values
-    ud_norm_sq = max(float(ud @ (model.mass.mat @ ud)), 0.0)
-    ud_pairing = (model.mass.mat @ ud)[interior]  # c_i = col_i . (M u_d)
+    ud_norm_sq = max(float(u_d @ (model.mass @ u_d)), 0.0)
+    ud_pairing = (model.mass @ u_d)[interior]  # c_i = col_i . (M u_d)
     Mi = model.mass_int
 
     active = []  # node indices into the full numbering
@@ -376,9 +373,8 @@ def run(model, u_d, config):
         state = np.zeros(model.mesh.num_nodes)
         if beta.size:
             state[interior] = np.column_stack(cols) @ beta
-        resid = NodalField(model.mesh, state - ud)
-        z_field = adjoint_dirac(model, resid)
-        zi = z_field.values[interior]
+        z = adjoint_dirac(model, state - u_d)
+        zi = z[interior]
         zmax = float(np.abs(zi).max()) if zi.size else 0.0
         pairing = 0.0
         if beta.size:
@@ -401,7 +397,7 @@ def run(model, u_d, config):
             record(n, phi, j, len(active), -1, 0, 0)
             break
 
-        nodes = select_candidates(z_field, model.mass.mat, interior, active, alpha)
+        nodes = select_candidates(z, model.mass, interior, active, alpha)
         support_before = len(active)
         if nodes[0] in active:
             # Gap now stems from subproblem inexactness; tighten and re-solve.
@@ -432,8 +428,8 @@ def run(model, u_d, config):
         converged=converged,
         objective=j,
         gap=phi,
-        state=NodalField(model.mesh, state),
-        adjoint=z_field,
+        state=state,
+        adjoint=z,
         m0=m0,
         active_nodes=list(active),
         coefficients=beta.copy(),

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import SPLU_SYMMETRIC, NodalField, assemble_mass, assemble_stiffness
+from .fem import SPLU_SYMMETRIC, assemble_mass, assemble_stiffness
 from .fem import delta_load
 
 _S1 = complex(-2.0, np.sqrt(2.0))
@@ -48,9 +48,9 @@ class TimeGrid:
 class HeatModel:
     """Assembled discretization of the homogeneous heat equation.
 
-    Bundles the mesh, full mass/stiffness matrices, the interior index
-    set, the time grid and the dG order; the slab matrix is factored on
-    the first propagation and reused.
+    Bundles the mesh, the full mass matrix, the interior index set, the
+    interior mass and stiffness blocks, the time grid and the dG order;
+    the slab matrix is factored on the first propagation and reused.
     """
 
     def __init__(self, mesh, grid, order):
@@ -60,10 +60,10 @@ class HeatModel:
         self.grid = grid
         self.order = int(order)
         self.mass = assemble_mass(mesh)
-        self.stiffness = assemble_stiffness(mesh)
+        stiffness = assemble_stiffness(mesh)
         self.interior = mesh.interior_nodes()
-        self.mass_int = self.mass.mat[self.interior][:, self.interior].tocsr()
-        self.stiff_int = self.stiffness.mat[self.interior][:, self.interior].tocsr()
+        self.mass_int = self.mass[self.interior][:, self.interior].tocsr()
+        self.stiff_int = stiffness[self.interior][:, self.interior].tocsr()
         self._slab_lu = None
 
     @property
@@ -95,10 +95,10 @@ class HeatModel:
         return self._propagate(w_int)
 
     def embed(self, interior_values):
-        """Interior coefficient vector as a full nodal field (zero boundary)."""
+        """Interior coefficients as full nodal values (zero boundary)."""
         values = np.zeros(self.mesh.num_nodes)
         values[self.interior] = interior_values
-        return NodalField(self.mesh, values)
+        return values
 
 
 def forward_dirac(model, q):
@@ -106,35 +106,35 @@ def forward_dirac(model, q):
 
     The measure enters through the duality pairing with the first-slab
     test trace, i.e. the load vector collects hat-function values at the
-    atom positions. An empty measure yields the zero field.
+    atom positions. An empty measure yields the zero state.
     """
     if len(q) == 0:
-        return NodalField(model.mesh, np.zeros(model.mesh.num_nodes))
+        return np.zeros(model.mesh.num_nodes)
     b = delta_load(model.mesh, q)[model.interior]
     return model.embed(model.propagate_load(b))
 
 
 def forward_field(model, v0):
-    """End-time state generated by an initial nodal field.
+    """End-time state generated by initial nodal values v0.
 
     The initial datum enters through the L2 pairing (mass matrix), which
     realizes the projection of v0 onto the interior P1 space.
     """
-    if v0.values.shape[0] != model.mesh.num_nodes:
+    if v0.shape[0] != model.mesh.num_nodes:
         raise ValueError("initial field does not match the model mesh")
-    b = (model.mass.mat @ v0.values)[model.interior]
+    b = (model.mass @ v0)[model.interior]
     return model.embed(model.propagate_load(b))
 
 
 def adjoint_dirac(model, g):
     """Initial trace of the backward solve driven by a terminal residual.
 
-    Returns the nodal field z with < q, z > = (forward_dirac(q), g) in L2
+    Returns the nodal values z with < q, z > = (forward_dirac(q), g) in L2
     for every atomic measure q, exactly up to factorization round-off.
     """
-    if g.values.shape[0] != model.mesh.num_nodes:
+    if g.shape[0] != model.mesh.num_nodes:
         raise ValueError("terminal field does not match the model mesh")
-    w = (model.mass.mat @ g.values)[model.interior]
+    w = (model.mass @ g)[model.interior]
     return model.embed(model.propagate_adjoint(w))
 
 

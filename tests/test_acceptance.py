@@ -16,7 +16,6 @@ import scipy.linalg as sla
 
 from sparseheat import (
     DiscreteMeasure,
-    NodalField,
     assemble_mass,
     assemble_stiffness,
     build_uniform,
@@ -74,7 +73,7 @@ def test_criterion_1_adjoint_identity():
                 for _ in range(10):
                     pos = 0.1 + 0.8 * rng.random((3, 2))
                     q = DiscreteMeasure(pos, rng.standard_normal(3))
-                    g = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+                    g = rng.standard_normal(mesh.num_nodes)
                     z = adjoint_dirac(model, g)
                     lhs = float(q.coefficients @ eval_field(mesh, z, q.positions))
                     rhs = l2_inner(model.mass, forward_dirac(model, q), g)
@@ -96,7 +95,7 @@ def test_criterion_2_step_oracle_equivalence():
     Mm = assemble_mass(mesh)
     interior = mesh.interior_nodes()
     lam, W = sla.eigh(
-        A.mat[interior][:, interior].toarray(), Mm.mat[interior][:, interior].toarray()
+        A[interior][:, interior].toarray(), Mm[interior][:, interior].toarray()
     )
     worst = 0.0
     from sparseheat.timestepping import forward_field
@@ -107,7 +106,7 @@ def test_criterion_2_step_oracle_equivalence():
             k = T / M
             for j in range(lam.size):
                 w = W[:, j]
-                out = forward_field(model, model.embed(w)).values[interior]
+                out = forward_field(model, model.embed(w))[interior]
                 factor = pade_step_oracle(lam[j], k, r) ** M
                 defect = np.linalg.norm(out - w * factor) / (
                     abs(factor) * np.linalg.norm(w)
@@ -124,8 +123,8 @@ def test_criterion_3_matrix_stencils():
     for n in (4, 8, 16):
         mesh = build_uniform(n)
         s = 1.0 / n
-        M = assemble_mass(mesh).mat
-        A = assemble_stiffness(mesh).mat
+        M = assemble_mass(mesh)
+        A = assemble_stiffness(mesh)
         i = (n // 2) * (n + 1) + n // 2  # central interior node
         row_m = M[i].toarray().ravel()
         row_a = A[i].toarray().ravel()
@@ -153,8 +152,8 @@ def test_criterion_4_nodal_projection_laws():
             q = DiscreteMeasure(pos, rng.standard_normal(3))
             projected = project_to_nodes(mesh, q)
             tv_ok &= tv_norm(projected) <= tv_norm(q) + 1e-12
-            direct = forward_dirac(model, q).values
-            via_nodes = forward_dirac(model, projected).values
+            direct = forward_dirac(model, q)
+            via_nodes = forward_dirac(model, projected)
             scale = max(np.linalg.norm(direct), 1.0)
             worst_state = max(worst_state, np.linalg.norm(direct - via_nodes) / scale)
     ok = tv_ok and worst_state <= 1e-12
@@ -174,10 +173,10 @@ def test_criterion_5_pdap_optimality_and_gap():
         b.objective <= a.objective + 1e-12 for a, b in zip(records, records[1:])
     )
     gaps_ok = all(r.phi >= -1e-12 for r in records[1:])
-    zmax = float(np.abs(res.adjoint.values).max())
+    zmax = float(np.abs(res.adjoint).max())
     bound_ok = zmax <= alpha + 1e-8
     sign_ok = all(
-        abs(res.adjoint.values[node] + alpha * np.sign(b)) <= 1e-8
+        abs(res.adjoint[node] + alpha * np.sign(b)) <= 1e-8
         for node, b in zip(res.active_nodes, res.coefficients)
     )
     elapsed = time.time() - start
@@ -194,7 +193,7 @@ def test_criterion_6_brute_force_equivalence():
     mesh = build_uniform(4)
     model = HeatModel(mesh, TimeGrid(0.1, 4), 0)
     rng = np.random.default_rng(42)
-    u_d = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+    u_d = rng.standard_normal(mesh.num_nodes)
     interior = mesh.interior_nodes()
     cols = [
         forward_dirac(model, DiscreteMeasure([mesh.nodes[i]], [1.0])) for i in interior
@@ -242,7 +241,6 @@ def test_criterion_7_temporal_rates():
         truth=TRUTH,
         mesh_n=32,
         time_steps=[16, 32, 64, 128, 256],
-        alpha=1e-3,
         noise_level=0.0,
         seed=0,
     )
@@ -288,7 +286,6 @@ def test_criterion_8_spatial_rate():
         mesh_n=[8, 16, 32, 64, 128],
         time_steps=64,
         dg_order=0,
-        alpha=1e-3,
         noise_level=0.0,
         seed=0,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8, max_outer_iterations=300),
@@ -365,7 +362,6 @@ def test_criterion_10_on_grid_reconstruction():
         mesh_n=n,
         time_steps=256,
         dg_order=0,
-        alpha=1e-4,
         noise_level=0.0,
         seed=0,
         pdap=PdapConfig(alpha=1e-4, tol=1e-8, max_outer_iterations=300),
@@ -424,7 +420,6 @@ def test_criterion_10_true_support_is_not_optimal():
         mesh_n=n,
         time_steps=256,
         dg_order=0,
-        alpha=alpha,
         noise_level=0.0,
         seed=0,
         pdap=PdapConfig(alpha=alpha, tol=1e-8, max_outer_iterations=300),

@@ -1,6 +1,6 @@
 """The benchmark's tracer still finds every name it wraps and counts
-propagations the way the program makes them; the documented config keys
-match the ones the loader accepts."""
+propagations, iterations and written bytes the way the program makes
+them; the documented config keys match the ones the loader accepts."""
 
 import json
 import os
@@ -17,13 +17,13 @@ ADJOINT_SPANS = """
 import json
 import numpy as np
 import tracing
-from sparseheat import NodalField, build_uniform
+from sparseheat import build_uniform
 from sparseheat.timestepping import HeatModel, TimeGrid, adjoint_dirac
 
 recorder = tracing.Recorder()
 tracing.install(recorder)
 model = HeatModel(build_uniform(4), TimeGrid(0.1, 4), 1)
-adjoint_dirac(model, NodalField(model.mesh, np.ones(model.mesh.num_nodes)))
+adjoint_dirac(model, np.ones(model.mesh.num_nodes))
 metrics = tracing.layer_metrics(recorder.spans)
 print(json.dumps({
     "names": [span[tracing.NAME] for span in recorder.spans],
@@ -32,12 +32,37 @@ print(json.dumps({
 }))
 """
 
+# A small reconstruct through the CLI under the tracer; argv[1] is the
+# config file and argv[2] the output directory.
+RECONSTRUCT_COUNTERS = """
+import json
+import sys
+import tracing
+from sparseheat import cli
 
-def run_traced(code):
+recorder = tracing.Recorder()
+tracing.install(recorder)
+code = cli.main(["reconstruct", "--config", sys.argv[1], "--out", sys.argv[2]])
+metrics = tracing.layer_metrics(recorder.spans)
+print(json.dumps({"code": code, **{name: metrics[name][0] for name in tracing.EXACT_COUNTERS}}))
+"""
+
+TINY_RECONSTRUCT = {
+    "T": 0.1,
+    "truth": [{"x": [0.3, 0.4], "beta": 5.0}, {"x": [0.7, 0.6], "beta": -3.0}],
+    "mesh_n": 8,
+    "time_steps": 8,
+    "alpha": 0.001,
+    "noise_level": 0.05,
+    "seed": 3,
+}
+
+
+def run_traced(code, *args):
     entries = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     path = os.pathsep.join(e for e in entries if e)
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -61,6 +86,31 @@ def test_traced_adjoint_records_no_forward_span():
     assert out["names"].count("timestepping.propagate_adjoint") == 1
     assert "timestepping.propagate_load" not in out["names"]
     assert (out["forward_calls"], out["adjoint_calls"]) == (0, 1)
+
+
+def test_traced_reconstruct_counters_match_artifacts(tmp_path):
+    # The counters the benchmark gates, read against what the run wrote:
+    # every artifact is counted once by the traced writers, each log row
+    # is one outer iteration with one adjoint propagation, and forward
+    # propagations are the observation plus one batch per inserting row.
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY_RECONSTRUCT))
+    out = tmp_path / "out"
+    result = run_traced(RECONSTRUCT_COUNTERS, str(config), str(out))
+    assert result.returncode == 0, result.stderr[-2000:]
+    counters = json.loads(result.stdout.splitlines()[-1])
+    assert counters["code"] == 0
+    artifacts = ["field.csv", "log.csv", "measure.json", "measure_lumped.json"]
+    assert sorted(p.name for p in out.iterdir()) == artifacts
+    assert counters["experiments.io_bytes"] == sum(
+        (out / name).stat().st_size for name in artifacts
+    )
+    rows = [line.split(",") for line in (out / "log.csv").read_text().splitlines()[1:]]
+    inserting = sum(int(row[-1]) > 0 for row in rows)
+    assert len(rows) >= 3 and inserting >= 2
+    assert counters["pdap.outer_iterations"] == len(rows)
+    assert counters["timestepping.adjoint_calls"] == len(rows)
+    assert counters["timestepping.forward_calls"] == 1 + inserting
 
 
 def test_documented_pdap_keys_match_loader():

@@ -144,6 +144,17 @@ def test_reconstruct_writes_artifacts(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_reconstruct_accepts_close_truth_atoms(tmp_path, capsys):
+    # The truth only synthesizes the data; atoms 0.2 apart are valid even
+    # though demo-style support matching at radius 0.15 would reject them.
+    cfg = {**TINY_RECONSTRUCT, "truth": [
+        {"x": [0.4, 0.5], "beta": 5.0}, {"x": [0.6, 0.5], "beta": 5.0}
+    ]}
+    path = write_config(tmp_path, cfg)
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_reconstruct_deterministic_artifacts(tmp_path):
     path = write_config(tmp_path, TINY_RECONSTRUCT)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -244,6 +255,11 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "adjoint identity" in out
     assert "FAIL" not in out
+    # selftest logs nothing, so it takes no -v.
+    assert main(["selftest", "-v"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error: unrecognized arguments: -v"
+    assert err.count("error") == 1
 
 
 def test_module_entry_point():

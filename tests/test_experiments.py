@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,16 +33,14 @@ def test_observation_zero_noise_is_clean_state():
     model = small_model()
     a = make_observation(model, CENTER_ATOM, 0.0, 123)
     b = make_observation(model, CENTER_ATOM, 0.0, 456)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_observation_noise_scaling_exact():
     model = small_model()
     clean = make_observation(model, CENTER_ATOM, 0.0, 0)
     noisy = make_observation(model, CENTER_ATOM, 0.1, 7)
-    from sparseheat import NodalField
-
-    delta = NodalField(model.mesh, noisy.values - clean.values)
+    delta = noisy - clean
     ratio = l2_norm(model.mass, delta) / l2_norm(model.mass, clean)
     assert ratio == pytest.approx(0.1, abs=1e-12)
 
@@ -54,8 +50,8 @@ def test_observation_seed_determinism():
     a = make_observation(model, CENTER_ATOM, 0.05, 99)
     b = make_observation(model, CENTER_ATOM, 0.05, 99)
     c = make_observation(model, CENTER_ATOM, 0.05, 100)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_compute_eoc_basic():
@@ -116,7 +112,6 @@ def test_reconstruct_on_grid_atom(tmp_path):
         mesh_n=16,
         time_steps=16,
         dg_order=0,
-        alpha=1e-3,
         noise_level=0.0,
         seed=0,
         pdap=PdapConfig(alpha=1e-3, tol=1e-9),
@@ -127,7 +122,7 @@ def test_reconstruct_on_grid_atom(tmp_path):
     assert len(report.lumped) >= 1
     dominant = int(np.argmax(np.abs(report.lumped.coefficients)))
     assert np.linalg.norm(report.lumped.positions[dominant] - mesh.nodes[node]) <= 2 * mesh.h
-    assert report.adjoint_max <= cfg.alpha + 1e-8
+    assert report.adjoint_max <= cfg.pdap.alpha + 1e-8
     for name in ("measure.json", "measure_lumped.json", "log.csv", "field.csv"):
         assert (tmp_path / "out" / name).exists()
 
@@ -139,14 +134,12 @@ def test_reconstruct_empty_data_gives_empty_measure():
         mesh_n=8,
         time_steps=4,
         dg_order=0,
-        alpha=1e-3,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8),
     )
     report = reconstruct(cfg)
     assert report.converged
     assert len(report.measure) == 0
     assert len(report.lumped) == 0
-    assert report.match is None
 
 
 def test_study_time_smoke(tmp_path):
@@ -156,7 +149,6 @@ def test_study_time_smoke(tmp_path):
         mesh_n=8,
         time_steps=[4, 8, 16, 32],
         dg_order=0,
-        alpha=1e-3,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8),
         output_dir=str(tmp_path / "st"),
     )
@@ -178,7 +170,6 @@ def test_study_space_smoke():
         mesh_n=[4, 8, 16],
         time_steps=8,
         dg_order=0,
-        alpha=1e-3,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8),
     )
     table, converged = study_space(cfg)
@@ -220,7 +211,6 @@ def test_no_propagation_outside_pdap_solves(tmp_path, monkeypatch, driver):
         mesh_n=[4, 8, 16] if driver == "study_space" else 8,
         time_steps=[4, 8, 16] if driver == "study_time" else 8,
         dg_order=0,
-        alpha=1e-3,
         noise_level=0.02 if driver == "reconstruct" else 0.0,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8),
         output_dir=str(tmp_path / "out"),
@@ -386,13 +376,5 @@ def test_override_config():
 
 
 def test_alpha_and_pdap_alpha_must_agree():
-    # The drivers solve with cfg.pdap.alpha, so a second, different copy
-    # of alpha would be silently ignored.
-    cfg = config_from_dict({"alpha": 0.5})
-    assert cfg.pdap.alpha == 0.5
-    with pytest.raises(ValueError, match="alpha"):
-        dataclasses.replace(cfg, alpha=1e-4)
-    with pytest.raises(ValueError, match="alpha"):
-        ExperimentConfig(alpha=0.5, pdap=PdapConfig(alpha=1e-4))
-    agreed = ExperimentConfig(alpha=0.5, pdap=PdapConfig(alpha=0.5, tol=1e-6))
-    assert (agreed.alpha, agreed.pdap.alpha, agreed.pdap.tol) == (0.5, 0.5, 1e-6)
+    # The file's top-level alpha is the one the drivers solve with.
+    assert config_from_dict({"alpha": 0.5}).pdap.alpha == 0.5

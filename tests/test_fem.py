@@ -4,7 +4,6 @@ import scipy.linalg as sla
 
 from sparseheat import (
     DiscreteMeasure,
-    NodalField,
     assemble_mass,
     assemble_stiffness,
     build_uniform,
@@ -16,9 +15,9 @@ from sparseheat import (
     l2_norm,
     l2_project,
     refine,
+    spd_solve,
 )
 from sparseheat.errors import NumericalError
-from sparseheat.fem import SparseSpd
 
 
 def lattice_node(n, i, j):
@@ -29,14 +28,14 @@ def test_mass_total_is_domain_area():
     mesh = build_uniform(2)
     for _ in range(3):
         M = assemble_mass(mesh)
-        assert M.mat.sum() == pytest.approx(1.0, abs=1e-12)
+        assert M.sum() == pytest.approx(1.0, abs=1e-12)
         mesh = refine(mesh)
 
 
 def test_mass_interior_stencil():
     n = 4
     mesh = build_uniform(n)
-    M = assemble_mass(mesh).mat
+    M = assemble_mass(mesh)
     s = 1.0 / n
     i = lattice_node(n, 2, 2)
     row = M[i].toarray().ravel()
@@ -47,16 +46,21 @@ def test_mass_interior_stencil():
 
 
 def test_mass_symmetric_nonnegative():
-    mesh = build_uniform(3)
-    M = assemble_mass(mesh).mat
-    assert (M != M.T).nnz == 0
-    assert M.min() >= 0.0
+    # Both matrices are exactly symmetric as assembled, so no solve
+    # needs to check symmetry.
+    for n in (3, 8, 64):
+        mesh = build_uniform(n)
+        M = assemble_mass(mesh)
+        A = assemble_stiffness(mesh)
+        assert (M != M.T).nnz == 0
+        assert (A != A.T).nnz == 0
+        assert M.min() >= 0.0
 
 
 def test_stiffness_interior_stencil():
     n = 8
     mesh = build_uniform(n)
-    A = assemble_stiffness(mesh).mat
+    A = assemble_stiffness(mesh)
     i = lattice_node(n, 4, 4)
     row = A[i].toarray().ravel()
     assert abs(row[i] - 4.0) <= 1e-14
@@ -71,14 +75,14 @@ def test_stiffness_interior_stencil():
 
 def test_stiffness_row_sums_vanish():
     mesh = build_uniform(4)
-    A = assemble_stiffness(mesh).mat
+    A = assemble_stiffness(mesh)
     assert np.abs(A.sum(axis=1)).max() <= 1e-13
 
 
 def test_stiffness_interior_block_spd():
     mesh = build_uniform(4)
     interior = mesh.interior_nodes()
-    A = assemble_stiffness(mesh).mat[interior][:, interior].toarray()
+    A = assemble_stiffness(mesh)[interior][:, interior].toarray()
     eigs = sla.eigvalsh(A)
     assert eigs[0] > 0.0
 
@@ -124,57 +128,51 @@ def test_solve_spd_roundtrip():
     M = assemble_mass(mesh)
     rng = np.random.default_rng(1)
     y = rng.standard_normal(mesh.num_nodes)
-    x = M.solve(M.mat @ y)
+    x = spd_solve(M, M @ y)
     assert np.allclose(x, y, atol=1e-12)
+    with pytest.raises(ValueError):
+        spd_solve(M, y[:-1])
 
 
 def interior_stiffness(mesh):
     interior = mesh.interior_nodes()
-    return SparseSpd(assemble_stiffness(mesh).mat[interior][:, interior])
+    return assemble_stiffness(mesh)[interior][:, interior]
 
 
 def test_solve_spd_single_interior_node():
     A = interior_stiffness(build_uniform(2))
-    x = A.solve(np.array([2.0]))
+    x = spd_solve(A, np.array([2.0]))
     assert x[0] == pytest.approx(0.5, abs=1e-15)  # stencil center is 4
 
 
 def test_solve_spd_residual_contract():
     A = interior_stiffness(build_uniform(8))
     rng = np.random.default_rng(2)
-    b = rng.standard_normal(A.dimension)
-    x = A.solve(b)
-    res = np.linalg.norm(A.mat @ x - b) / np.linalg.norm(b)
+    b = rng.standard_normal(A.shape[0])
+    x = spd_solve(A, b)
+    res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
     assert res <= 1e-12
-
-
-def test_sparse_spd_rejects_asymmetric():
-    import scipy.sparse as sp
-
-    bad = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        SparseSpd(bad)
 
 
 def test_solve_spd_detects_singular():
     import scipy.sparse as sp
 
-    singular = SparseSpd(sp.csr_matrix(np.zeros((2, 2))))
+    singular = sp.csr_matrix(np.zeros((2, 2)))
     with pytest.raises(NumericalError):
-        singular.solve(np.array([1.0, 0.0]))
+        spd_solve(singular, np.array([1.0, 0.0]))
 
 
 def test_l2_project_reproduces_constants():
     mesh = build_uniform(8)
     p = l2_project(mesh, lambda x, y: np.ones_like(x))
-    assert np.allclose(p.values, 1.0, atol=1e-10)
+    assert np.allclose(p, 1.0, atol=1e-10)
 
 
 def test_l2_project_reproduces_linears():
     mesh = build_uniform(8)
     p = l2_project(mesh, lambda x, y: x + y)
     exact = mesh.nodes[:, 0] + mesh.nodes[:, 1]
-    assert np.allclose(p.values, exact, atol=1e-10)
+    assert np.allclose(p, exact, atol=1e-10)
 
 
 def test_l2_project_is_stable_for_eigenmode():
@@ -193,19 +191,19 @@ def test_l2_project_is_stable_for_eigenmode():
 def test_eval_field_nodal_and_centroid():
     mesh = build_uniform(4)
     rng = np.random.default_rng(3)
-    v = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+    v = rng.standard_normal(mesh.num_nodes)
     i = lattice_node(4, 1, 2)
     cell = 7
     centroid = mesh.nodes[mesh.cells[cell]].mean(axis=0)
     values = eval_field(mesh, v, [mesh.nodes[i], centroid])
     assert values == pytest.approx(
-        [v.values[i], v.values[mesh.cells[cell]].mean()], abs=1e-13
+        [v[i], v[mesh.cells[cell]].mean()], abs=1e-13
     )
 
 
 def test_eval_field_exact_for_linears():
     mesh = build_uniform(4)
-    v = NodalField(mesh, 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] + 1.0)
+    v = 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] + 1.0
     points = np.random.default_rng(4).random((20, 2))
     assert eval_field(mesh, v, points) == pytest.approx(
         2.0 * points[:, 0] - 0.5 * points[:, 1] + 1.0, abs=1e-12
@@ -215,25 +213,27 @@ def test_eval_field_exact_for_linears():
 def test_l2_inner_norm_basics():
     mesh = build_uniform(4)
     M = assemble_mass(mesh)
-    zero = NodalField(mesh, np.zeros(mesh.num_nodes))
-    ones = NodalField(mesh, np.ones(mesh.num_nodes))
+    zero = np.zeros(mesh.num_nodes)
+    ones = np.ones(mesh.num_nodes)
     assert l2_norm(M, zero) == 0.0
     assert l2_norm(M, ones) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(5)
-    u = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
-    v = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+    u = rng.standard_normal(mesh.num_nodes)
+    v = rng.standard_normal(mesh.num_nodes)
     assert l2_inner(M, u, v) == l2_inner(M, v, u)
+    with pytest.raises(ValueError):
+        l2_inner(M, u, v[:-1])
 
 
 def test_duality_pairing_identity():
     # delta_load(q) . z equals the atom-weighted point evaluation of z.
     mesh = build_uniform(8)
     rng = np.random.default_rng(6)
-    z = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+    z = rng.standard_normal(mesh.num_nodes)
     pos = 0.1 + 0.8 * rng.random((4, 2))
     coef = rng.standard_normal(4)
     q = DiscreteMeasure(pos, coef)
-    lhs = float(delta_load(mesh, q) @ z.values)
+    lhs = float(delta_load(mesh, q) @ z)
     rhs = float(q.coefficients @ eval_field(mesh, z, q.positions))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -241,13 +241,13 @@ def test_duality_pairing_identity():
 def test_field_csv_roundtrip(tmp_path):
     mesh = build_uniform(2)
     rng = np.random.default_rng(7)
-    v = NodalField(mesh, rng.standard_normal(mesh.num_nodes))
+    v = rng.standard_normal(mesh.num_nodes)
     path = tmp_path / "field.csv"
-    field_to_csv(v, path)
+    field_to_csv(mesh, v, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,value"
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
-    assert np.array_equal(values, v.values)  # 17 significant digits round-trip
+    assert np.array_equal(values, v)  # 17 significant digits round-trip
 
 
 def test_nested_interpolation_exact_at_parent_nodes():

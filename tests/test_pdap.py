@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from sparseheat import (
     DiscreteMeasure,
-    NodalField,
     assemble_mass,
     build_uniform,
     eval_field,
@@ -250,41 +250,41 @@ def test_subproblem_warm_start_noop():
 
 @functools.lru_cache(maxsize=None)
 def lattice_mass(n):
-    return assemble_mass(build_uniform(n)).mat
+    return assemble_mass(build_uniform(n))
 
 
 def select(z, active=(), alpha=1.0):
-    mesh = z.mesh
-    interior = mesh.interior_nodes()
-    return select_candidates(z, lattice_mass(mesh.n), interior, list(active), alpha)
+    n = math.isqrt(z.size) - 1  # z holds the (n + 1)^2 lattice nodes
+    interior = build_uniform(n).interior_nodes()
+    return select_candidates(z, lattice_mass(n), interior, list(active), alpha)
 
 
 def test_select_candidate_prefers_largest_and_lowest():
     mesh = build_uniform(4)
     interior = mesh.interior_nodes()
-    z = NodalField(mesh, np.zeros(mesh.num_nodes))
-    z.values[interior[3]] = -2.0
-    z.values[interior[5]] = 1.5
+    z = np.zeros(mesh.num_nodes)
+    z[interior[3]] = -2.0
+    z[interior[5]] = 1.5
     assert select(z) == [interior[3], interior[5]]
     # Extra nodes need |z| strictly above alpha.
     assert select(z, alpha=1.5) == [interior[3]]
     # An active argmax node is returned alone; inactive extras wait.
     assert select(z, active=[interior[3]]) == [interior[3]]
     # Exact tie: the lower node index comes first.
-    z.values[interior[5]] = 2.0
+    z[interior[5]] = 2.0
     assert select(z) == [interior[3], interior[5]]
-    zero = NodalField(mesh, np.zeros(mesh.num_nodes))
+    zero = np.zeros(mesh.num_nodes)
     assert select(zero) == [interior[0]]
     # A plateau over two neighbouring nodes: both are neighbourhood
     # maxima, taken in index order.
-    plateau = NodalField(mesh, np.zeros(mesh.num_nodes))
-    plateau.values[interior[[0, 1, 8]]] = [2.0, -2.0, 2.0]
+    plateau = np.zeros(mesh.num_nodes)
+    plateau[interior[[0, 1, 8]]] = [2.0, -2.0, 2.0]
     assert select(plateau) == list(interior[[0, 1, 8]])
     # The cap holds the batch to MAX_INSERTIONS nodes, largest first.
     fine = build_uniform(8)
-    spikes = NodalField(fine, np.zeros(fine.num_nodes))
+    spikes = np.zeros(fine.num_nodes)
     nodes = [2 * 9 + 2, 2 * 9 + 6, 6 * 9 + 2, 6 * 9 + 6, 4 * 9 + 4]
-    spikes.values[nodes] = [5.0, 4.0, 3.0, 2.0, 6.0]
+    spikes[nodes] = [5.0, 4.0, 3.0, 2.0, 6.0]
     expected = [nodes[4]] + nodes[:MAX_INSERTIONS - 1]
     assert select(spikes) == expected
 
@@ -309,13 +309,13 @@ def test_select_candidates_rule(n, alpha, data):
     mesh = build_uniform(n)
     interior = mesh.interior_nodes()
     values = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
-    z = NodalField(mesh, np.zeros(mesh.num_nodes))  # z = 0 on the boundary
-    z.values[interior] = data.draw(
+    z = np.zeros(mesh.num_nodes)  # z = 0 on the boundary
+    z[interior] = data.draw(
         st.lists(values, min_size=interior.size, max_size=interior.size)
     )
     active = data.draw(st.lists(st.sampled_from(list(interior)), unique=True))
     nodes = select(z, active, alpha)
-    absz = np.abs(z.values)
+    absz = np.abs(z)
 
     top = absz[interior].max()
     assert nodes[0] == min(i for i in interior if absz[i] == top)
@@ -369,7 +369,7 @@ def test_two_sources_enter_in_one_batched_propagation(monkeypatch):
     assert sorted(res.measure.positions.tolist()) == sorted(truth.positions.tolist())
 
 
-def primal_dual_gap(q, z0, alpha, m0, form="identity"):
+def primal_dual_gap(mesh, q, z0, alpha, m0, form="identity"):
     """Oracle for the gap certificate of `pdap.run`.
 
     The identity form m0 * (max_node |z0| - alpha) is valid for iterates
@@ -380,10 +380,10 @@ def primal_dual_gap(q, z0, alpha, m0, form="identity"):
     is valid for any iterate (in particular iteration 0) and agrees with
     the identity form after a subproblem solve.
     """
-    zmax = float(np.abs(z0.values).max()) if z0.values.size else 0.0
+    zmax = float(np.abs(z0).max()) if z0.size else 0.0
     if form == "identity":
         return m0 * (zmax - alpha)
-    pairing = float(q.coefficients @ eval_field(z0.mesh, z0, q.positions))
+    pairing = float(q.coefficients @ eval_field(mesh, z0, q.positions))
     return pairing + alpha * tv_norm(q) + m0 * max(zmax - alpha, 0.0)
 
 
@@ -392,13 +392,13 @@ def test_gap_forms_agree_after_subproblem():
     # so the closed gap form applies at the final iterate.
     model = make_model(n=8, M=4)
     rng = np.random.default_rng(1)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     cfg = PdapConfig(alpha=0.01, tol=1e-10, max_outer_iterations=60)
     res = pdap.run(model, u_d, cfg)
     assert len(res.measure) > 0
     z = pdap.adjoint_state(model, u_d, res.measure)
-    ident = primal_dual_gap(res.measure, z, cfg.alpha, res.m0, form="identity")
-    general = primal_dual_gap(res.measure, z, cfg.alpha, res.m0, form="general")
+    ident = primal_dual_gap(model.mesh, res.measure, z, cfg.alpha, res.m0, form="identity")
+    general = primal_dual_gap(model.mesh, res.measure, z, cfg.alpha, res.m0, form="general")
     assert ident == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
     assert res.gap == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
     assert all(r.phi >= -1e-12 for r in res.log.records)
@@ -406,14 +406,14 @@ def test_gap_forms_agree_after_subproblem():
 
 def test_gap_zero_when_max_equals_alpha():
     mesh = build_uniform(4)
-    z = NodalField(mesh, np.zeros(mesh.num_nodes))
-    z.values[mesh.interior_nodes()[0]] = 0.05
-    assert primal_dual_gap(DiscreteMeasure(), z, 0.05, 3.0) == pytest.approx(0.0)
+    z = np.zeros(mesh.num_nodes)
+    z[mesh.interior_nodes()[0]] = 0.05
+    assert primal_dual_gap(mesh, DiscreteMeasure(), z, 0.05, 3.0) == pytest.approx(0.0)
 
 
 def test_run_zero_data_converges_immediately():
     model = make_model(n=4, M=2)
-    u_d = NodalField(model.mesh, np.zeros(model.mesh.num_nodes))
+    u_d = np.zeros(model.mesh.num_nodes)
     res = pdap.run(model, u_d, PdapConfig(alpha=1e-3, tol=1e-8))
     assert res.converged
     assert len(res.measure) == 0
@@ -429,7 +429,7 @@ def test_run_recovers_single_source_structure():
     alpha = 1e-3
     res = pdap.run(model, u_d, PdapConfig(alpha=alpha, tol=1e-9))
     assert res.converged
-    zi = res.adjoint.values
+    zi = res.adjoint
     assert np.abs(zi).max() <= alpha + 1e-8
     for n_, b in zip(res.active_nodes, res.coefficients):
         assert zi[n_] + alpha * np.sign(b) == pytest.approx(0.0, abs=1e-8)
@@ -441,7 +441,7 @@ def test_run_recovers_single_source_structure():
 def test_run_monotone_and_gap_bounds():
     model = make_model(n=8, M=8)
     rng = np.random.default_rng(2)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     res = pdap.run(model, u_d, PdapConfig(alpha=0.02, tol=1e-10))
     assert res.converged
     records = res.log.records
@@ -456,19 +456,19 @@ def test_run_monotone_and_gap_bounds():
 def test_run_objective_matches_recompute():
     model = make_model(n=8, M=4)
     rng = np.random.default_rng(3)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     cfg = PdapConfig(alpha=0.05, tol=1e-9)
     res = pdap.run(model, u_d, cfg)
     recomputed = pdap.objective(model, u_d, res.measure, cfg.alpha)
     assert res.objective == pytest.approx(recomputed, rel=1e-10, abs=1e-12)
-    state = forward_dirac(model, res.measure).values
-    assert np.allclose(res.state.values, state, rtol=1e-12, atol=1e-14)
+    state = forward_dirac(model, res.measure)
+    assert np.allclose(res.state, state, rtol=1e-12, atol=1e-14)
 
 
 def test_run_flags_non_convergence():
     model = make_model(n=8, M=4)
     rng = np.random.default_rng(4)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     res = pdap.run(model, u_d, PdapConfig(alpha=1e-4, tol=1e-12, max_outer_iterations=1))
     assert not res.converged
     assert len(res.measure) >= 1
@@ -477,7 +477,7 @@ def test_run_flags_non_convergence():
 def test_objective_of_empty_measure():
     model = make_model(n=4, M=2)
     rng = np.random.default_rng(8)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     val = pdap.objective(model, u_d, DiscreteMeasure(), alpha=0.3)
     assert val == pytest.approx(0.5 * l2_norm(model.mass, u_d) ** 2, rel=1e-12)
     assert val >= 0.0
@@ -486,18 +486,17 @@ def test_objective_of_empty_measure():
 def test_adjoint_state_zero_control():
     model = make_model(n=4, M=2)
     rng = np.random.default_rng(5)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     z = pdap.adjoint_state(model, u_d, DiscreteMeasure())
     from sparseheat.timestepping import adjoint_dirac
 
-    minus = NodalField(model.mesh, -u_d.values)
-    assert np.allclose(z.values, adjoint_dirac(model, minus).values, atol=1e-14)
+    assert np.allclose(z, adjoint_dirac(model, -u_d), atol=1e-14)
 
 
 def test_iteration_log_csv(tmp_path):
     model = make_model(n=4, M=2)
     rng = np.random.default_rng(6)
-    u_d = NodalField(model.mesh, rng.standard_normal(model.mesh.num_nodes))
+    u_d = rng.standard_normal(model.mesh.num_nodes)
     res = pdap.run(model, u_d, PdapConfig(alpha=0.05, tol=1e-8))
     path = tmp_path / "log.csv"
     res.log.write_csv(path)
