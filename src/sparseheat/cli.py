@@ -139,7 +139,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

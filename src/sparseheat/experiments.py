@@ -28,7 +28,7 @@ from .fem import (
     spd_solve,
 )
 from .measures import DiscreteMeasure, lump_clusters, save_measure
-from .mesh import build_uniform, refine
+from .mesh import build_uniform, refine, refine_nodes
 from .pdap import PdapConfig
 from .timestepping import HeatModel, TimeGrid, forward_dirac, forward_field
 
@@ -260,6 +260,27 @@ def _nested_meshes(ns):
     return meshes
 
 
+def _coarse_to_fine(levels, solve_level, carry):
+    """Solve refinement levels in ascending order, each seeded by the last.
+
+    `solve_level(level, seed_nodes)` returns the level's (state,
+    active_nodes, converged); it runs as a call of its own, so the level's
+    model and slab LU are freed before the next level is built.
+    `carry(level, nodes)` maps a support of `level` to the next level's
+    node numbering. The discrete optimal controls converge to the same
+    finite sum of Dirac measures, so each support is a near-optimal
+    active set for the next level. Returns the states, whether every
+    level converged, and the seed for the level after the last.
+    """
+    states, converged, seed_nodes = [], True, []
+    for level in levels:
+        state, active, ok = solve_level(level, seed_nodes)
+        states.append(state)
+        converged = converged and ok
+        seed_nodes = carry(level, active)
+    return states, converged, seed_nodes
+
+
 def study_space(cfg):
     """Spatial refinement study of the optimal terminal state.
 
@@ -267,7 +288,9 @@ def study_space(cfg):
     the finest level (carried to coarse levels by the mass-orthogonal
     projection, which leaves the optimality system unchanged on nested
     meshes) and compares optimal states on the reference mesh via exact
-    nodal interpolation. Returns the EOC table over the coarse levels.
+    nodal interpolation. The levels are solved coarse to fine, the
+    reference last, each PDAP seeded with the previous level's support
+    (`refine_nodes`). Returns the EOC table over the coarse levels.
     """
     ns = list(cfg.mesh_n) if isinstance(cfg.mesh_n, (list, tuple)) else [cfg.mesh_n]
     meshes = _nested_meshes(ns)
@@ -277,24 +300,23 @@ def study_space(cfg):
     ref_mesh = meshes[-1]
     ref_model = HeatModel(ref_mesh, grid, cfg.dg_order)
     u_d_ref = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
-    ref_result = pdap.run(ref_model, u_d_ref, cfg.pdap)
-    u_ref = ref_result.state
     ud_ref_m = ref_model.mass @ u_d_ref
 
-    def solve_level(mesh):
+    def solve_level(mesh, seed_nodes):
         model = HeatModel(mesh, grid, cfg.dg_order)
         interp = interpolation_matrix(mesh, ref_mesh)
         # Same L2 data, represented on the coarse mesh.
         u_d = spd_solve(model.mass, interp.T @ ud_ref_m)
-        result = pdap.run(model, u_d, cfg.pdap)
-        err = l2_norm(ref_model.mass, interp @ result.state - u_ref)
-        return err, result.converged
+        result = pdap.run(model, u_d, cfg.pdap, seed_nodes)
+        return interp @ result.state, result.active_nodes, result.converged
 
-    outcomes = [solve_level(mesh) for mesh in meshes[:-1]]
-    errors = [e for e, _ in outcomes]
-    all_converged = all(ok for _, ok in outcomes) and ref_result.converged
+    states, converged, seed_nodes = _coarse_to_fine(
+        meshes[:-1], solve_level, refine_nodes
+    )
+    ref_result = pdap.run(ref_model, u_d_ref, cfg.pdap, seed_nodes)
+    errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     params = [m.h for m in meshes[:-1]]
-    return _study_table(cfg, params, errors), all_converged
+    return _study_table(cfg, params, errors), converged and ref_result.converged
 
 
 def study_time(cfg):
@@ -303,7 +325,9 @@ def study_time(cfg):
     The data is the clean discrete terminal state of the truth measure on
     the finest time grid (plus configured noise, default none); each
     coarser grid solves the control problem on the same mesh, so states
-    compare directly. Returns the EOC table over the coarse grids.
+    compare directly. The grids are solved coarse to fine, the reference
+    last, each PDAP seeded with the previous grid's support. Returns the
+    EOC table over the coarse grids.
     """
     Ms = (
         list(cfg.time_steps)
@@ -317,20 +341,19 @@ def study_time(cfg):
 
     ref_model = HeatModel(mesh, TimeGrid(cfg.T, Ms[-1]), cfg.dg_order)
     u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
-    ref_result = pdap.run(ref_model, u_d, cfg.pdap)
-    u_ref = ref_result.state
 
-    def solve_level(M):
+    def solve_level(M, seed_nodes):
         model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-        result = pdap.run(model, u_d, cfg.pdap)
-        err = l2_norm(model.mass, result.state - u_ref)
-        return err, result.converged
+        result = pdap.run(model, u_d, cfg.pdap, seed_nodes)
+        return result.state, result.active_nodes, result.converged
 
-    outcomes = [solve_level(M) for M in Ms[:-1]]
-    errors = [e for e, _ in outcomes]
-    all_converged = all(ok for _, ok in outcomes) and ref_result.converged
+    states, converged, seed_nodes = _coarse_to_fine(
+        Ms[:-1], solve_level, lambda M, nodes: nodes
+    )
+    ref_result = pdap.run(ref_model, u_d, cfg.pdap, seed_nodes)
+    errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     params = [cfg.T / M for M in Ms[:-1]]
-    return _study_table(cfg, params, errors), all_converged
+    return _study_table(cfg, params, errors), converged and ref_result.converged
 
 
 def first_eigenmode(x, y):

@@ -152,7 +152,19 @@ def build_uniform(n):
 def refine(mesh):
     """The lattice of twice the resolution, `build_uniform(2 * mesh.n)`.
 
-    Coarse node (r, c) is fine node 2r (2n + 1) + 2c, so the meshes nest
-    geometrically; `fem.interpolation_matrix` carries fields between them.
+    The meshes nest geometrically: `refine_nodes` maps node indices and
+    `fem.interpolation_matrix` carries fields between them.
     """
     return build_uniform(2 * mesh.n)
+
+
+def refine_nodes(mesh, nodes):
+    """Indices in `refine(mesh)` of the nodes of `mesh` listed in `nodes`.
+
+    Lattice node (r, c), index r (n + 1) + c, is node (2r, 2c) of the
+    refined lattice, index 2r (2n + 1) + 2c; interior nodes stay interior.
+    """
+    n = mesh.n
+    return [
+        2 * (i // (n + 1)) * (2 * n + 1) + 2 * (i % (n + 1)) for i in map(int, nodes)
+    ]

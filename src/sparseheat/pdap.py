@@ -38,8 +38,8 @@ class PdapConfig:
     """Regularization weight and stopping rule of `run`.
 
     The outer loop stops once the gap drops below tol * M0, where
-    M0 = j(0)/alpha is the gap scale fixed at iteration 0, j(0) being the
-    objective of the empty starting measure, or after
+    M0 = j(0)/alpha is the gap scale, j(0) being the objective of the
+    empty measure, or after
     max_outer_iterations iterations without convergence.
     """
 
@@ -64,7 +64,7 @@ class IterationRecord:
     support_size: int
     new_node: int  # argmax node of |z|; -1 when the iteration only evaluated/stopped
     subproblem_iters: int
-    inserted: int  # columns propagated in this iteration; 0 on re-solves
+    inserted: int  # columns propagated in this iteration (row 0: seeds too)
 
 
 class IterationLog:
@@ -290,7 +290,7 @@ def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
     return beta, iters
 
 
-def run(model, u_d, config):
+def run(model, u_d, config, seed_nodes=()):
     """Primal-dual active-point loop on the interior-node control space.
 
     Starting from the empty measure the loop alternates adjoint
@@ -307,9 +307,24 @@ def run(model, u_d, config):
     iteration cap returns the current iterate flagged as non-converged.
     Logs one progress line per iteration to the "sparseheat" logger at
     INFO level.
+
+    `seed_nodes` warm-starts the loop from a guess of the support, such
+    as the support found on a coarser level of a refinement study: their
+    columns are propagated in one batched solve, the subproblem is solved
+    on them from zero coefficients and pruned before the first adjoint
+    evaluation. Row 0 of the log counts the seed columns in `inserted`
+    and the seed solve in `subproblem_iters`. The gap scale M0 is still
+    that of the empty measure. Raises ValueError for seed nodes that are
+    not interior or repeat.
     """
     alpha = config.alpha
     interior = model.interior
+    seed_nodes = [int(i) for i in seed_nodes]
+    if len(set(seed_nodes)) != len(seed_nodes):
+        raise ValueError(f"seed nodes repeat: {seed_nodes}")
+    for i in seed_nodes:
+        if not 0 <= i < model.mesh.num_nodes or model.mesh.boundary_mask[i]:
+            raise ValueError(f"seed node {i} is not an interior node")
     ud_norm_sq = max(float(u_d @ (model.mass @ u_d)), 0.0)
     ud_pairing = (model.mass @ u_d)[interior]  # c_i = col_i . (M u_d)
     Mi = model.mass_int
@@ -342,6 +357,16 @@ def run(model, u_d, config):
         active.extend(nodes)
         beta = np.concatenate([beta, np.zeros(k)])
 
+    def prune():
+        nonlocal beta, G, c, cols, active
+        keep = np.abs(beta) > PRUNE_TOL
+        if not keep.all():
+            beta = beta[keep]
+            G = G[np.ix_(keep, keep)]
+            c = c[keep]
+            cols = [col for col, k in zip(cols, keep) if k]
+            active = [a for a, k in zip(active, keep) if k]
+
     def current_objective():
         if beta.size == 0:
             return 0.5 * ud_norm_sq
@@ -352,8 +377,11 @@ def run(model, u_d, config):
             + alpha * float(np.abs(beta).sum())
         )
 
-    def record(*fields):
-        r = IterationRecord(*fields)
+    def record(n, phi, j, support, node, sub_iters, inserted):
+        if n == 0:  # row 0 also accounts for the seed solve
+            sub_iters += seed_iters
+            inserted += len(seed_nodes)
+        r = IterationRecord(n, phi, j, support, node, sub_iters, inserted)
         log.append(r)
         _log.info(
             "pdap n=%d phi=%.3e support=%d inserted=%d ms=%.1f",
@@ -367,6 +395,14 @@ def run(model, u_d, config):
     sub_tol = SUBPROBLEM_TOL
     log = IterationLog()
     converged = False
+    seed_iters = 0
+    if seed_nodes:
+        add_nodes(seed_nodes)
+        beta, seed_iters = solve_subproblem(
+            G, c, alpha, beta, sub_tol, SUBPROBLEM_MAX_ITERATIONS
+        )
+        prune()
+        j = current_objective()
 
     for n in range(config.max_outer_iterations + 1):
         started = time.perf_counter()
@@ -383,11 +419,11 @@ def run(model, u_d, config):
         identity, general = _gap_forms(
             pairing, float(np.abs(beta).sum()), zmax, alpha, m0
         )
-        # The identity form applies after a subproblem solve; it only
-        # drops below the general form when the iterate is already
-        # optimal with slack (max |z| < alpha), where the certificate is
-        # zero.
-        phi = general if n == 0 else max(identity, general)
+        # The identity form applies after a subproblem solve, which every
+        # iterate but the cold start follows; it only drops below the
+        # general form when the iterate is already optimal with slack
+        # (max |z| < alpha), where the certificate is zero.
+        phi = general if n == 0 and not seed_nodes else max(identity, general)
 
         if m0 == 0.0 or phi < tol_abs:
             record(n, phi, j, len(active), -1, 0, 0)
@@ -409,14 +445,7 @@ def run(model, u_d, config):
         beta, sub_iters = solve_subproblem(
             G, c, alpha, beta, sub_tol, SUBPROBLEM_MAX_ITERATIONS
         )
-
-        keep = np.abs(beta) > PRUNE_TOL
-        if not keep.all():
-            beta = beta[keep]
-            G = G[np.ix_(keep, keep)]
-            c = c[keep]
-            cols = [col for col, k in zip(cols, keep) if k]
-            active = [a for a, k in zip(active, keep) if k]
+        prune()
 
         record(n, phi, j, support_before, nodes[0], sub_iters, inserted)
         j = current_objective()

@@ -301,6 +301,39 @@ def test_criterion_8_spatial_rate():
     assert report(8, "spatial convergence rate window", ok, detail)
 
 
+def test_criterion_8_slope_is_second_order_at_any_tolerance():
+    """Certificate behind criterion 8's failure, on smaller levels.
+
+    The spatial slope does not move between gap tolerances 1e-8 and
+    1e-12, so it is not an artefact of inexact solves, and it sits well
+    above the window's upper end of 1.4. Measured on mesh_n = 4..64 with
+    64 time steps: slope 2.0529 at both tolerances (errors 0.340, 0.0604,
+    0.0197, 0.00411), about 0.5 s per study.
+    """
+    slopes = []
+    for tol in (1e-8, 1e-12):
+        cfg = ExperimentConfig(
+            T=0.1,
+            truth=TRUTH,
+            mesh_n=[4, 8, 16, 32, 64],
+            time_steps=64,
+            dg_order=0,
+            noise_level=0.0,
+            seed=0,
+            pdap=PdapConfig(alpha=1e-3, tol=tol, max_outer_iterations=300),
+        )
+        table, converged = study_space(cfg)
+        assert converged
+        slopes.append(table.slope)
+    ok = abs(slopes[0] - slopes[1]) <= 1e-6 and min(slopes) > 1.4
+    assert report(
+        8,
+        "spatial slope is second order at any tolerance",
+        ok,
+        f"slopes {slopes[0]:.4f} (tol 1e-8) and {slopes[1]:.4f} (tol 1e-12)",
+    )
+
+
 def test_criterion_9_pointwise_smoothing_rates():
     start = time.time()
     spec = SmoothingSpec(x0=(0.5, 0.5), sweep="time")

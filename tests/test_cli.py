@@ -130,8 +130,16 @@ def test_out_of_memory_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_missing_subcommand_is_usage_error(capsys):
-    assert main([]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [["selftest", "-v"], [], ["reconstruct"]],
+    ids=["unknown_flag", "missing_subcommand", "missing_config"],
+)
+def test_usage_error_is_one_line(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_reconstruct_writes_artifacts(tmp_path, capsys):

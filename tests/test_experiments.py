@@ -182,23 +182,24 @@ def test_study_space_smoke():
 def test_no_propagation_outside_pdap_solves(tmp_path, monkeypatch, driver):
     # Every optimal state comes from the columns PDAP already propagated:
     # after the observation, each propagation happens inside a pdap.run,
-    # and each outer iteration costs exactly one adjoint propagation.
+    # each outer iteration costs exactly one adjoint propagation, and the
+    # log's `inserted` column counts every column propagated, seeds too.
     events, logs = [], []
 
     def counted(kind, fn):
-        def wrapper(*args, **kwargs):
-            events.append(kind)
-            return fn(*args, **kwargs)
+        def wrapper(self, b):
+            events.append((kind, np.shape(b)[1] if np.ndim(b) == 2 else 1))
+            return fn(self, b)
 
         return wrapper
 
     real_run = pdap.run
 
     def run(*args, **kwargs):
-        events.append("run")
+        events.append(("run", 0))
         result = real_run(*args, **kwargs)
-        events.append("returned")
-        logs.append(len(result.log))
+        events.append(("returned", 0))
+        logs.append(result.log)
         return result
 
     for kind in ("load", "adjoint"):
@@ -218,15 +219,54 @@ def test_no_propagation_outside_pdap_solves(tmp_path, monkeypatch, driver):
     drivers = dict(reconstruct=reconstruct, study_time=study_time, study_space=study_space)
     drivers[driver](cfg)
 
-    depth, outside = 0, []
-    for i, kind in enumerate(events):
+    depth, outside, inside_columns = 0, [], 0
+    for i, (kind, width) in enumerate(events):
         if kind in ("run", "returned"):
             depth += 1 if kind == "run" else -1
-        elif depth == 0 and "run" in events[:i]:
+        elif depth == 0 and ("run", 0) in events[:i]:
             outside.append(kind)
+        elif depth > 0 and kind == "load":
+            inside_columns += width
     assert outside == []
-    assert events[-1] == "returned"
-    assert events.count("adjoint") == sum(logs)
+    assert events[-1] == ("returned", 0)
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("adjoint") == sum(len(log) for log in logs)
+    assert inside_columns == sum(r.inserted for log in logs for r in log)
+
+
+def test_study_time_seeded_levels_cost_one_adjoint_each(monkeypatch):
+    # An on-grid atom has the same one-node optimal support on every time
+    # grid, so each level seeded with the previous support is certified
+    # optimal by its first adjoint evaluation.
+    adjoints, seeds = [], []
+
+    def propagate_adjoint(self, w):
+        adjoints[-1] += 1
+        return real_adjoint(self, w)
+
+    def run(model, u_d, config, seed_nodes=()):
+        adjoints.append(0)
+        seeds.append(list(seed_nodes))
+        return real_run(model, u_d, config, seed_nodes)
+
+    real_adjoint, real_run = HeatModel.propagate_adjoint, pdap.run
+    monkeypatch.setattr(HeatModel, "propagate_adjoint", propagate_adjoint)
+    monkeypatch.setattr(pdap, "run", run)
+    node = 4 * 9 + 4  # (0.5, 0.5) on the 8-lattice
+    cfg = ExperimentConfig(
+        T=0.1,
+        truth=CENTER_ATOM,
+        mesh_n=8,
+        time_steps=[4, 8, 16],
+        dg_order=1,
+        pdap=PdapConfig(alpha=1e-3, tol=1e-8),
+    )
+    table, converged = study_time(cfg)
+    assert converged
+    assert all(e > 0 for e in table.errors)
+    assert seeds == [[], [node], [node]]
+    assert adjoints[0] >= 2
+    assert adjoints[1:] == [1, 1]
 
 
 def test_study_space_requires_doubling():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseheat import OutOfDomainError, build_uniform, refine
+from sparseheat.mesh import refine_nodes
 
 
 def edge_counts(mesh):
@@ -91,6 +92,20 @@ def test_refine_nests_parent_nodes():
         fine = refine(mesh)
         r, c = np.divmod(np.arange(mesh.num_nodes), n + 1)
         assert np.array_equal(fine.nodes[2 * r * (2 * n + 1) + 2 * c], mesh.nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), data=st.data())
+def test_refine_nodes_maps_interior_nodes_in_place(n, data):
+    mesh = build_uniform(n)
+    fine = refine(mesh)
+    idx = data.draw(
+        st.lists(st.sampled_from(mesh.interior_nodes().tolist()), max_size=12)
+    )
+    mapped = refine_nodes(mesh, idx)
+    assert len(mapped) == len(idx)
+    assert np.allclose(fine.nodes[mapped], mesh.nodes[idx], rtol=0.0, atol=1e-15)
+    assert not fine.boundary_mask[mapped].any()
 
 
 def locate_one(mesh, point):

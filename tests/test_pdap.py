@@ -369,6 +369,82 @@ def test_two_sources_enter_in_one_batched_propagation(monkeypatch):
     assert sorted(res.measure.positions.tolist()) == sorted(truth.positions.tolist())
 
 
+@functools.lru_cache(maxsize=None)
+def off_grid_problem():
+    """Two off-grid sources whose optimum spreads over eight nodes."""
+    model = HeatModel(build_uniform(8), TimeGrid(0.01, 8), 0)
+    truth = DiscreteMeasure([[0.3, 0.27], [0.7, 0.6]], [5.0, -4.0])
+    u_d = forward_dirac(model, truth)
+    cfg = PdapConfig(alpha=1e-3, tol=1e-10)
+    return model, u_d, cfg, pdap.run(model, u_d, cfg)
+
+
+def test_seed_with_the_optimal_support_stops_after_one_adjoint(monkeypatch):
+    model, u_d, cfg, cold = off_grid_problem()
+    assert len(cold.log) > 2
+    loads, adjoints = [], []
+
+    def counted(calls, fn):
+        def wrapper(self, b):
+            calls.append(np.shape(b))
+            return fn(self, b)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        HeatModel, "propagate_load", counted(loads, HeatModel.propagate_load)
+    )
+    monkeypatch.setattr(
+        HeatModel, "propagate_adjoint", counted(adjoints, HeatModel.propagate_adjoint)
+    )
+    res = pdap.run(model, u_d, cfg, cold.active_nodes)
+    assert res.converged and res.gap < cfg.tol * res.m0
+    assert res.m0 == cold.m0
+    assert len(adjoints) == len(res.log) == 1
+    # The seed columns go out in one batch and count in row 0.
+    assert loads == [(model.n_interior, len(cold.active_nodes))]
+    assert res.log.records[0].inserted == len(cold.active_nodes)
+    assert res.active_nodes == cold.active_nodes
+    scale = np.abs(cold.state).max()
+    assert np.allclose(res.state, cold.state, rtol=0.0, atol=1e-12 * scale)
+    assert res.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_from_any_seed_reaches_the_cold_optimum(data):
+    # Seeds may be anything interior, nodes far from every source
+    # included: the loop still certifies the optimum, and a seed node that
+    # stays in the support carries the optimal weight.
+    model, u_d, cfg, cold = off_grid_problem()
+    seed = data.draw(
+        st.lists(st.sampled_from(model.interior.tolist()), unique=True, max_size=10)
+    )
+    res = pdap.run(model, u_d, cfg, seed)
+    bound = cfg.tol * res.m0
+    assert res.converged and res.gap < bound
+    assert abs(res.objective - cold.objective) <= bound
+    assert sum(r.inserted for r in res.log) >= len(seed)
+    weights = dict(zip(cold.active_nodes, cold.coefficients))
+    scale = np.abs(cold.coefficients).max()
+    for node, b in zip(res.active_nodes, res.coefficients):
+        if node in seed:
+            assert node in weights
+            assert b == pytest.approx(weights[node], abs=1e-8 * scale)
+
+
+def test_seed_nodes_must_be_distinct_interior_nodes():
+    model = make_model(n=4, M=2)
+    u_d = np.ones(model.mesh.num_nodes)
+    cfg = PdapConfig(alpha=1e-3)
+    inner = int(model.interior[0])
+    boundary = int(np.flatnonzero(model.mesh.boundary_mask)[0])
+    outside = model.mesh.num_nodes
+    for seed in ([boundary], [inner, boundary], [inner, inner], [-1], [outside]):
+        with pytest.raises(ValueError):
+            pdap.run(model, u_d, cfg, seed)
+
+
 def primal_dual_gap(mesh, q, z0, alpha, m0, form="identity"):
     """Oracle for the gap certificate of `pdap.run`.
 
