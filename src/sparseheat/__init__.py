@@ -22,9 +22,7 @@ from .fem import (
 )
 from .measures import (
     DiscreteMeasure,
-    SupportMatch,
     lump_clusters,
-    match_supports,
     save_measure,
     tv_norm,
 )

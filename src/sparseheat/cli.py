@@ -2,12 +2,14 @@
 
 Subcommands bind JSON configurations to the experiment drivers and print
 a one-line summary. Exit codes: 0 success, 1 usage/config error, 2
-solver non-convergence, 3 numerical failure or out of memory.
+solver non-convergence, 3 numerical failure or out of memory; every
+non-zero exit writes one line to standard error.
 Configuration paths resolve first against the filesystem, then against
 the bundled configs shipped with the package (paper_10_1.json and
 friends). With -v (config-driven subcommands only), the solver logs one
-progress line per PDAP iteration to standard error; standard output and
-the artifacts are the same with and without it.
+progress line per PDAP iteration to standard error, and the studies one
+line per level; standard output and the artifacts are the same with and
+without it.
 """
 
 from __future__ import annotations
@@ -133,6 +135,18 @@ def _selftest():
     return failures
 
 
+def _exit_code(converged):
+    """0 for a converged run, else 2 after one `not converged: …` line."""
+    if converged:
+        return 0
+    print(
+        "not converged: a PDAP solve stopped at max_outer_iterations "
+        "with its gap above tol * M0",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -161,21 +175,21 @@ def main(argv=None):
                 f"phi={report.gap:.3g} adjoint_max={report.adjoint_max:.6g} "
                 f"out={cfg.output_dir}"
             )
-            return 0 if report.converged else 2
+            return _exit_code(report.converged)
         if args.command == "study-space":
             table, converged = experiments.study_space(cfg)
             print(
                 f"study-space: slope={table.slope:.4g} levels={len(table.rows)} "
                 f"out={cfg.output_dir}"
             )
-            return 0 if converged else 2
+            return _exit_code(converged)
         if args.command == "study-time":
             table, converged = experiments.study_time(cfg)
             print(
                 f"study-time: slope={table.slope:.4g} levels={len(table.rows)} "
                 f"out={cfg.output_dir}"
             )
-            return 0 if converged else 2
+            return _exit_code(converged)
         if args.command == "study-smoothing":
             table = experiments.study_smoothing(cfg)
             print(

@@ -11,7 +11,9 @@ portable across machines.
 from __future__ import annotations
 
 import json
+import logging
 import os
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -28,11 +30,13 @@ from .fem import (
     spd_solve,
 )
 from .measures import DiscreteMeasure, lump_clusters, save_measure
-from .mesh import build_uniform, refine, refine_nodes
+from .mesh import build_uniform, refine, refine_support
 from .pdap import PdapConfig
 from .timestepping import HeatModel, TimeGrid, forward_dirac, forward_field
 
 LUMP_RADIUS_FACTOR = 2.0  # lumping radius in units of the mesh size
+
+_log = logging.getLogger("sparseheat")
 
 
 @dataclass
@@ -209,6 +213,14 @@ def _single(value, name):
     return int(value)
 
 
+def _levels(value):
+    """The levels of a swept parameter: its list, or its single value."""
+    levels = list(value) if isinstance(value, (list, tuple)) else [value]
+    if len(levels) < 3:
+        raise ConfigError("refinement studies need at least three levels")
+    return levels
+
+
 def _ensure_dir(path):
     if path:
         os.makedirs(path, exist_ok=True)
@@ -249,8 +261,6 @@ def reconstruct(cfg):
 
 def _nested_meshes(ns):
     """Meshes for the ascending resolutions ns, nested by refinement."""
-    if len(ns) < 3:
-        raise ConfigError("refinement studies need at least three levels")
     for a, b in zip(ns, ns[1:]):
         if b != 2 * a:
             raise ConfigError("mesh resolutions must double between levels")
@@ -258,6 +268,24 @@ def _nested_meshes(ns):
     for _ in ns[1:]:
         meshes.append(refine(meshes[-1]))
     return meshes
+
+
+def _solve_level(label, model, u_d, cfg, seed_nodes):
+    """`pdap.run` on one study level, logged as one INFO line.
+
+    The line gives the level (`label`, such as "n=32"), the number of
+    seed nodes, the outer iterations (one adjoint solve each), the
+    columns propagated and the milliseconds of the solve.
+    """
+    started = time.perf_counter()
+    result = pdap.run(model, u_d, cfg.pdap, seed_nodes)
+    _log.info(
+        "level %s seeds=%d outer=%d columns=%d ms=%.1f",
+        label, len(seed_nodes), len(result.log),
+        sum(r.inserted for r in result.log),
+        1e3 * (time.perf_counter() - started),
+    )
+    return result
 
 
 def _coarse_to_fine(levels, solve_level, carry):
@@ -290,10 +318,12 @@ def study_space(cfg):
     meshes) and compares optimal states on the reference mesh via exact
     nodal interpolation. The levels are solved coarse to fine, the
     reference last, each PDAP seeded with the previous level's support
-    (`refine_nodes`). Returns the EOC table over the coarse levels.
+    carried by `refine_support`: its nodes mapped onto the finer lattice
+    plus the fine midpoint of every edge between two of them, since a
+    spike split over two adjacent nodes is resolved between them on the
+    finer lattice. Returns the EOC table over the coarse levels.
     """
-    ns = list(cfg.mesh_n) if isinstance(cfg.mesh_n, (list, tuple)) else [cfg.mesh_n]
-    meshes = _nested_meshes(ns)
+    meshes = _nested_meshes(_levels(cfg.mesh_n))
     M = _single(cfg.time_steps, "time_steps")
     grid = TimeGrid(cfg.T, M)
 
@@ -307,13 +337,13 @@ def study_space(cfg):
         interp = interpolation_matrix(mesh, ref_mesh)
         # Same L2 data, represented on the coarse mesh.
         u_d = spd_solve(model.mass, interp.T @ ud_ref_m)
-        result = pdap.run(model, u_d, cfg.pdap, seed_nodes)
+        result = _solve_level(f"n={mesh.n}", model, u_d, cfg, seed_nodes)
         return interp @ result.state, result.active_nodes, result.converged
 
     states, converged, seed_nodes = _coarse_to_fine(
-        meshes[:-1], solve_level, refine_nodes
+        meshes[:-1], solve_level, refine_support
     )
-    ref_result = pdap.run(ref_model, u_d_ref, cfg.pdap, seed_nodes)
+    ref_result = _solve_level(f"n={ref_mesh.n}", ref_model, u_d_ref, cfg, seed_nodes)
     errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     params = [m.h for m in meshes[:-1]]
     return _study_table(cfg, params, errors), converged and ref_result.converged
@@ -329,13 +359,7 @@ def study_time(cfg):
     last, each PDAP seeded with the previous grid's support. Returns the
     EOC table over the coarse grids.
     """
-    Ms = (
-        list(cfg.time_steps)
-        if isinstance(cfg.time_steps, (list, tuple))
-        else [cfg.time_steps]
-    )
-    if len(Ms) < 3:
-        raise ConfigError("refinement studies need at least three levels")
+    Ms = _levels(cfg.time_steps)
     n = _single(cfg.mesh_n, "mesh_n")
     mesh = build_uniform(n)
 
@@ -344,13 +368,13 @@ def study_time(cfg):
 
     def solve_level(M, seed_nodes):
         model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-        result = pdap.run(model, u_d, cfg.pdap, seed_nodes)
+        result = _solve_level(f"M={M}", model, u_d, cfg, seed_nodes)
         return result.state, result.active_nodes, result.converged
 
     states, converged, seed_nodes = _coarse_to_fine(
         Ms[:-1], solve_level, lambda M, nodes: nodes
     )
-    ref_result = pdap.run(ref_model, u_d, cfg.pdap, seed_nodes)
+    ref_result = _solve_level(f"M={Ms[-1]}", ref_model, u_d, cfg, seed_nodes)
     errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     params = [cfg.T / M for M in Ms[:-1]]
     return _study_table(cfg, params, errors), converged and ref_result.converged
@@ -382,9 +406,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
         if dist <= 4.0 * mesh.h:
             raise ConfigError("x0 is too close to the boundary for this mesh")
         v0h = l2_project(mesh, v0)
-        Ms = list(cfg.time_steps)
-        if len(Ms) < 3:
-            raise ConfigError("need at least three time-grid levels")
+        Ms = _levels(cfg.time_steps)
 
         def value(M):
             model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
@@ -394,8 +416,7 @@ def study_smoothing(cfg, v0=first_eigenmode):
         errors = [abs(v - values[-1]) for v in values[:-1]]
         params = [cfg.T / M for M in Ms[:-1]]
     else:
-        ns = list(cfg.mesh_n)
-        meshes = _nested_meshes(ns)
+        meshes = _nested_meshes(_levels(cfg.mesh_n))
         if dist <= 4.0 * meshes[0].h:
             raise ConfigError("x0 is too close to the boundary for this mesh")
         M = _single(cfg.time_steps, "time_steps")

@@ -2,9 +2,11 @@
 
 Every mesh is the uniform n-by-n lattice of squares built by
 `build_uniform`, each square split along its lower-left to upper-right
-diagonal; `refine` builds the lattice of twice the resolution. Nodes and
-cells are numbered lexicographically by lattice row and column, so point
-location is closed form. Meshes are immutable after construction.
+diagonal; `refine` builds the lattice of twice the resolution, and
+`refine_support` carries a support onto it. Nodes and cells are numbered
+lexicographically by lattice row and column, so point location and the
+edge test `p1_edges` are closed form. Meshes are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ def build_uniform(n):
 def refine(mesh):
     """The lattice of twice the resolution, `build_uniform(2 * mesh.n)`.
 
-    The meshes nest geometrically: `refine_nodes` maps node indices and
-    `fem.interpolation_matrix` carries fields between them.
+    The meshes nest geometrically: `refine_nodes` maps node indices,
+    `refine_support` carries a support to a seed on the finer lattice,
+    and `fem.interpolation_matrix` carries fields between them.
     """
     return build_uniform(2 * mesh.n)
 
@@ -168,3 +171,47 @@ def refine_nodes(mesh, nodes):
     return [
         2 * (i // (n + 1)) * (2 * n + 1) + 2 * (i % (n + 1)) for i in map(int, nodes)
     ]
+
+
+# Lattice offsets (row, column) from a node to the P1 neighbours that
+# follow it in the numbering; the negatives give the other three. The
+# diagonal one is the lower-left to upper-right split of each square.
+_EDGE_OFFSETS = ((0, 1), (1, 0), (1, 1))
+
+
+def p1_edges(mesh, nodes):
+    """Pairs (a, b), a < b, of the listed nodes joined by a mesh edge.
+
+    Ascending by a, then by b; repeated entries of `nodes` count once.
+    """
+    width = mesh.n + 1
+    listed = set(map(int, nodes))
+    edges = []
+    for a in sorted(listed):
+        r, c = divmod(a, width)
+        for dr, dc in _EDGE_OFFSETS:
+            if r + dr <= mesh.n and c + dc <= mesh.n:
+                b = a + dr * width + dc
+                if b in listed:
+                    edges.append((a, b))
+    return edges
+
+
+def refine_support(mesh, nodes):
+    """Seed on `refine(mesh)` for a support `nodes` of `mesh`.
+
+    The mapped nodes `refine_nodes(mesh, nodes)` come first, in order,
+    then the fine midpoint (r_a + r_b, c_a + c_b) of every edge between
+    two listed nodes (`p1_edges`). A discrete l1 optimum often splits one
+    continuous spike over two adjacent nodes, and the finer optimum
+    tends to sit at or next to their midpoint, which `refine_nodes`
+    never reaches. Distinct edges have distinct midpoints, and none of
+    them is a mapped node, so the seed repeats nothing that `nodes` does
+    not; interior nodes give interior seeds.
+    """
+    n = mesh.n
+    seeds = refine_nodes(mesh, nodes)
+    for a, b in p1_edges(mesh, nodes):
+        (ra, ca), (rb, cb) = divmod(a, n + 1), divmod(b, n + 1)
+        seeds.append((ra + rb) * (2 * n + 1) + ca + cb)
+    return seeds

@@ -1,11 +1,14 @@
 """Measure utilities that only the tests use.
 
 `project_to_nodes` is the nodal-splitting oracle of the propagation
-tests and of criterion 4; `load_measure` reads back the measure.json
-that `sparseheat.measures.save_measure` writes.
+tests and of criterion 4; `match_supports` scores a recovered measure
+against the truth for the recovery tests and criterion 10;
+`load_measure` reads back the measure.json that
+`sparseheat.measures.save_measure` writes.
 """
 
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,3 +36,68 @@ def load_measure(path):
     positions = [entry["x"] for entry in data]
     coefficients = [entry["beta"] for entry in data]
     return DiscreteMeasure(positions, coefficients)
+
+
+@dataclass
+class SupportMatch:
+    """Cluster assignment of test atoms to reference atoms.
+
+    position_error is the largest distance between a reference atom and a
+    member of its matched cluster; coefficient_error the largest mismatch
+    between a reference coefficient and the summed cluster coefficients.
+    Both are 0 when nothing matched (the unmatched lists then tell the story).
+    """
+
+    pairs: list = field(default_factory=list)
+    position_error: float = 0.0
+    coefficient_error: float = 0.0
+    unmatched_reference: list = field(default_factory=list)
+    unmatched_test: list = field(default_factory=list)
+
+
+def match_supports(q_ref, q_test, radius):
+    """Assign each test atom to the reference atom within `radius`, if any.
+
+    Requires the reference atoms to be pairwise separated by more than
+    2*radius so the assignment is unambiguous.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    nref = len(q_ref)
+    for i in range(nref):
+        for j in range(i + 1, nref):
+            d = np.linalg.norm(q_ref.positions[i] - q_ref.positions[j])
+            if d <= 2.0 * radius:
+                raise ValueError(
+                    f"reference atoms {i} and {j} are only {d:.3g} apart; "
+                    f"need separation > {2 * radius:.3g}"
+                )
+    clusters = [[] for _ in range(nref)]
+    unmatched_test = []
+    for t, pos in enumerate(q_test.positions):
+        hit = None
+        for i in range(nref):
+            if np.linalg.norm(pos - q_ref.positions[i]) <= radius:
+                hit = i
+                break
+        if hit is None:
+            unmatched_test.append(t)
+        else:
+            clusters[hit].append(t)
+
+    match = SupportMatch(unmatched_test=unmatched_test)
+    for i in range(nref):
+        if not clusters[i]:
+            match.unmatched_reference.append(i)
+            continue
+        match.pairs.append((i, clusters[i]))
+        dists = [
+            float(np.linalg.norm(q_test.positions[t] - q_ref.positions[i]))
+            for t in clusters[i]
+        ]
+        match.position_error = max(match.position_error, max(dists))
+        coef_sum = float(q_test.coefficients[clusters[i]].sum())
+        match.coefficient_error = max(
+            match.coefficient_error, abs(q_ref.coefficients[i] - coef_sum)
+        )
+    return match

@@ -23,7 +23,6 @@ from sparseheat import (
     l2_inner,
     l2_norm,
     lump_clusters,
-    match_supports,
     tv_norm,
 )
 from sparseheat import pdap
@@ -46,7 +45,7 @@ from sparseheat.timestepping import (
     pade_step_oracle,
 )
 
-from measure_helpers import project_to_nodes
+from measure_helpers import match_supports, project_to_nodes
 
 TRUTH = DiscreteMeasure(
     [[0.263091083266217, 0.258378565204941], [0.76061544960808, 0.734190309666141]],

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseheat import experiments
 from sparseheat.cli import main, _resolve_config
@@ -194,6 +200,38 @@ def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
     assert artifact_bytes(loud) == artifact_bytes(quiet)
 
 
+def test_study_space_verbose_logs_one_line_per_level(tmp_path, capsys):
+    payload = {**TINY_RECONSTRUCT, "truth": [{"x": [0.37, 0.41], "beta": 5.0}]}
+    payload["mesh_n"] = [4, 8, 16]
+    path = write_config(tmp_path, payload, "space.json")
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["study-space", "--config", path, "--out", str(quiet)]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["study-space", "--config", path, "--out", str(loud), "-v"]) == 0
+    verbose = capsys.readouterr()
+    # Each level's pdap iteration lines come first, then its summary line.
+    levels, iterations = [], []
+    for line in verbose.err.splitlines():
+        kind, *items = line.split()
+        fields = dict(item.split("=") for item in items)
+        if kind == "pdap":
+            iterations.append(fields)
+            continue
+        assert kind == "level"
+        assert fields.keys() == {"n", "seeds", "outer", "columns", "ms"}
+        assert int(fields["outer"]) == len(iterations)
+        assert int(fields["columns"]) == sum(int(f["inserted"]) for f in iterations)
+        levels.append((int(fields["n"]), int(fields["seeds"])))
+        iterations = []
+    assert iterations == []
+    assert [n for n, _ in levels] == [4, 8, 16]
+    assert levels[0][1] == 0 and all(seeds > 0 for _, seeds in levels[1:])
+    assert verbose.out.replace(str(loud), str(quiet)) == plain.out
+    assert [p.name for p in loud.iterdir()] == ["errors.csv"]
+    assert artifact_bytes(loud) == artifact_bytes(quiet)
+
+
 def test_seed_override_changes_noise(tmp_path):
     cfg = dict(TINY_RECONSTRUCT)
     cfg["noise_level"] = 0.05
@@ -279,3 +317,97 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "reconstruct" in proc.stdout
+
+
+# A small grammar of command lines and configs: valid configs with every
+# size at most 4, so that each drawn run takes milliseconds, and at most
+# two keys replaced by a malformed or extreme value.
+_VALID = st.fixed_dictionaries(
+    {
+        "T": st.sampled_from([0.05, 0.1]),
+        "truth": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "x": st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2),
+                    "beta": st.floats(-10.0, 10.0),
+                }
+            ),
+            max_size=2,
+        ),
+        "mesh_n": st.sampled_from([2, 3, 4, [1, 2, 4], [2, 4]]),
+        "time_steps": st.sampled_from([1, 2, 4, [1, 2, 4], [2, 4, 4]]),
+        "dg_order": st.sampled_from([0, 1]),
+        "alpha": st.sampled_from([1e-3, 1e-2, 1.0]),
+        "noise_level": st.sampled_from([0.0, 0.05]),
+        "seed": st.integers(0, 3),
+        "pdap": st.fixed_dictionaries(
+            {"tol": st.sampled_from([1e-8, 1e-3]), "max_outer_iterations": st.integers(0, 3)}
+        ),
+        "smoothing": st.sampled_from(
+            [None, {"x0": [0.5, 0.5], "sweep": "time"}, {"sweep": "space"}]
+        ),
+    }
+)
+_MALFORMED = st.sampled_from(
+    [
+        ("T", 0.0), ("T", float("nan")), ("T", 1e300), ("T", "0.1"),
+        ("truth", [{"x": [0.5], "beta": 1.0}]), ("truth", ["atom"]),
+        ("truth", [{"x": [0.5, 1.5], "beta": 1.0}]), ("truth", {}),
+        ("truth", [{"x": [0.5, 0.5], "beta": 1e300}]),
+        ("mesh_n", 1), ("mesh_n", 2.5), ("mesh_n", [4, 2]), ("mesh_n", [[2]]),
+        ("mesh_n", True), ("mesh_n", None),
+        ("time_steps", 0), ("time_steps", -1), ("time_steps", "4"), ("time_steps", []),
+        ("dg_order", 2), ("alpha", 0.0), ("alpha", float("inf")),
+        ("noise_level", -1.0), ("noise_level", 1e300), ("seed", -1),
+        ("pdap", {"tol": 0.0}), ("pdap", {"max_outer_iterations": -1}),
+        ("pdap", {"mode": "fast"}), ("pdap", []),
+        ("smoothing", {"x0": [0.5]}), ("smoothing", {"sweep": "both"}),
+        ("smoothing", {"x0": [0.0, 0.0]}), ("surprise", 1),
+    ]
+)
+_CONFIGS = st.one_of(
+    st.builds(
+        lambda base, bad: {**base, **dict(bad)}, _VALID, st.lists(_MALFORMED, max_size=2)
+    ),
+    st.sampled_from([[], "config", 3]),
+)
+_FLAGS = st.lists(
+    st.sampled_from(
+        [
+            ("--seed", "7"), ("--seed", "-3"), ("--seed", "x"),
+            ("--tol", "1e-6"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "x"),
+            ("-v",), ("--verbose",), ("--bogus",), ("--config", "no_such_config.json"),
+        ]
+    ),
+    max_size=2,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["reconstruct", "study-space", "study-time", "study-smoothing", "selftest", "solve"]
+    ),
+    config=_CONFIGS,
+    flags=_FLAGS,
+)
+def test_main_never_raises_and_fails_in_one_line(command, config, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [command] if command == "selftest" else [
+            command, "--config", str(path), "--out", str(Path(tmp) / "out")
+        ]
+        argv += [token for flag in flags for token in flag]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        # With -v the progress lines come first; the reason is one line.
+        lines = [
+            line for line in err.getvalue().splitlines()
+            if not line.startswith(("pdap ", "level "))
+        ]
+        assert len(lines) == 1, err.getvalue()
+        assert err.getvalue().endswith(lines[0] + "\n")

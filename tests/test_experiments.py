@@ -18,6 +18,7 @@ from sparseheat import (
 from sparseheat import pdap
 from sparseheat.errors import ConfigError
 from sparseheat.experiments import ExperimentConfig, SmoothingSpec, override_config
+from sparseheat.mesh import refine_nodes, refine_support
 from sparseheat.pdap import PdapConfig
 from sparseheat.timestepping import HeatModel, TimeGrid
 
@@ -267,6 +268,45 @@ def test_study_time_seeded_levels_cost_one_adjoint_each(monkeypatch):
     assert seeds == [[], [node], [node]]
     assert adjoints[0] >= 2
     assert adjoints[1:] == [1, 1]
+
+
+def test_study_space_midpoint_seed_costs_one_adjoint(monkeypatch):
+    # Off the lattice the optimum splits the spike over adjacent nodes.
+    # On the 16-lattice it holds the midpoint of an edge of the 8-lattice
+    # support, which only the midpoint seeds reach, so that level is
+    # certified optimal by its first adjoint evaluation.
+    adjoints, seeds, supports = [], [], []
+
+    def propagate_adjoint(self, w):
+        adjoints[-1] += 1
+        return real_adjoint(self, w)
+
+    def run(model, u_d, config, seed_nodes=()):
+        adjoints.append(0)
+        seeds.append(list(seed_nodes))
+        result = real_run(model, u_d, config, seed_nodes)
+        supports.append(result.active_nodes)
+        return result
+
+    real_adjoint, real_run = HeatModel.propagate_adjoint, pdap.run
+    monkeypatch.setattr(HeatModel, "propagate_adjoint", propagate_adjoint)
+    monkeypatch.setattr(pdap, "run", run)
+    cfg = ExperimentConfig(
+        T=0.1,
+        truth=DiscreteMeasure([(0.37, 0.41)], [5.0]),
+        mesh_n=[4, 8, 16],
+        time_steps=8,
+        dg_order=0,
+        pdap=PdapConfig(alpha=1e-3, tol=1e-8),
+    )
+    table, converged = study_space(cfg)
+    assert converged
+    assert all(e > 0 for e in table.errors)
+    mesh8 = build_uniform(8)
+    assert seeds[2] == refine_support(mesh8, supports[1])
+    assert set(supports[2]) <= set(seeds[2])
+    assert not set(supports[2]) <= set(refine_nodes(mesh8, supports[1]))
+    assert adjoints[2] == 1
 
 
 def test_study_space_requires_doubling():

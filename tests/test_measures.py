@@ -7,13 +7,12 @@ from sparseheat import (
     DiscreteMeasure,
     build_uniform,
     lump_clusters,
-    match_supports,
     save_measure,
     tv_norm,
 )
 from sparseheat.errors import OutOfDomainError
 
-from measure_helpers import load_measure, project_to_nodes
+from measure_helpers import load_measure, match_supports, project_to_nodes
 
 PAPER_TRUTH = DiscreteMeasure(
     [[0.263091083266217, 0.258378565204941], [0.76061544960808, 0.734190309666141]],

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseheat import OutOfDomainError, build_uniform, refine
-from sparseheat.mesh import refine_nodes
+from sparseheat.mesh import p1_edges, refine_nodes, refine_support
 
 
 def edge_counts(mesh):
@@ -106,6 +106,54 @@ def test_refine_nodes_maps_interior_nodes_in_place(n, data):
     assert len(mapped) == len(idx)
     assert np.allclose(fine.nodes[mapped], mesh.nodes[idx], rtol=0.0, atol=1e-15)
     assert not fine.boundary_mask[mapped].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 24), data=st.data())
+def test_refine_support_seeds_mapped_nodes_and_edge_midpoints(n, data):
+    mesh = build_uniform(n)
+    fine = refine(mesh)
+    interior = mesh.interior_nodes().tolist()
+    # Clustered draws, so that adjacent pairs and triangles occur often.
+    centre = data.draw(st.sampled_from(interior))
+    near = [i for i in interior if abs(mesh.nodes[i] - mesh.nodes[centre]).max() * n <= 2]
+    idx = data.draw(st.lists(st.sampled_from(near), max_size=9))
+    idx += data.draw(st.lists(st.sampled_from(interior), max_size=4))
+    idx = list(dict.fromkeys(idx))
+    seeds = refine_support(mesh, idx)
+    mapped = refine_nodes(mesh, idx)
+    assert seeds[: len(mapped)] == mapped
+    assert len(set(seeds)) == len(seeds)
+    assert all(0 <= s < fine.num_nodes for s in seeds)
+    assert not fine.boundary_mask[seeds].any()
+    # Every extra seed is the midpoint of a mesh edge between two listed
+    # nodes, and every such edge gives one; edges come from the cells.
+    listed = set(idx)
+    edges = {e for e in edge_counts(mesh) if set(e) <= listed}
+    midpoints = {tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])) for a, b in edges}
+    extra = [tuple(fine.nodes[s]) for s in seeds[len(mapped):]]
+    assert len(extra) == len(edges)
+    assert all(
+        any(np.allclose(p, m, rtol=0.0, atol=1e-15) for m in midpoints) for p in extra
+    )
+    assert {tuple(sorted(map(int, e))) for e in p1_edges(mesh, idx)} == {
+        tuple(sorted(map(int, e))) for e in edges
+    }
+
+
+def test_refine_support_adds_the_midpoint_of_a_split_spike():
+    mesh = build_uniform(4)
+    fine = refine(mesh)
+    # Nodes (1, 1) and (2, 2) share the split diagonal of their square;
+    # (1, 3) is no neighbour of either.
+    idx = [1 * 5 + 1, 2 * 5 + 2, 1 * 5 + 3]
+    assert p1_edges(mesh, idx) == [(6, 12)]
+    seeds = refine_support(mesh, idx)
+    assert seeds == refine_nodes(mesh, idx) + [3 * 9 + 3]
+    assert np.allclose(fine.nodes[seeds[-1]], [0.375, 0.375])
+    assert refine_support(mesh, [1 * 5 + 2, 2 * 5 + 1]) == refine_nodes(
+        mesh, [1 * 5 + 2, 2 * 5 + 1]
+    )
 
 
 def locate_one(mesh, point):
