@@ -16,6 +16,7 @@ from .fem import (
     field_to_csv,
     interpolation_matrix,
     l2_inner,
+    l2_load,
     l2_norm,
     l2_project,
     spd_solve,

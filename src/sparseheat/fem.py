@@ -1,11 +1,11 @@
 """P1 finite elements on TriMesh.
 
 Provides mass/stiffness assembly as CSR matrices, a checked sparse
-direct solve, point evaluation, Dirac load vectors, L2 projection and
-mass-weighted inner products. A discrete field is the float array of its
-nodal values. Matrices are assembled over all nodes; homogeneous
-Dirichlet conditions are imposed by restricting to the interior index
-set.
+direct solve, point evaluation, Dirac and L2 load vectors, L2
+projection, nested-lattice interpolation and mass-weighted inner
+products. A discrete field is the float array of its nodal values.
+Matrices are assembled over all nodes; homogeneous Dirichlet conditions
+are imposed by restricting to the interior index set.
 """
 
 from __future__ import annotations
@@ -99,12 +99,12 @@ def delta_load(mesh, q):
     return b
 
 
-def l2_project(mesh, f):
-    """L2 projection of a pointwise-evaluable function onto P1.
+def l2_load(mesh, f):
+    """Load vector F_j = (f, phi_j) of a pointwise-evaluable function.
 
-    The right-hand side uses the three-point edge-midpoint rule, exact
-    for quadratics; the solve uses the full mass matrix (no boundary
-    conditions). `f` must accept numpy arrays (x, y).
+    Uses the three-point edge-midpoint rule, exact for quadratics, over
+    all nodes (no boundary conditions). `f` must accept numpy arrays
+    (x, y).
     """
     tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
     mids = [
@@ -118,7 +118,16 @@ def l2_project(mesh, f):
     adjacent = {0: (0, 2), 1: (0, 1), 2: (1, 2)}
     for vert, (ea, eb) in adjacent.items():
         np.add.at(F, mesh.cells[:, vert], area / 3.0 * 0.5 * (fvals[ea] + fvals[eb]))
-    return spd_solve(assemble_mass(mesh), F)
+    return F
+
+
+def l2_project(mesh, f):
+    """L2 projection of a pointwise-evaluable function onto P1.
+
+    Solves the full mass matrix (no boundary conditions) against
+    `l2_load(mesh, f)`.
+    """
+    return spd_solve(assemble_mass(mesh), l2_load(mesh, f))
 
 
 def eval_field(mesh, v, points):
@@ -159,17 +168,33 @@ def field_to_csv(mesh, values, path):
 
 
 def interpolation_matrix(coarse, fine):
-    """Nodal interpolation matrix from a coarse mesh onto a finer one.
+    """Nodal interpolation matrix from a lattice onto a nested finer one.
 
-    Exact for P1 functions when the fine mesh refines the coarse one
-    (nested nodes): row k holds the nonzero barycentric weights of fine
-    node k within its containing coarse cell.
+    Exact for P1 functions. `fine.n` must be a multiple m of `coarse.n`,
+    else ValueError. Fine lattice line R lies in coarse line
+    r = min(R // m, n - 1) at offset R / m - r, per axis; a fine node at
+    offsets (x, y) in the square with lower-left node ll sits in its lower
+    cell [ll, lr, ur] when x >= y, else in its upper cell [ll, ul, ur].
+    Either way its weights are (1 - max(x, y), |x - y|, min(x, y)). Row
+    k holds the nonzero weights of fine node k, columns ascending.
     """
-    cells, lam = coarse.locate(fine.nodes)
-    rows = np.repeat(np.arange(fine.num_nodes), 3)
-    cols = coarse.cells[cells].ravel()
-    keep = lam.ravel() != 0.0
+    n = coarse.n
+    m, rest = divmod(fine.n, n)
+    if rest:
+        raise ValueError(f"fine lattice n = {fine.n} is not a multiple of {n}")
+    side = np.arange(fine.n + 1)
+    line = np.minimum(side // m, n - 1)
+    offset = (side - m * line) / m
+    x, y = offset[None, :], offset[:, None]
+    ll = line[:, None] * (n + 1) + line[None, :]
+    lam = np.stack(
+        [1.0 - np.maximum(x, y), np.abs(x - y), np.minimum(x, y)], axis=-1
+    ).reshape(-1, 3)
+    cols = np.stack(
+        [ll, ll + np.where(x >= y, 1, n + 1), ll + n + 2], axis=-1
+    ).reshape(-1, 3)
+    keep = lam != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     return sp.csr_matrix(
-        (lam.ravel()[keep], (rows[keep], cols[keep])),
-        shape=(fine.num_nodes, coarse.num_nodes),
+        (lam[keep], cols[keep], indptr), shape=(fine.num_nodes, coarse.num_nodes)
     )

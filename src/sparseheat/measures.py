@@ -7,8 +7,6 @@ measure.json writer.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 PRUNE_TOL = 1e-12
@@ -65,12 +63,11 @@ def tv_norm(q):
 
 
 def lump_clusters(q, radius):
-    """Merge groups of atoms within single-linkage distance `radius`.
+    """Merge groups of same-sign atoms within single-linkage distance `radius`.
 
-    Each group becomes one atom with the summed coefficient placed at the
-    magnitude-weighted center of gravity; groups whose net coefficient is
-    below 1e-12 are dropped. Mixed-sign groups are merged too but flagged
-    with a warning, since their center of gravity is less meaningful.
+    Only atoms of equal sign are linked, so a dipole keeps both atoms
+    however close they are. Each group becomes one atom with the summed
+    coefficient placed at the magnitude-weighted center of gravity.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -85,9 +82,11 @@ def lump_clusters(q, radius):
             i = parent[i]
         return i
 
+    signs = np.sign(q.coefficients)
     for i in range(n):
         for j in range(i + 1, n):
-            if np.linalg.norm(q.positions[i] - q.positions[j]) <= radius:
+            near = np.linalg.norm(q.positions[i] - q.positions[j]) <= radius
+            if near and signs[i] == signs[j]:
                 parent[find(i)] = find(j)
 
     groups = {}
@@ -97,11 +96,6 @@ def lump_clusters(q, radius):
     positions, coefficients = [], []
     for members in sorted(groups.values(), key=min):
         betas = q.coefficients[members]
-        if betas.min() < 0.0 < betas.max():
-            warnings.warn(
-                f"lumping a mixed-sign cluster of {len(members)} atoms",
-                stacklevel=2,
-            )
         weights = np.abs(betas)
         center = (weights[:, None] * q.positions[members]).sum(axis=0) / weights.sum()
         positions.append(center)

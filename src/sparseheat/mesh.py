@@ -87,7 +87,9 @@ class TriMesh:
         column c holds cells 2 (r n + c) below and 2 (r n + c) + 1 above
         its diagonal. Points on shared edges resolve to the containing
         cell of lowest index. Raises OutOfDomainError for points outside
-        [0,1]^2.
+        [0,1]^2. It serves arbitrary points (atoms, evaluation points);
+        nested lattices need none, as `fem.interpolation_matrix` reads
+        their weights off the lattice indices.
         """
         p = np.asarray(points, dtype=float).reshape(-1, 2)
         outside = ~((p >= 0.0) & (p <= 1.0)).all(axis=1)

@@ -259,6 +259,36 @@ def test_study_smoothing_cli(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "sweep, mesh_n, time_steps, labels",
+    [
+        ("space", [16, 32, 64], 4, ["n=16", "n=32", "n=64"]),
+        ("time", 16, [2, 4, 8], ["M=2", "M=4", "M=8"]),
+    ],
+)
+def test_study_smoothing_verbose_logs_one_line_per_level(
+    tmp_path, capsys, sweep, mesh_n, time_steps, labels
+):
+    payload = {
+        "T": 0.1,
+        "mesh_n": mesh_n,
+        "time_steps": time_steps,
+        "smoothing": {"x0": [0.5, 0.5], "sweep": sweep},
+    }
+    path = write_config(tmp_path, payload, "smooth.json")
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["study-smoothing", "--config", path, "--out", str(quiet)]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["study-smoothing", "--config", path, "--out", str(loud), "-v"]) == 0
+    verbose = capsys.readouterr()
+    lines = [line.split() for line in verbose.err.splitlines()]
+    assert [(kind, label) for kind, label, _ in lines] == [("level", l) for l in labels]
+    assert all(ms.startswith("ms=") and float(ms[3:]) >= 0.0 for *_, ms in lines)
+    assert verbose.out.replace(str(loud), str(quiet)) == plain.out
+    assert artifact_bytes(loud) == artifact_bytes(quiet)
+
+
 def test_study_time_cli(tmp_path, capsys):
     payload = {
         "T": 0.1,

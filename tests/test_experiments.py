@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,7 @@ from sparseheat import (
     study_space,
     study_time,
 )
-from sparseheat import pdap
+from sparseheat import experiments, fem, pdap
 from sparseheat.errors import ConfigError
 from sparseheat.experiments import ExperimentConfig, SmoothingSpec, override_config
 from sparseheat.mesh import refine_nodes, refine_support
@@ -332,6 +335,58 @@ def test_smoothing_time_sweep_small():
     table = study_smoothing(cfg)
     assert all(e > 0 for e in table.errors)
     assert 0.5 <= table.slope <= 1.5
+
+
+def count_factorizations(monkeypatch):
+    """Record the shape of every `splu` call made through scipy's module,
+    and make any checked mass solve fail the test."""
+    shapes = []
+    splu = spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return splu(mat, *args, **kwargs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spd_solve called")
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(fem, "spd_solve", no_solve)
+    monkeypatch.setattr(experiments, "spd_solve", no_solve)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "sweep, mesh_n, time_steps",
+    [("space", [16, 32, 64], 4), ("time", 16, [2, 4, 8])],
+)
+def test_smoothing_factors_once_per_level_and_solves_no_mass(
+    monkeypatch, sweep, mesh_n, time_steps
+):
+    # x0 must lie more than 4h inside, so the coarsest space level is n = 16.
+    shapes = count_factorizations(monkeypatch)
+    cfg = ExperimentConfig(
+        T=0.1,
+        mesh_n=mesh_n,
+        time_steps=time_steps,
+        smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep=sweep),
+    )
+    table = study_smoothing(cfg)
+    levels = mesh_n if sweep == "space" else [mesh_n] * len(time_steps)
+    assert shapes == [((n - 1) ** 2, (n - 1) ** 2) for n in levels]
+    assert all(e > 0 for e in table.errors)
+
+
+def test_study_table_logs_inversions_as_one_warning_line(caplog):
+    cfg = ExperimentConfig()
+    with caplog.at_level(logging.WARNING, logger="sparseheat"):
+        experiments._study_table(cfg, [4.0, 3.0, 2.0, 1.0], [1.0, 2.0, 1.0, 2.0])
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("sparseheat", logging.WARNING)
+    ]
+    assert caplog.records[0].getMessage() == (
+        "error sequence has 2 inversions; study may be unhealthy"
+    )
 
 
 def test_smoothing_rejects_boundary_point():

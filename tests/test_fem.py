@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from sparseheat import (
     DiscreteMeasure,
@@ -12,6 +13,7 @@ from sparseheat import (
     field_to_csv,
     interpolation_matrix,
     l2_inner,
+    l2_load,
     l2_norm,
     l2_project,
     refine,
@@ -155,8 +157,6 @@ def test_solve_spd_residual_contract():
 
 
 def test_solve_spd_detects_singular():
-    import scipy.sparse as sp
-
     singular = sp.csr_matrix(np.zeros((2, 2)))
     with pytest.raises(NumericalError):
         spd_solve(singular, np.array([1.0, 0.0]))
@@ -173,6 +173,30 @@ def test_l2_project_reproduces_linears():
     p = l2_project(mesh, lambda x, y: x + y)
     exact = mesh.nodes[:, 0] + mesh.nodes[:, 1]
     assert np.allclose(p, exact, atol=1e-10)
+
+
+def test_l2_load_is_mass_times_projection():
+    mesh = build_uniform(16)
+    f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) + x * x - y
+    load = l2_load(mesh, f)
+    mass_proj = assemble_mass(mesh) @ l2_project(mesh, f)
+    assert np.linalg.norm(mass_proj - load) <= 1e-14 * np.linalg.norm(load)
+
+
+@pytest.mark.parametrize(
+    "f, nodal",
+    [
+        (lambda x, y: np.ones_like(x), lambda p: np.ones(len(p))),
+        (lambda x, y: 2.0 * x - y + 0.25, lambda p: 2.0 * p[:, 0] - p[:, 1] + 0.25),
+    ],
+    ids=["constant", "linear"],
+)
+def test_l2_load_reproduces_constants_and_linears(f, nodal):
+    # The midpoint rule is exact for quadratics, so the load of a P1
+    # function is its mass-matrix product.
+    mesh = build_uniform(8)
+    expected = assemble_mass(mesh) @ nodal(mesh.nodes)
+    assert np.allclose(l2_load(mesh, f), expected, atol=1e-15, rtol=1e-13)
 
 
 def test_l2_project_is_stable_for_eigenmode():
@@ -278,3 +302,52 @@ def test_two_level_interpolation_is_product_of_one_level_steps(n):
     assert abs(direct - chained).max() <= 1e-15
     lin = coarse.nodes @ [-0.75, 2.5] + 1.0
     assert np.allclose(direct @ lin, fine.nodes @ [-0.75, 2.5] + 1.0, atol=1e-14, rtol=0)
+
+
+def locate_interpolation_oracle(coarse, fine):
+    """Interpolation by point location: fine node k gets the nonzero
+    barycentric weights of its containing coarse cell."""
+    cells, lam = coarse.locate(fine.nodes)
+    rows = np.repeat(np.arange(fine.num_nodes), 3)
+    cols = coarse.cells[cells].ravel()
+    keep = lam.ravel() != 0.0
+    return sp.csr_matrix(
+        (lam.ravel()[keep], (rows[keep], cols[keep])),
+        shape=(fine.num_nodes, coarse.num_nodes),
+    )
+
+
+def sorted_csr(mat):
+    mat = mat.tocsr(copy=True)
+    mat.sort_indices()
+    return mat
+
+
+@pytest.mark.parametrize(
+    "n, fine_n",
+    [(2, 128), (4, 128), (8, 128), (16, 128), (32, 128), (64, 128),
+     (4, 8), (4, 16), (2, 32)],
+)
+def test_interpolation_matches_locate_oracle_on_dyadic_lattices(n, fine_n):
+    coarse, fine = build_uniform(n), build_uniform(fine_n)
+    new = sorted_csr(interpolation_matrix(coarse, fine))
+    oracle = sorted_csr(locate_interpolation_oracle(coarse, fine))
+    assert new.shape == oracle.shape
+    assert np.array_equal(new.indptr, oracle.indptr)
+    assert np.array_equal(new.indices, oracle.indices)
+    assert np.array_equal(new.data, oracle.data)
+
+
+@pytest.mark.parametrize("n, fine_n", [(3, 6), (3, 12), (5, 20)])
+def test_interpolation_matches_locate_oracle_at_odd_n(n, fine_n):
+    # Located weights carry round-off (near 1e-17 where the exact weight
+    # is 0), so compare values rather than sparsity patterns.
+    coarse, fine = build_uniform(n), build_uniform(fine_n)
+    new = interpolation_matrix(coarse, fine)
+    oracle = locate_interpolation_oracle(coarse, fine)
+    assert abs(new - oracle).max() <= 1e-15
+
+
+def test_interpolation_rejects_non_nested_lattices():
+    with pytest.raises(ValueError):
+        interpolation_matrix(build_uniform(4), build_uniform(6))

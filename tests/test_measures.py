@@ -112,9 +112,17 @@ def test_lump_magnitude_weighted_center():
 def test_lump_never_increases_tv():
     rng = np.random.default_rng(2)
     q = DiscreteMeasure(rng.random((6, 2)), rng.standard_normal(6))
-    with pytest.warns(UserWarning):
-        out = lump_clusters(q, 2.0)  # everything in one (mixed-sign) cluster
+    out = lump_clusters(q, 2.0)  # every pair of same-sign atoms is linked
     assert tv_norm(out) <= tv_norm(q) + 1e-12
+    assert len(out) == len(set(np.sign(q.coefficients)))
+
+
+def test_lump_keeps_a_close_dipole():
+    q = DiscreteMeasure([(0.45, 0.5), (0.55, 0.5)], [5.0, -5.0])
+    out = lump_clusters(q, 2.0)
+    assert len(out) == 2
+    assert np.array_equal(out.positions, q.positions)
+    assert np.array_equal(out.coefficients, q.coefficients)
 
 
 def test_lump_single_linkage_chains():
