@@ -337,9 +337,16 @@ def test_smoothing_time_sweep_small():
     assert 0.5 <= table.slope <= 1.5
 
 
-def count_factorizations(monkeypatch):
-    """Record the shape of every `splu` call made through scipy's module,
-    and make any checked mass solve fail the test."""
+@pytest.mark.parametrize(
+    "sweep, mesh_n, time_steps",
+    [("space", [16, 32, 64], 4), ("time", 16, [2, 4, 8])],
+)
+def test_smoothing_factors_once_per_level_and_solves_no_mass(
+    monkeypatch, sweep, mesh_n, time_steps
+):
+    # Every splu call goes through scipy's module (fem and timestepping
+    # both call spla.splu), and a checked mass solve fails the test. x0
+    # must lie more than 4h inside, so the coarsest space level is n = 16.
     shapes = []
     splu = spla.splu
 
@@ -353,18 +360,6 @@ def count_factorizations(monkeypatch):
     monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(fem, "spd_solve", no_solve)
     monkeypatch.setattr(experiments, "spd_solve", no_solve)
-    return shapes
-
-
-@pytest.mark.parametrize(
-    "sweep, mesh_n, time_steps",
-    [("space", [16, 32, 64], 4), ("time", 16, [2, 4, 8])],
-)
-def test_smoothing_factors_once_per_level_and_solves_no_mass(
-    monkeypatch, sweep, mesh_n, time_steps
-):
-    # x0 must lie more than 4h inside, so the coarsest space level is n = 16.
-    shapes = count_factorizations(monkeypatch)
     cfg = ExperimentConfig(
         T=0.1,
         mesh_n=mesh_n,
