@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import pdap
-from .errors import ConfigError
+from .errors import ConfigError, SolverFailure
 from .fem import (
     eval_field,
     field_to_csv,
@@ -228,17 +228,22 @@ def _ensure_dir(path):
 def reconstruct(cfg):
     """Recover the initial measure from the configured observation.
 
-    Runs the active-point solver and lumps clustered atoms within twice
-    the mesh size. Artifacts (measure.json, measure_lumped.json, log.csv,
-    field.csv) go to cfg.output_dir when set. Solver non-convergence is
-    reported in the result, not raised.
+    Makes the observation on the n lattice, solves the n/2 lattice on the
+    same time grid first (`_coarse_seed`) and seeds the n level's PDAP
+    with that support carried by `refine_support`; an odd n or n below 4
+    is solved cold. Lumps clustered atoms within twice the mesh size.
+    The report and the artifacts (measure.json, measure_lumped.json,
+    log.csv, field.csv, written to cfg.output_dir when set) describe the
+    n level only; row 0 of log.csv counts the seed columns. Solver
+    non-convergence is reported in the result, not raised.
     """
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
     mesh = build_uniform(n)
     model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
     u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
-    result = pdap.run(model, u_d, cfg.pdap)
+    seed_nodes = _coarse_seed(model, u_d, cfg) if n % 2 == 0 and n >= 4 else []
+    result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     report = ReconstructionReport(
         measure=result.measure,
@@ -256,6 +261,36 @@ def reconstruct(cfg):
         result.log.write_csv(os.path.join(cfg.output_dir, "log.csv"))
         field_to_csv(mesh, result.state, os.path.join(cfg.output_dir, "field.csv"))
     return report
+
+
+def _coarse_seed(model, u_d, cfg):
+    """Seed for `model`'s PDAP from a solve on the lattice of half its n.
+
+    The data is carried down as in `study_space` (`_coarse_data`) and the
+    coarse level solved from no seeds on the same time grid; its support,
+    converged or not, is carried up by `refine_support`. A coarse
+    SolverFailure gives no seed, so the fine level is solved cold. The
+    coarse model and its slab LU are freed when this call returns.
+    """
+    coarse_mesh = build_uniform(model.mesh.n // 2)
+    coarse = HeatModel(coarse_mesh, model.grid, model.order)
+    interp = interpolation_matrix(coarse_mesh, model.mesh)
+    u_d_coarse = _coarse_data(coarse, interp, model.mass @ u_d)
+    try:
+        result = _solve_level(f"n={coarse_mesh.n}", coarse, u_d_coarse, cfg, [])
+    except SolverFailure:
+        return []
+    return refine_support(coarse_mesh, result.active_nodes)
+
+
+def _coarse_data(coarse_model, interp, fine_mass_load):
+    """The L2 data of a nested finer lattice, represented on a coarse one.
+
+    `fine_mass_load` is M u_d on the fine lattice and `interp` the
+    interpolation from the coarse lattice onto it; the mass-orthogonal
+    projection leaves the optimality system unchanged on nested meshes.
+    """
+    return spd_solve(coarse_model.mass, interp.T @ fine_mass_load)
 
 
 def _nested_meshes(ns):
@@ -334,8 +369,7 @@ def study_space(cfg):
     def solve_level(mesh, seed_nodes):
         model = HeatModel(mesh, grid, cfg.dg_order)
         interp = interpolation_matrix(mesh, ref_mesh)
-        # Same L2 data, represented on the coarse mesh.
-        u_d = spd_solve(model.mass, interp.T @ ud_ref_m)
+        u_d = _coarse_data(model, interp, ud_ref_m)
         result = _solve_level(f"n={mesh.n}", model, u_d, cfg, seed_nodes)
         return interp @ result.state, result.active_nodes, result.converged
 

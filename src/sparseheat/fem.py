@@ -88,6 +88,22 @@ def assemble_stiffness(mesh):
     return mat.tocsr()
 
 
+def interior_stiffness(mesh):
+    """Stiffness block on the interior nodes, from the 5-point stencil.
+
+    On the lattice split along its lower-left to upper-right diagonals
+    the P1 stiffness couples each node with weight 4 to itself and -1 to
+    its four axis neighbours; the diagonal couplings cancel. So the block
+    is kron(I, T) + kron(T, I), T = tridiag(-1, 2, -1) of size n - 1, in
+    the row-major interior numbering: `assemble_stiffness(mesh)` sliced to
+    the interior, without its explicit zeros and with no full assembly.
+    """
+    m = mesh.n - 1
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
+    eye = sp.identity(m, format="csr")
+    return (sp.kron(eye, T, format="csr") + sp.kron(T, eye, format="csr")).tocsr()
+
+
 def delta_load(mesh, q):
     """Load vector b_j = sum_i beta_i phi_j(x_i) for an atomic measure.
 

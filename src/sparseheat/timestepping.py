@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import SPLU_SYMMETRIC, assemble_mass, assemble_stiffness
-from .fem import delta_load
+from .fem import SPLU_SYMMETRIC, assemble_mass, delta_load, interior_stiffness
+from .fem import assemble_stiffness  # unused here; perfbench/tracing.py wraps this name
 
 _S1 = complex(-2.0, np.sqrt(2.0))
 # dG order -> (sigma, c) of the step kernel Re(c (kA - sigma M)^{-1} f).
@@ -50,7 +50,11 @@ class HeatModel:
 
     Bundles the mesh, the full mass matrix, the interior index set, the
     interior mass and stiffness blocks, the time grid and the dG order;
-    the slab matrix is factored on the first propagation and reused.
+    the slab matrix is factored on the first propagation and reused. The
+    mass block is sliced from the full mass matrix, which candidate
+    selection and the L2 pairings need anyway; the stiffness block comes
+    from the 5-point stencil (`fem.interior_stiffness`), so the full
+    stiffness matrix is never assembled.
     """
 
     def __init__(self, mesh, grid, order):
@@ -60,10 +64,9 @@ class HeatModel:
         self.grid = grid
         self.order = int(order)
         self.mass = assemble_mass(mesh)
-        stiffness = assemble_stiffness(mesh)
         self.interior = mesh.interior_nodes()
         self.mass_int = self.mass[self.interior][:, self.interior].tocsr()
-        self.stiff_int = stiffness[self.interior][:, self.interior].tocsr()
+        self.stiff_int = interior_stiffness(mesh)
         self._slab_lu = None
 
     @property

@@ -33,18 +33,29 @@ print(json.dumps({
 """
 
 # A small reconstruct through the CLI under the tracer; argv[1] is the
-# config file and argv[2] the output directory.
+# config file and argv[2] the output directory. A wrapper around the
+# traced `pdap.run` records each level's seed count and log column
+# `inserted`, coarse level first.
 RECONSTRUCT_COUNTERS = """
 import json
 import sys
 import tracing
-from sparseheat import cli
+from sparseheat import cli, pdap
 
 recorder = tracing.Recorder()
 tracing.install(recorder)
+runs, traced_run = [], pdap.run
+
+def run(model, u_d, config, seed_nodes=()):
+    result = traced_run(model, u_d, config, seed_nodes)
+    runs.append({"seeds": len(seed_nodes), "inserted": [r.inserted for r in result.log]})
+    return result
+
+pdap.run = run
 code = cli.main(["reconstruct", "--config", sys.argv[1], "--out", sys.argv[2]])
 metrics = tracing.layer_metrics(recorder.spans)
-print(json.dumps({"code": code, **{name: metrics[name][0] for name in tracing.EXACT_COUNTERS}}))
+counters = {name: metrics[name][0] for name in tracing.EXACT_COUNTERS}
+print(json.dumps({"code": code, "runs": runs, **counters}))
 """
 
 TINY_RECONSTRUCT = {
@@ -90,9 +101,14 @@ def test_traced_adjoint_records_no_forward_span():
 
 def test_traced_reconstruct_counters_match_artifacts(tmp_path):
     # The counters the benchmark gates, read against what the run wrote:
-    # every artifact is counted once by the traced writers, each log row
-    # is one outer iteration with one adjoint propagation, and forward
-    # propagations are the observation plus one batch per inserting row.
+    # every artifact is counted once by the traced writers. reconstruct
+    # solves the n/2 lattice first and seeds the n level, and the
+    # counters sum both levels while log.csv holds the n level only. Per
+    # level, each log row is one outer iteration with one adjoint
+    # propagation, and forward propagations are one seed batch (if any)
+    # plus one batch per row that inserted beyond the seeds; the
+    # observation adds one forward propagation, and each level factors
+    # one slab matrix.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY_RECONSTRUCT))
     out = tmp_path / "out"
@@ -106,11 +122,20 @@ def test_traced_reconstruct_counters_match_artifacts(tmp_path):
         (out / name).stat().st_size for name in artifacts
     )
     rows = [line.split(",") for line in (out / "log.csv").read_text().splitlines()[1:]]
-    inserting = sum(int(row[-1]) > 0 for row in rows)
-    assert len(rows) >= 3 and inserting >= 2
-    assert counters["pdap.outer_iterations"] == len(rows)
-    assert counters["timestepping.adjoint_calls"] == len(rows)
-    assert counters["timestepping.forward_calls"] == 1 + inserting
+    coarse, fine = counters["runs"]
+    assert coarse["seeds"] == 0 and fine["seeds"] > 0
+    assert fine["inserted"] == [int(row[-1]) for row in rows]
+
+    def batches(level):
+        beyond_seeds = [level["inserted"][0] - level["seeds"], *level["inserted"][1:]]
+        return (level["seeds"] > 0) + sum(k > 0 for k in beyond_seeds)
+
+    assert len(coarse["inserted"]) >= 3 and batches(coarse) >= 2
+    outer = len(coarse["inserted"]) + len(rows)
+    assert counters["pdap.outer_iterations"] == outer
+    assert counters["timestepping.adjoint_calls"] == outer
+    assert counters["timestepping.forward_calls"] == 1 + batches(coarse) + batches(fine)
+    assert counters["timestepping.factor_calls"] == 2
 
 
 def test_documented_pdap_keys_match_loader():

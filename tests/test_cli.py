@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseheat import experiments
+from sparseheat import build_uniform, experiments, pdap
 from sparseheat.cli import main, _resolve_config
-from sparseheat.errors import ConfigError
+from sparseheat.errors import ConfigError, SolverFailure
+from sparseheat.mesh import refine_support
 
 
 TINY_RECONSTRUCT = {
@@ -178,6 +180,9 @@ def test_reconstruct_deterministic_artifacts(tmp_path):
 
 
 def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
+    # reconstruct solves the n/2 lattice first: its pdap lines and its
+    # `level n=4` line come before those of the n level, whose pdap lines
+    # match log.csv row for row.
     path = write_config(tmp_path, TINY_RECONSTRUCT)
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
     assert main(["reconstruct", "--config", path, "--out", str(quiet)]) == 0
@@ -186,18 +191,115 @@ def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
     assert main(["reconstruct", "--config", path, "--out", str(loud), "-v"]) == 0
     verbose = capsys.readouterr()
     rows = (loud / "log.csv").read_text().splitlines()[1:]
-    lines = verbose.err.splitlines()
-    assert len(lines) == len(rows) >= 2
-    for line, row in zip(lines, rows):
+    levels, iterations = [], []
+    for line in verbose.err.splitlines():
+        kind, *items = line.split()
+        fields = dict(item.split("=") for item in items)
+        if kind == "pdap":
+            assert fields.keys() == {"n", "phi", "support", "inserted", "ms"}
+            iterations.append(fields)
+            continue
+        assert kind == "level"
+        assert fields.keys() == {"n", "seeds", "outer", "columns", "ms"}
+        assert int(fields["outer"]) == len(iterations)
+        levels.append((int(fields["n"]), int(fields["seeds"]), iterations))
+        iterations = []
+    assert iterations == []
+    assert [(n, seeds > 0) for n, seeds, _ in levels] == [(4, False), (8, True)]
+    # The on-grid atom's seeded n level is certified by its first adjoint.
+    coarse, fine = levels[0][2], levels[1][2]
+    assert len(coarse) >= 2 and len(fine) == len(rows) == 1
+    for fields, row in zip(fine, rows):
         n, _, _, support, _, _, inserted = row.split(",")
-        fields = dict(item.split("=") for item in line.split()[1:])
-        assert line.startswith("pdap ")
-        assert fields.keys() == {"n", "phi", "support", "inserted", "ms"}
         assert (fields["n"], fields["support"], fields["inserted"]) == (
             n, support, inserted
         )
     assert verbose.out.replace(str(loud), str(quiet)) == plain.out
     assert artifact_bytes(loud) == artifact_bytes(quiet)
+
+
+NOISY_RECONSTRUCT = {
+    **TINY_RECONSTRUCT,
+    "truth": [{"x": [0.3, 0.4], "beta": 5.0}, {"x": [0.7, 0.6], "beta": -3.0}],
+    "mesh_n": 16,
+    "noise_level": 0.05,
+}
+
+
+def record_runs(monkeypatch, coarse=None):
+    """Wrap `pdap.run`, recording (mesh n, seed nodes, result) per call.
+
+    `coarse(model, u_d, config)`, when given, replaces the first call.
+    """
+    calls, real_run, first = [], pdap.run, [True]
+
+    def run(model, u_d, config, seed_nodes=()):
+        replaced, first[0] = coarse is not None and first[0], False
+        if replaced:
+            result = coarse(model, u_d, config)
+        else:
+            result = real_run(model, u_d, config, seed_nodes)
+        calls.append((model.mesh.n, list(seed_nodes), result))
+        return result
+
+    monkeypatch.setattr(pdap, "run", run)
+    return calls
+
+
+def cold_run(tmp_path, capsys, monkeypatch, payload):
+    """Exit code and stdout of reconstruct with the coarse level skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_coarse_seed", lambda model, u_d, cfg: [])
+        path = write_config(tmp_path, payload, "cold.json")
+        code = main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_reconstruct_without_a_half_lattice_runs_cold(tmp_path, capsys, monkeypatch, n):
+    calls = record_runs(monkeypatch)
+    path = write_config(tmp_path, {**TINY_RECONSTRUCT, "mesh_n": n})
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert [(level, seeds) for level, seeds, _ in calls] == [(n, [])]
+    assert "support=" in capsys.readouterr().out
+
+
+def without_gap(stdout):
+    return " ".join(item for item in stdout.split() if not item.startswith("phi="))
+
+
+def test_reconstruct_unconverged_coarse_level_still_seeds(tmp_path, capsys, monkeypatch):
+    # The seeded n level ends on the cold run's support and objective; only
+    # its certified gap, far below tol * M0, is another round-off value.
+    code, stdout = cold_run(tmp_path, capsys, monkeypatch, NOISY_RECONSTRUCT)
+
+    def coarse(model, u_d, config):
+        return real_run(model, u_d, replace(config, max_outer_iterations=1))
+
+    real_run = pdap.run
+    calls = record_runs(monkeypatch, coarse)
+    path = write_config(tmp_path, NOISY_RECONSTRUCT)
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == code
+    (_, _, partial), (n, seeds, fine) = calls
+    assert not partial.converged and partial.active_nodes
+    assert (n, seeds) == (16, refine_support(build_uniform(8), partial.active_nodes))
+    assert fine.converged and fine.gap < NOISY_RECONSTRUCT["pdap"]["tol"] * fine.m0
+    assert without_gap(capsys.readouterr().out) == without_gap(stdout)
+
+
+def test_reconstruct_coarse_solver_failure_falls_back_to_cold(
+    tmp_path, capsys, monkeypatch
+):
+    expected = cold_run(tmp_path, capsys, monkeypatch, NOISY_RECONSTRUCT)
+
+    def coarse(model, u_d, config):
+        raise SolverFailure("subproblem stalled")
+
+    calls = record_runs(monkeypatch, coarse)
+    path = write_config(tmp_path, NOISY_RECONSTRUCT)
+    code = main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")])
+    assert [(n, seeds) for n, seeds, _ in calls] == [(16, [])]
+    assert (code, capsys.readouterr().out) == expected
 
 
 def test_study_space_verbose_logs_one_line_per_level(tmp_path, capsys):

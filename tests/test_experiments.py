@@ -146,6 +146,79 @@ def test_reconstruct_empty_data_gives_empty_measure():
     assert len(report.lumped) == 0
 
 
+TWO_ATOMS = DiscreteMeasure([(0.3, 0.4), (0.7, 0.6)], [5.0, -3.0])
+
+
+def noisy_config(seed, output_dir=None):
+    return ExperimentConfig(
+        T=0.1,
+        truth=TWO_ATOMS,
+        mesh_n=16,
+        time_steps=32,
+        dg_order=0,
+        noise_level=0.05,
+        seed=seed,
+        pdap=PdapConfig(alpha=1e-3, tol=1e-8),
+        output_dir=output_dir,
+    )
+
+
+def record_runs(monkeypatch):
+    """Wrap `pdap.run`, recording (mesh n, seed nodes, result) per call."""
+    calls, real_run = [], pdap.run
+
+    def run(model, u_d, config, seed_nodes=()):
+        result = real_run(model, u_d, config, seed_nodes)
+        calls.append((model.mesh.n, list(seed_nodes), result))
+        return result
+
+    monkeypatch.setattr(pdap, "run", run)
+    return calls, real_run
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 20])
+def test_reconstruct_two_level_matches_cold_solve(monkeypatch, seed):
+    # The n level seeded from the n/2 support ends on the optimum that a
+    # cold PDAP finds: the same support, the objective to round-off and a
+    # certified gap.
+    calls, real_run = record_runs(monkeypatch)
+    cfg = noisy_config(seed)
+    report = reconstruct(cfg)
+    (coarse_n, coarse_seeds, _), (fine_n, fine_seeds, fine) = calls
+    assert (coarse_n, coarse_seeds, fine_n) == (8, [], 16) and fine_seeds
+
+    model = HeatModel(build_uniform(16), TimeGrid(0.1, 32), 0)
+    u_d = make_observation(model, TWO_ATOMS, 0.05, seed)
+    cold = real_run(model, u_d, cfg.pdap)
+    assert cold.converged and report.converged
+    assert sorted(fine.active_nodes) == sorted(cold.active_nodes)
+    assert report.objective == pytest.approx(cold.objective, rel=1e-10, abs=0)
+    assert report.gap < cfg.pdap.tol * cold.m0
+
+
+def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
+    # log.csv holds the n level only; its row 0 counts the seed batch, and
+    # the `inserted` column sums to every column the n level propagated.
+    widths = []
+
+    def propagate_load(self, b):
+        widths.append((self.mesh.n, np.shape(b)[1] if np.ndim(b) == 2 else 1))
+        return real_load(self, b)
+
+    real_load = HeatModel.propagate_load
+    monkeypatch.setattr(HeatModel, "propagate_load", propagate_load)
+    calls, _ = record_runs(monkeypatch)
+    reconstruct(noisy_config(7000, str(tmp_path)))
+    (_, _, _), (_, seeds, fine) = calls
+    rows = [line.split(",") for line in (tmp_path / "log.csv").read_text().splitlines()[1:]]
+    inserted = [int(row[-1]) for row in rows]
+    assert inserted == [r.inserted for r in fine.log]
+    fine_batches = [w for n, w in widths if n == 16][1:]  # after the observation
+    assert fine_batches[0] == len(seeds) > 0
+    assert inserted[0] >= len(seeds)
+    assert sum(inserted) == sum(fine_batches)
+
+
 def test_study_time_smoke(tmp_path):
     cfg = ExperimentConfig(
         T=0.1,

@@ -20,6 +20,8 @@ from sparseheat import (
     spd_solve,
 )
 from sparseheat.errors import NumericalError
+from sparseheat.fem import interior_stiffness
+from sparseheat.timestepping import _POLES, HeatModel, TimeGrid
 
 
 def lattice_node(n, i, j):
@@ -136,19 +138,55 @@ def test_solve_spd_roundtrip():
         spd_solve(M, y[:-1])
 
 
-def interior_stiffness(mesh):
+def sliced_stiffness(mesh):
+    """The interior block of the assembled stiffness matrix, explicit
+    zeros (the cancelled diagonal couplings) eliminated."""
     interior = mesh.interior_nodes()
-    return assemble_stiffness(mesh)[interior][:, interior]
+    block = assemble_stiffness(mesh)[interior][:, interior].tocsr()
+    block.eliminate_zeros()
+    return block
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64])
+def test_interior_stiffness_is_the_sliced_assembly(n):
+    # Same CSR arrays. The stencil's 4 and -1 are exact, while assembly
+    # rounds the coordinates i/n: bit-identical on dyadic lattices, and
+    # within four ulp elsewhere (n = 5).
+    mesh = build_uniform(n)
+    stencil, sliced = interior_stiffness(mesh), sliced_stiffness(mesh)
+    assert stencil.format == "csr" and stencil.dtype == np.float64
+    np.testing.assert_array_equal(stencil.indptr, sliced.indptr)
+    np.testing.assert_array_equal(stencil.indices, sliced.indices)
+    if n & (n - 1) == 0:
+        np.testing.assert_array_equal(stencil.data, sliced.data)
+    else:
+        np.testing.assert_array_max_ulp(stencil.data, sliced.data, maxulp=4)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("order", [0, 1])
+def test_slab_matrix_is_unchanged_by_the_stencil(n, order):
+    # The slab matrix kA - sigma M that HeatModel factors equals, array for
+    # array, the one built from the sliced full stiffness assembly.
+    model = HeatModel(build_uniform(n), TimeGrid(0.1, 16), order)
+    sigma = _POLES[order][0]
+    k, mass = model.grid.k, model.mass_int
+    ours = (k * model.stiff_int - sigma * mass).tocsc()
+    interior = model.interior
+    full = assemble_stiffness(model.mesh)[interior][:, interior].tocsr()
+    oracle = (k * full - sigma * mass).tocsc()
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(ours, attr), getattr(oracle, attr))
 
 
 def test_solve_spd_single_interior_node():
-    A = interior_stiffness(build_uniform(2))
+    A = sliced_stiffness(build_uniform(2))
     x = spd_solve(A, np.array([2.0]))
     assert x[0] == pytest.approx(0.5, abs=1e-15)  # stencil center is 4
 
 
 def test_solve_spd_residual_contract():
-    A = interior_stiffness(build_uniform(8))
+    A = sliced_stiffness(build_uniform(8))
     rng = np.random.default_rng(2)
     b = rng.standard_normal(A.shape[0])
     x = spd_solve(A, b)
