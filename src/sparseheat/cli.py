@@ -7,9 +7,9 @@ non-zero exit writes one line to standard error.
 Configuration paths resolve first against the filesystem, then against
 the bundled configs shipped with the package (paper_10_1.json and
 friends). With -v (config-driven subcommands only), the solver logs one
-progress line per PDAP iteration to standard error, and the studies one
-line per level; standard output and the artifacts are the same with and
-without it.
+progress line per PDAP iteration to standard error, and the studies and
+reconstruct one line per level; standard output and the artifacts are
+the same with and without it.
 """
 
 from __future__ import annotations

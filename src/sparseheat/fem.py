@@ -101,7 +101,7 @@ def interior_stiffness(mesh):
     m = mesh.n - 1
     T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
     eye = sp.identity(m, format="csr")
-    return (sp.kron(eye, T, format="csr") + sp.kron(T, eye, format="csr")).tocsr()
+    return sp.kron(eye, T, format="csr") + sp.kron(T, eye, format="csr")
 
 
 def delta_load(mesh, q):

@@ -60,7 +60,7 @@ class PdapConfig:
 class IterationRecord:
     n: int
     phi: float
-    objective: float
+    objective: float  # at the iterate of phi; row 0: the empty measure's
     support_size: int
     new_node: int  # argmax node of |z|; -1 when the iteration only evaluated/stopped
     subproblem_iters: int
@@ -312,10 +312,13 @@ def run(model, u_d, config, seed_nodes=()):
     as the support found on a coarser level of a refinement study: their
     columns are propagated in one batched solve, the subproblem is solved
     on them from zero coefficients and pruned before the first adjoint
-    evaluation. Row 0 of the log counts the seed columns in `inserted`
-    and the seed solve in `subproblem_iters`. The gap scale M0 is still
-    that of the empty measure. Raises ValueError for seed nodes that are
-    not interior or repeat.
+    evaluation. Row 0 of the log accounts for the seed solve: it counts
+    the seed columns in `inserted` and the seed solve in
+    `subproblem_iters`, and its `objective` is that of the empty measure,
+    where the solve starts. The gap scale M0 is still that of the empty
+    measure, so every log gives its stopping threshold tol * M0 as
+    tol * objective / alpha of row 0. Raises ValueError for seed nodes
+    that are not interior or repeat.
     """
     alpha = config.alpha
     interior = model.interior
@@ -379,6 +382,7 @@ def run(model, u_d, config, seed_nodes=()):
 
     def record(n, phi, j, support, node, sub_iters, inserted):
         if n == 0:  # row 0 also accounts for the seed solve
+            j = j_empty
             sub_iters += seed_iters
             inserted += len(seed_nodes)
         r = IterationRecord(n, phi, j, support, node, sub_iters, inserted)
@@ -389,7 +393,7 @@ def run(model, u_d, config, seed_nodes=()):
             1e3 * (time.perf_counter() - started),
         )
 
-    j = current_objective()
+    j = j_empty = current_objective()
     m0 = j / alpha
     tol_abs = config.tol * m0
     sub_tol = SUBPROBLEM_TOL

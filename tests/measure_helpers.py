@@ -4,7 +4,8 @@
 tests and of criterion 4; `match_supports` scores a recovered measure
 against the truth for the recovery tests and criterion 10;
 `load_measure` reads back the measure.json that
-`sparseheat.measures.save_measure` writes.
+`sparseheat.measures.save_measure` writes; `record_runs` records the
+PDAP solves of a driver, level by level.
 """
 
 import json
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sparseheat import pdap
 from sparseheat.fem import delta_load
 from sparseheat.measures import PRUNE_TOL, DiscreteMeasure
 
@@ -101,3 +103,25 @@ def match_supports(q_ref, q_test, radius):
             match.coefficient_error, abs(q_ref.coefficients[i] - coef_sum)
         )
     return match
+
+
+def record_runs(monkeypatch, first=None):
+    """Wrap `pdap.run`, recording (mesh n, seed nodes, result) per call.
+
+    `first(model, u_d, config)`, when given, replaces the first call; a
+    call that raises is not recorded.
+    """
+    calls, real_run = [], pdap.run
+    pending = [first]
+
+    def run(model, u_d, config, seed_nodes=()):
+        replacement, pending[0] = pending[0], None
+        if replacement is not None:
+            result = replacement(model, u_d, config)
+        else:
+            result = real_run(model, u_d, config, seed_nodes)
+        calls.append((model.mesh.n, list(seed_nodes), result))
+        return result
+
+    monkeypatch.setattr(pdap, "run", run)
+    return calls

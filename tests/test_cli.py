@@ -15,6 +15,8 @@ from sparseheat.cli import main, _resolve_config
 from sparseheat.errors import ConfigError, SolverFailure
 from sparseheat.mesh import refine_support
 
+from measure_helpers import record_runs
+
 
 TINY_RECONSTRUCT = {
     "T": 0.1,
@@ -224,26 +226,6 @@ NOISY_RECONSTRUCT = {
     "mesh_n": 16,
     "noise_level": 0.05,
 }
-
-
-def record_runs(monkeypatch, coarse=None):
-    """Wrap `pdap.run`, recording (mesh n, seed nodes, result) per call.
-
-    `coarse(model, u_d, config)`, when given, replaces the first call.
-    """
-    calls, real_run, first = [], pdap.run, [True]
-
-    def run(model, u_d, config, seed_nodes=()):
-        replaced, first[0] = coarse is not None and first[0], False
-        if replaced:
-            result = coarse(model, u_d, config)
-        else:
-            result = real_run(model, u_d, config, seed_nodes)
-        calls.append((model.mesh.n, list(seed_nodes), result))
-        return result
-
-    monkeypatch.setattr(pdap, "run", run)
-    return calls
 
 
 def cold_run(tmp_path, capsys, monkeypatch, payload):

@@ -25,6 +25,8 @@ from sparseheat.mesh import refine_nodes, refine_support
 from sparseheat.pdap import PdapConfig
 from sparseheat.timestepping import HeatModel, TimeGrid
 
+from measure_helpers import record_runs
+
 
 def small_model(n=8, M=4, r=0):
     return HeatModel(build_uniform(n), TimeGrid(0.1, M), r)
@@ -163,25 +165,13 @@ def noisy_config(seed, output_dir=None):
     )
 
 
-def record_runs(monkeypatch):
-    """Wrap `pdap.run`, recording (mesh n, seed nodes, result) per call."""
-    calls, real_run = [], pdap.run
-
-    def run(model, u_d, config, seed_nodes=()):
-        result = real_run(model, u_d, config, seed_nodes)
-        calls.append((model.mesh.n, list(seed_nodes), result))
-        return result
-
-    monkeypatch.setattr(pdap, "run", run)
-    return calls, real_run
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 20])
 def test_reconstruct_two_level_matches_cold_solve(monkeypatch, seed):
     # The n level seeded from the n/2 support ends on the optimum that a
     # cold PDAP finds: the same support, the objective to round-off and a
     # certified gap.
-    calls, real_run = record_runs(monkeypatch)
+    real_run = pdap.run
+    calls = record_runs(monkeypatch)
     cfg = noisy_config(seed)
     report = reconstruct(cfg)
     (coarse_n, coarse_seeds, _), (fine_n, fine_seeds, fine) = calls
@@ -207,7 +197,7 @@ def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
 
     real_load = HeatModel.propagate_load
     monkeypatch.setattr(HeatModel, "propagate_load", propagate_load)
-    calls, _ = record_runs(monkeypatch)
+    calls = record_runs(monkeypatch)
     reconstruct(noisy_config(7000, str(tmp_path)))
     (_, _, _), (_, seeds, fine) = calls
     rows = [line.split(",") for line in (tmp_path / "log.csv").read_text().splitlines()[1:]]
@@ -217,6 +207,12 @@ def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
     assert fine_batches[0] == len(seeds) > 0
     assert inserted[0] >= len(seeds)
     assert sum(inserted) == sum(fine_batches)
+    # Row 0 keeps the empty measure's objective, so the log alone
+    # certifies the solve: the final gap is below tol * M0.
+    cfg = noisy_config(7000)
+    assert float(rows[0][2]) == pytest.approx(fine.m0 * cfg.pdap.alpha, rel=1e-15)
+    assert float(rows[0][2]) > fine.objective
+    assert float(rows[-1][1]) < cfg.pdap.tol * float(rows[0][2]) / cfg.pdap.alpha
 
 
 def test_study_time_smoke(tmp_path):
