@@ -198,8 +198,9 @@ def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
     real_load = HeatModel.propagate_load
     monkeypatch.setattr(HeatModel, "propagate_load", propagate_load)
     calls = record_runs(monkeypatch)
-    reconstruct(noisy_config(7000, str(tmp_path)))
-    (_, _, _), (_, seeds, fine) = calls
+    cfg = noisy_config(7000, str(tmp_path))
+    reconstruct(cfg)
+    _, (_, seeds, fine) = calls
     rows = [line.split(",") for line in (tmp_path / "log.csv").read_text().splitlines()[1:]]
     inserted = [int(row[-1]) for row in rows]
     assert inserted == [r.inserted for r in fine.log]
@@ -209,7 +210,6 @@ def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
     assert sum(inserted) == sum(fine_batches)
     # Row 0 keeps the empty measure's objective, so the log alone
     # certifies the solve: the final gap is below tol * M0.
-    cfg = noisy_config(7000)
     assert float(rows[0][2]) == pytest.approx(fine.m0 * cfg.pdap.alpha, rel=1e-15)
     assert float(rows[0][2]) > fine.objective
     assert float(rows[-1][1]) < cfg.pdap.tol * float(rows[0][2]) / cfg.pdap.alpha
