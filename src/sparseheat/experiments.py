@@ -35,6 +35,11 @@ from .pdap import PdapConfig
 from .timestepping import HeatModel, TimeGrid, forward_dirac
 
 LUMP_RADIUS_FACTOR = 2.0  # lumping radius in units of the mesh size
+# Smallest even n that `reconstruct` seeds from an n/2 solve. On the
+# paper_10_1 sources with 256 steps and six noise draws, the n/2 level
+# cost more than it saved at n = 8 and 16 in every run, was faster in 2
+# of 6 at n = 32 and in 6 of 6 at n = 64.
+TWO_LEVEL_MIN_N = 64
 
 _log = logging.getLogger("sparseheat")
 
@@ -228,21 +233,24 @@ def _ensure_dir(path):
 def reconstruct(cfg):
     """Recover the initial measure from the configured observation.
 
-    Makes the observation on the n lattice, solves the n/2 lattice on the
-    same time grid first (`_coarse_seed`) and seeds the n level's PDAP
-    with that support carried by `refine_support`; an odd n or n below 4
-    is solved cold. Lumps clustered atoms within twice the mesh size.
-    The report and the artifacts (measure.json, measure_lumped.json,
-    log.csv, field.csv, written to cfg.output_dir when set) describe the
-    n level only; row 0 of log.csv counts the seed columns. Solver
-    non-convergence is reported in the result, not raised.
+    Makes the observation on the n lattice. For an even n of at least
+    TWO_LEVEL_MIN_N it solves the n/2 lattice on the same time grid first
+    (`_coarse_seed`) and seeds the n level's PDAP with that support
+    carried by `refine_support`; other n are solved cold. Lumps
+    clustered atoms within twice the mesh size. The report and the
+    artifacts (measure.json, measure_lumped.json, log.csv, field.csv,
+    written to cfg.output_dir when set) describe the n level only; row 0
+    of a seeded level's log.csv is the empty measure and row 1 counts the
+    seed columns. Solver non-convergence is reported in the result, not
+    raised.
     """
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
     mesh = build_uniform(n)
     model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
     u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
-    seed_nodes = _coarse_seed(model, u_d, cfg) if n % 2 == 0 and n >= 4 else []
+    two_level = n % 2 == 0 and n >= TWO_LEVEL_MIN_N
+    seed_nodes = _coarse_seed(model, u_d, cfg) if two_level else []
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     report = ReconstructionReport(

@@ -60,17 +60,26 @@ class PdapConfig:
 class IterationRecord:
     n: int
     phi: float
-    objective: float  # at the iterate of phi; row 0: the empty measure's
+    objective: float
     support_size: int
     new_node: int  # argmax node of |z|; -1 when the iteration only evaluated/stopped
     subproblem_iters: int
-    inserted: int  # columns propagated in this iteration (row 0: seeds too)
+    inserted: int  # columns propagated in this iteration (first row: seeds too)
 
 
 class IterationLog:
-    """Per-iteration history of gap, objective and support growth."""
+    """Per-iteration history of gap, objective and support growth.
+
+    `records` holds one row per outer iteration, each with one adjoint
+    evaluation. A warm-started log also has `start`, the row of the empty
+    measure that the seed solve starts from: its objective is j(0) =
+    alpha * M0, and its phi is NaN, as no adjoint is evaluated there.
+    `write_csv` writes `start` first, so row 0 of every log.csv is the
+    empty measure and gives the stopping threshold tol * M0.
+    """
 
     def __init__(self):
+        self.start = None
         self.records = []
 
     def append(self, record):
@@ -85,7 +94,7 @@ class IterationLog:
     def write_csv(self, path):
         with open(path, "w") as f:
             f.write("n,phi,objective,support_size,new_node,subproblem_iters,inserted\n")
-            for r in self.records:
+            for r in ([self.start] if self.start else []) + self.records:
                 f.write(
                     f"{r.n},{r.phi:.17g},{r.objective:.17g},"
                     f"{r.support_size},{r.new_node},{r.subproblem_iters},"
@@ -312,13 +321,12 @@ def run(model, u_d, config, seed_nodes=()):
     as the support found on a coarser level of a refinement study: their
     columns are propagated in one batched solve, the subproblem is solved
     on them from zero coefficients and pruned before the first adjoint
-    evaluation. Row 0 of the log accounts for the seed solve: it counts
-    the seed columns in `inserted` and the seed solve in
-    `subproblem_iters`, and its `objective` is that of the empty measure,
-    where the solve starts. The gap scale M0 is still that of the empty
-    measure, so every log gives its stopping threshold tol * M0 as
-    tol * objective / alpha of row 0. Raises ValueError for seed nodes
-    that are not interior or repeat.
+    evaluation. The first outer iteration's record counts the seed
+    columns in `inserted` and the seed solve in `subproblem_iters`. The
+    gap scale M0 is still that of the empty measure, which the log keeps
+    as its `start` row, numbered 0, so the outer iterations of a
+    warm-started log are numbered from 1. Raises ValueError for seed
+    nodes that are not interior or repeat.
     """
     alpha = config.alpha
     interior = model.interior
@@ -381,11 +389,12 @@ def run(model, u_d, config, seed_nodes=()):
         )
 
     def record(n, phi, j, support, node, sub_iters, inserted):
-        if n == 0:  # row 0 also accounts for the seed solve
-            j = j_empty
+        if n == 0:  # the first record also accounts for the seed solve
             sub_iters += seed_iters
             inserted += len(seed_nodes)
-        r = IterationRecord(n, phi, j, support, node, sub_iters, inserted)
+        r = IterationRecord(
+            n + bool(seed_nodes), phi, j, support, node, sub_iters, inserted
+        )
         log.append(r)
         _log.info(
             "pdap n=%d phi=%.3e support=%d inserted=%d ms=%.1f",
@@ -393,7 +402,7 @@ def run(model, u_d, config, seed_nodes=()):
             1e3 * (time.perf_counter() - started),
         )
 
-    j = j_empty = current_objective()
+    j = current_objective()
     m0 = j / alpha
     tol_abs = config.tol * m0
     sub_tol = SUBPROBLEM_TOL
@@ -401,6 +410,7 @@ def run(model, u_d, config, seed_nodes=()):
     converged = False
     seed_iters = 0
     if seed_nodes:
+        log.start = IterationRecord(0, float("nan"), j, 0, -1, 0, 0)
         add_nodes(seed_nodes)
         beta, seed_iters = solve_subproblem(
             G, c, alpha, beta, sub_tol, SUBPROBLEM_MAX_ITERATIONS

@@ -61,7 +61,7 @@ print(json.dumps({"code": code, "runs": runs, **counters}))
 TINY_RECONSTRUCT = {
     "T": 0.1,
     "truth": [{"x": [0.3, 0.4], "beta": 5.0}, {"x": [0.7, 0.6], "beta": -3.0}],
-    "mesh_n": 8,
+    "mesh_n": experiments.TWO_LEVEL_MIN_N,
     "time_steps": 8,
     "alpha": 0.001,
     "noise_level": 0.05,
@@ -103,12 +103,13 @@ def test_traced_reconstruct_counters_match_artifacts(tmp_path):
     # The counters the benchmark gates, read against what the run wrote:
     # every artifact is counted once by the traced writers. reconstruct
     # solves the n/2 lattice first and seeds the n level, and the
-    # counters sum both levels while log.csv holds the n level only. Per
-    # level, each log row is one outer iteration with one adjoint
-    # propagation, and forward propagations are one seed batch (if any)
-    # plus one batch per row that inserted beyond the seeds; the
-    # observation adds one forward propagation, and each level factors
-    # one slab matrix.
+    # counters sum both levels while log.csv holds the n level only: row
+    # 0 is the empty measure the seed solve starts from, and each later
+    # row is one outer iteration. Per level, each outer iteration has one
+    # adjoint propagation, and forward propagations are one seed batch
+    # (if any) plus one batch per iteration that inserted beyond the
+    # seeds; the observation adds one forward propagation, and each level
+    # factors one slab matrix.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY_RECONSTRUCT))
     out = tmp_path / "out"
@@ -121,7 +122,10 @@ def test_traced_reconstruct_counters_match_artifacts(tmp_path):
     assert counters["experiments.io_bytes"] == sum(
         (out / name).stat().st_size for name in artifacts
     )
-    rows = [line.split(",") for line in (out / "log.csv").read_text().splitlines()[1:]]
+    start, *rows = [
+        line.split(",") for line in (out / "log.csv").read_text().splitlines()[1:]
+    ]
+    assert start[0] == "0" and start[-1] == "0"
     coarse, fine = counters["runs"]
     assert coarse["seeds"] == 0 and fine["seeds"] > 0
     assert fine["inserted"] == [int(row[-1]) for row in rows]

@@ -181,18 +181,30 @@ def test_reconstruct_deterministic_artifacts(tmp_path):
     assert artifact_bytes(out1) == artifact_bytes(out2)
 
 
-def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
-    # reconstruct solves the n/2 lattice first: its pdap lines and its
-    # `level n=4` line come before those of the n level, whose pdap lines
-    # match log.csv row for row.
-    path = write_config(tmp_path, TINY_RECONSTRUCT)
+NOISY_RECONSTRUCT = {
+    **TINY_RECONSTRUCT,
+    "truth": [{"x": [0.3, 0.4], "beta": 5.0}, {"x": [0.7, 0.6], "beta": -3.0}],
+    "mesh_n": 16,
+    "noise_level": 0.05,
+}
+
+
+def test_verbose_logs_one_line_per_iteration(tmp_path, capsys, monkeypatch):
+    # reconstruct solves the n/2 lattice first (taken at n = 16 here, to
+    # keep the test small): its pdap lines and its `level n=8` line come
+    # before those of the n level. log.csv row 0 is the empty measure the
+    # seeded n level starts from, and the n level's pdap lines match the
+    # rows after it, row for row.
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
+    path = write_config(tmp_path, NOISY_RECONSTRUCT)
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
     assert main(["reconstruct", "--config", path, "--out", str(quiet)]) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
     assert main(["reconstruct", "--config", path, "--out", str(loud), "-v"]) == 0
     verbose = capsys.readouterr()
-    rows = (loud / "log.csv").read_text().splitlines()[1:]
+    start, *rows = (loud / "log.csv").read_text().splitlines()[1:]
+    assert start.split(",")[:2] == ["0", "nan"]
     levels, iterations = [], []
     for line in verbose.err.splitlines():
         kind, *items = line.split()
@@ -207,10 +219,9 @@ def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
         levels.append((int(fields["n"]), int(fields["seeds"]), iterations))
         iterations = []
     assert iterations == []
-    assert [(n, seeds > 0) for n, seeds, _ in levels] == [(4, False), (8, True)]
-    # The on-grid atom's seeded n level is certified by its first adjoint.
+    assert [(n, seeds > 0) for n, seeds, _ in levels] == [(8, False), (16, True)]
     coarse, fine = levels[0][2], levels[1][2]
-    assert len(coarse) >= 2 and len(fine) == len(rows) == 1
+    assert len(coarse) >= 2 and len(fine) == len(rows) >= 2
     for fields, row in zip(fine, rows):
         n, _, _, support, _, _, inserted = row.split(",")
         assert (fields["n"], fields["support"], fields["inserted"]) == (
@@ -220,16 +231,13 @@ def test_verbose_logs_one_line_per_iteration(tmp_path, capsys):
     assert artifact_bytes(loud) == artifact_bytes(quiet)
 
 
-NOISY_RECONSTRUCT = {
-    **TINY_RECONSTRUCT,
-    "truth": [{"x": [0.3, 0.4], "beta": 5.0}, {"x": [0.7, 0.6], "beta": -3.0}],
-    "mesh_n": 16,
-    "noise_level": 0.05,
-}
-
-
 def cold_run(tmp_path, capsys, monkeypatch, payload):
-    """Exit code and stdout of reconstruct with the coarse level skipped."""
+    """Exit code and stdout of reconstruct with the coarse level skipped.
+
+    Leaves the two-level path enabled from n = 16 on, for the tests that
+    compare it with the cold run on NOISY_RECONSTRUCT.
+    """
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_coarse_seed", lambda model, u_d, cfg: [])
         path = write_config(tmp_path, payload, "cold.json")
@@ -237,13 +245,25 @@ def cold_run(tmp_path, capsys, monkeypatch, payload):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_reconstruct_without_a_half_lattice_runs_cold(tmp_path, capsys, monkeypatch, n):
+@pytest.mark.parametrize("n", [2, 3, 5, 32, 63])
+def test_reconstruct_below_the_two_level_cutoff_runs_cold(
+    tmp_path, capsys, monkeypatch, n
+):
     calls = record_runs(monkeypatch)
     path = write_config(tmp_path, {**TINY_RECONSTRUCT, "mesh_n": n})
     assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert [(level, seeds) for level, seeds, _ in calls] == [(n, [])]
     assert "support=" in capsys.readouterr().out
+
+
+def test_reconstruct_at_the_two_level_cutoff_seeds_from_half_n(tmp_path, monkeypatch):
+    n = experiments.TWO_LEVEL_MIN_N
+    calls = record_runs(monkeypatch)
+    path = write_config(tmp_path, {**NOISY_RECONSTRUCT, "mesh_n": n})
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    (coarse_n, coarse_seeds, coarse), (fine_n, fine_seeds, _) = calls
+    assert (coarse_n, coarse_seeds, fine_n) == (n // 2, [], n)
+    assert fine_seeds == refine_support(build_uniform(n // 2), coarse.active_nodes)
 
 
 def without_gap(stdout):

@@ -169,7 +169,9 @@ def noisy_config(seed, output_dir=None):
 def test_reconstruct_two_level_matches_cold_solve(monkeypatch, seed):
     # The n level seeded from the n/2 support ends on the optimum that a
     # cold PDAP finds: the same support, the objective to round-off and a
-    # certified gap.
+    # certified gap. The two-level path is taken at n = 16 here, below
+    # the n where it pays, to keep the test small.
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
     real_run = pdap.run
     calls = record_runs(monkeypatch)
     cfg = noisy_config(seed)
@@ -186,9 +188,11 @@ def test_reconstruct_two_level_matches_cold_solve(monkeypatch, seed):
     assert report.gap < cfg.pdap.tol * cold.m0
 
 
-def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
-    # log.csv holds the n level only; its row 0 counts the seed batch, and
-    # the `inserted` column sums to every column the n level propagated.
+def test_reconstruct_log_starts_at_the_empty_measure(tmp_path, monkeypatch):
+    # log.csv holds the n level only. Row 0 is the empty measure the seed
+    # solve starts from, row 1 counts the seed batch, and the `inserted`
+    # column sums to every column the n level propagated.
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
     widths = []
 
     def propagate_load(self, b):
@@ -201,18 +205,24 @@ def test_reconstruct_log_row_zero_counts_the_seeds(tmp_path, monkeypatch):
     cfg = noisy_config(7000, str(tmp_path))
     reconstruct(cfg)
     _, (_, seeds, fine) = calls
-    rows = [line.split(",") for line in (tmp_path / "log.csv").read_text().splitlines()[1:]]
+    start, *rows = [
+        line.split(",") for line in (tmp_path / "log.csv").read_text().splitlines()[1:]
+    ]
+    assert start[0] == "0" and start[1] == "nan" and start[3:] == ["0", "-1", "0", "0"]
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
     inserted = [int(row[-1]) for row in rows]
     assert inserted == [r.inserted for r in fine.log]
     fine_batches = [w for n, w in widths if n == 16][1:]  # after the observation
     assert fine_batches[0] == len(seeds) > 0
     assert inserted[0] >= len(seeds)
     assert sum(inserted) == sum(fine_batches)
-    # Row 0 keeps the empty measure's objective, so the log alone
-    # certifies the solve: the final gap is below tol * M0.
-    assert float(rows[0][2]) == pytest.approx(fine.m0 * cfg.pdap.alpha, rel=1e-15)
-    assert float(rows[0][2]) > fine.objective
-    assert float(rows[-1][1]) < cfg.pdap.tol * float(rows[0][2]) / cfg.pdap.alpha
+    # Every row's objective is that of its own iterate: row 0 the empty
+    # measure's, alpha * M0, and the last row the returned one. So the
+    # log alone certifies the solve: the final gap is below tol * M0.
+    assert float(start[2]) == pytest.approx(fine.m0 * cfg.pdap.alpha, rel=1e-15)
+    assert [float(row[2]) for row in rows] == [r.objective for r in fine.log]
+    assert float(rows[-1][2]) == fine.objective < float(start[2])
+    assert float(rows[-1][1]) < cfg.pdap.tol * float(start[2]) / cfg.pdap.alpha
 
 
 def test_study_time_smoke(tmp_path):
