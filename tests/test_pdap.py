@@ -433,6 +433,29 @@ def test_run_from_any_seed_reaches_the_cold_optimum(data):
             assert b == pytest.approx(weights[node], abs=1e-8 * scale)
 
 
+def test_warm_started_log_keeps_each_row_at_its_own_iterate(tmp_path):
+    # The seeded rows hold the objectives of their own iterates, each
+    # within its gap of the final one; the empty measure the seed solve
+    # starts from is a row of its own, row 0 of log.csv, with j(0) =
+    # alpha * M0 and no gap, as no adjoint is evaluated there.
+    model, u_d, cfg, cold = off_grid_problem()
+    res = pdap.run(model, u_d, cfg, cold.active_nodes[:2])
+    start, records = res.log.start, res.log.records
+    assert len(records) >= 2
+    assert (start.n, start.support_size, start.new_node, start.inserted) == (0, 0, -1, 0)
+    assert math.isnan(start.phi) and start.objective == cfg.alpha * res.m0
+    assert [r.n for r in records] == list(range(1, len(records) + 1))
+    assert records[0].objective < start.objective
+    for r in records:
+        assert r.objective - res.objective <= r.phi + 1e-10
+    assert records[-1].objective == res.objective
+    res.log.write_csv(tmp_path / "log.csv")
+    lines = (tmp_path / "log.csv").read_text().splitlines()
+    assert len(lines) == 2 + len(records)
+    assert lines[1].startswith("0,nan,") and lines[2].startswith("1,")
+    assert cold.log.start is None
+
+
 def test_seed_nodes_must_be_distinct_interior_nodes():
     model = make_model(n=4, M=2)
     u_d = np.ones(model.mesh.num_nodes)
