@@ -32,8 +32,6 @@ from .pdap import (
     IterationLog,
     PdapConfig,
     PdapResult,
-    adjoint_state,
-    objective,
     run,
     select_candidates,
     solve_subproblem,

@@ -147,6 +147,10 @@ def _exit_code(converged):
     return 2
 
 
+# Overflow, invalid operations and division by zero raise FloatingPointError
+# (exit 3, one line) instead of printing numpy warnings; underflow stays
+# silent, as long horizons underflow legitimately.
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def main(argv=None):
     parser = _build_parser()
     try:

@@ -234,23 +234,30 @@ def reconstruct(cfg):
     """Recover the initial measure from the configured observation.
 
     Makes the observation on the n lattice. For an even n of at least
-    TWO_LEVEL_MIN_N it solves the n/2 lattice on the same time grid first
-    (`_coarse_seed`) and seeds the n level's PDAP with that support
-    carried by `refine_support`; other n are solved cold. Lumps
-    clustered atoms within twice the mesh size. The report and the
-    artifacts (measure.json, measure_lumped.json, log.csv, field.csv,
-    written to cfg.output_dir when set) describe the n level only; row 0
-    of a seeded level's log.csv is the empty measure and row 1 counts the
-    seed columns. Solver non-convergence is reported in the result, not
-    raised.
+    TWO_LEVEL_MIN_N it first solves the n/2 lattice on the same time grid,
+    as a level of `study_space` (`_space_level`), and seeds the n level's
+    PDAP with that support, converged or not, carried by
+    `refine_support`; a coarse SolverFailure gives no seed. Other n are
+    solved cold. Lumps clustered atoms within twice the mesh size. The
+    report and the artifacts (measure.json, measure_lumped.json, log.csv,
+    field.csv, written to cfg.output_dir when set) describe the n level
+    only; row 0 of a seeded level's log.csv is the empty measure and row
+    1 counts the seed columns. Solver non-convergence is reported in the
+    result, not raised.
     """
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
     mesh = build_uniform(n)
     model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
     u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
-    two_level = n % 2 == 0 and n >= TWO_LEVEL_MIN_N
-    seed_nodes = _coarse_seed(model, u_d, cfg) if two_level else []
+    seed_nodes = []
+    if n % 2 == 0 and n >= TWO_LEVEL_MIN_N:
+        coarse_mesh = build_uniform(n // 2)
+        try:
+            _, active, _ = _space_level(coarse_mesh, model, model.mass @ u_d, cfg, [])
+            seed_nodes = refine_support(coarse_mesh, active)
+        except SolverFailure:
+            pass
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     report = ReconstructionReport(
@@ -269,36 +276,6 @@ def reconstruct(cfg):
         result.log.write_csv(os.path.join(cfg.output_dir, "log.csv"))
         field_to_csv(mesh, result.state, os.path.join(cfg.output_dir, "field.csv"))
     return report
-
-
-def _coarse_seed(model, u_d, cfg):
-    """Seed for `model`'s PDAP from a solve on the lattice of half its n.
-
-    The data is carried down as in `study_space` (`_coarse_data`) and the
-    coarse level solved from no seeds on the same time grid; its support,
-    converged or not, is carried up by `refine_support`. A coarse
-    SolverFailure gives no seed, so the fine level is solved cold. The
-    coarse model and its slab LU are freed when this call returns.
-    """
-    coarse_mesh = build_uniform(model.mesh.n // 2)
-    coarse = HeatModel(coarse_mesh, model.grid, model.order)
-    interp = interpolation_matrix(coarse_mesh, model.mesh)
-    u_d_coarse = _coarse_data(coarse, interp, model.mass @ u_d)
-    try:
-        result = _solve_level(f"n={coarse_mesh.n}", coarse, u_d_coarse, cfg, [])
-    except SolverFailure:
-        return []
-    return refine_support(coarse_mesh, result.active_nodes)
-
-
-def _coarse_data(coarse_model, interp, fine_mass_load):
-    """The L2 data of a nested finer lattice, represented on a coarse one.
-
-    `fine_mass_load` is M u_d on the fine lattice and `interp` the
-    interpolation from the coarse lattice onto it; the mass-orthogonal
-    projection leaves the optimality system unchanged on nested meshes.
-    """
-    return spd_solve(coarse_model.mass, interp.T @ fine_mass_load)
 
 
 def _nested_meshes(ns):
@@ -330,25 +307,22 @@ def _solve_level(label, model, u_d, cfg, seed_nodes):
     return result
 
 
-def _coarse_to_fine(levels, solve_level, carry):
-    """Solve refinement levels in ascending order, each seeded by the last.
+def _space_level(mesh, ref_model, ud_ref_m, cfg, seed_nodes):
+    """One level of a spatial refinement on a lattice nested in ref_model's.
 
-    `solve_level(level, seed_nodes)` returns the level's (state,
-    active_nodes, converged); it runs as a call of its own, so the level's
-    model and slab LU are freed before the next level is built.
-    `carry(level, nodes)` maps a support of `level` to the next level's
-    node numbering. The discrete optimal controls converge to the same
-    finite sum of Dirac measures, so each support is a near-optimal
-    active set for the next level. Returns the states, whether every
-    level converged, and the seed for the level after the last.
+    Builds the level's model on the reference time grid, carries the data
+    down from `ud_ref_m` (M u_d on the reference lattice) by the
+    mass-orthogonal projection, which leaves the optimality system
+    unchanged on nested meshes, and solves it from `seed_nodes`. Returns
+    the optimal state interpolated onto the reference lattice, the active
+    nodes and whether the solve converged. The level's model and slab LU
+    are freed when this call returns.
     """
-    states, converged, seed_nodes = [], True, []
-    for level in levels:
-        state, active, ok = solve_level(level, seed_nodes)
-        states.append(state)
-        converged = converged and ok
-        seed_nodes = carry(level, active)
-    return states, converged, seed_nodes
+    model = HeatModel(mesh, ref_model.grid, ref_model.order)
+    interp = interpolation_matrix(mesh, ref_model.mesh)
+    u_d = spd_solve(model.mass, interp.T @ ud_ref_m)
+    result = _solve_level(f"n={mesh.n}", model, u_d, cfg, seed_nodes)
+    return interp @ result.state, result.active_nodes, result.converged
 
 
 def study_space(cfg):
@@ -367,23 +341,18 @@ def study_space(cfg):
     """
     meshes = _nested_meshes(_levels(cfg.mesh_n))
     M = _single(cfg.time_steps, "time_steps")
-    grid = TimeGrid(cfg.T, M)
 
     ref_mesh = meshes[-1]
-    ref_model = HeatModel(ref_mesh, grid, cfg.dg_order)
+    ref_model = HeatModel(ref_mesh, TimeGrid(cfg.T, M), cfg.dg_order)
     u_d_ref = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
     ud_ref_m = ref_model.mass @ u_d_ref
 
-    def solve_level(mesh, seed_nodes):
-        model = HeatModel(mesh, grid, cfg.dg_order)
-        interp = interpolation_matrix(mesh, ref_mesh)
-        u_d = _coarse_data(model, interp, ud_ref_m)
-        result = _solve_level(f"n={mesh.n}", model, u_d, cfg, seed_nodes)
-        return interp @ result.state, result.active_nodes, result.converged
-
-    states, converged, seed_nodes = _coarse_to_fine(
-        meshes[:-1], solve_level, refine_support
-    )
+    states, converged, seed_nodes = [], True, []
+    for mesh in meshes[:-1]:
+        state, active, ok = _space_level(mesh, ref_model, ud_ref_m, cfg, seed_nodes)
+        states.append(state)
+        converged = converged and ok
+        seed_nodes = refine_support(mesh, active)
     ref_result = _solve_level(f"n={ref_mesh.n}", ref_model, u_d_ref, cfg, seed_nodes)
     errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     params = [m.h for m in meshes[:-1]]
@@ -408,13 +377,16 @@ def study_time(cfg):
     u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
 
     def solve_level(M, seed_nodes):
+        # A call of its own, so the level's slab LU is freed on return.
         model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
         result = _solve_level(f"M={M}", model, u_d, cfg, seed_nodes)
         return result.state, result.active_nodes, result.converged
 
-    states, converged, seed_nodes = _coarse_to_fine(
-        Ms[:-1], solve_level, lambda M, nodes: nodes
-    )
+    states, converged, seed_nodes = [], True, []
+    for M in Ms[:-1]:
+        state, seed_nodes, ok = solve_level(M, seed_nodes)
+        states.append(state)
+        converged = converged and ok
     ref_result = _solve_level(f"M={Ms[-1]}", ref_model, u_d, cfg, seed_nodes)
     errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     params = [cfg.T / M for M in Ms[:-1]]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverFailure
-from .measures import PRUNE_TOL, DiscreteMeasure, tv_norm
-from .timestepping import adjoint_dirac, forward_dirac
+from .measures import PRUNE_TOL, DiscreteMeasure
+from .timestepping import adjoint_dirac
 
 # Nodes activated per outer iteration at most, the argmax node included.
 MAX_INSERTIONS = 4
@@ -123,18 +123,6 @@ class PdapResult:
     coefficients: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def objective(model, u_d, q, alpha):
-    """0.5 ||S q - u_d||^2 + alpha TV(q), recomputed from scratch."""
-    resid = forward_dirac(model, q) - u_d
-    sq = float(resid @ (model.mass @ resid))
-    return 0.5 * max(sq, 0.0) + alpha * tv_norm(q)
-
-
-def adjoint_state(model, u_d, q):
-    """Initial adjoint trace S*(S q - u_d) as nodal values."""
-    return adjoint_dirac(model, forward_dirac(model, q) - u_d)
-
-
 def select_candidates(z, mass, interior, active, alpha):
     """Nodes to activate for the adjoint nodal values z, argmax node first.
 
@@ -171,11 +159,6 @@ def select_candidates(z, mass, interior, active, alpha):
         nodes.append(int(cand[i]))
         vals[i] = -1.0
     return nodes
-
-
-def _gap_forms(pairing, tv, zmax, alpha, m0):
-    """Identity and general gap forms from <z0, q>, TV(q) and max |z0|."""
-    return m0 * (zmax - alpha), pairing + alpha * tv + m0 * max(zmax - alpha, 0.0)
 
 
 def _subgradient_residual(G, c, alpha, beta):
@@ -312,8 +295,10 @@ def run(model, u_d, config, seed_nodes=()):
     cached, and the returned terminal state is assembled from them. When
     the argmax node is already active the gap stems from subproblem
     inexactness, so the subproblem tolerance is tightened and nothing is
-    inserted. Stops when the gap falls below config.tol * M0; hitting the
-    iteration cap returns the current iterate flagged as non-converged.
+    inserted. Every iterate q, seeded or not, is certified by the gap
+    phi = <z, q> + alpha TV(q) + M0 max(max_node |z| - alpha, 0). Stops
+    when phi falls below config.tol * M0; hitting the iteration cap
+    returns the current iterate flagged as non-converged.
     Logs one progress line per iteration to the "sparseheat" logger at
     INFO level.
 
@@ -426,18 +411,8 @@ def run(model, u_d, config, seed_nodes=()):
         z = adjoint_dirac(model, state - u_d)
         zi = z[interior]
         zmax = float(np.abs(zi).max()) if zi.size else 0.0
-        pairing = 0.0
-        if beta.size:
-            pos = np.searchsorted(interior, np.asarray(active))
-            pairing = float(beta @ zi[pos])
-        identity, general = _gap_forms(
-            pairing, float(np.abs(beta).sum()), zmax, alpha, m0
-        )
-        # The identity form applies after a subproblem solve, which every
-        # iterate but the cold start follows; it only drops below the
-        # general form when the iterate is already optimal with slack
-        # (max |z| < alpha), where the certificate is zero.
-        phi = general if n == 0 and not seed_nodes else max(identity, general)
+        pairing = float(beta @ zi[np.searchsorted(interior, active)])
+        phi = pairing + alpha * float(np.abs(beta).sum()) + m0 * max(zmax - alpha, 0.0)
 
         if m0 == 0.0 or phi < tol_abs:
             record(n, phi, j, len(active), -1, 0, 0)

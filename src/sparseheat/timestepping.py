@@ -69,10 +69,6 @@ class HeatModel:
         self.stiff_int = interior_stiffness(mesh)
         self._slab_lu = None
 
-    @property
-    def n_interior(self):
-        return self.interior.size
-
     def _step(self, f):
         if self._slab_lu is None:
             sigma = _POLES[self.order][0]

@@ -5,7 +5,9 @@ tests and of criterion 4; `match_supports` scores a recovered measure
 against the truth for the recovery tests and criterion 10;
 `load_measure` reads back the measure.json that
 `sparseheat.measures.save_measure` writes; `record_runs` records the
-PDAP solves of a driver, level by level.
+PDAP solves of a driver, level by level; `objective` and
+`adjoint_state` recompute the reduced objective and the adjoint trace of
+a measure from scratch, as oracles for the solver.
 """
 
 import json
@@ -15,7 +17,8 @@ import numpy as np
 
 from sparseheat import pdap
 from sparseheat.fem import delta_load
-from sparseheat.measures import PRUNE_TOL, DiscreteMeasure
+from sparseheat.measures import PRUNE_TOL, DiscreteMeasure, tv_norm
+from sparseheat.timestepping import adjoint_dirac, forward_dirac
 
 
 def project_to_nodes(mesh, q):
@@ -30,6 +33,18 @@ def project_to_nodes(mesh, q):
     mask = np.abs(weights[interior]) > PRUNE_TOL
     idx = interior[mask]
     return DiscreteMeasure(mesh.nodes[idx], weights[idx])
+
+
+def objective(model, u_d, q, alpha):
+    """0.5 ||S q - u_d||^2 + alpha TV(q), recomputed from scratch."""
+    resid = forward_dirac(model, q) - u_d
+    sq = float(resid @ (model.mass @ resid))
+    return 0.5 * max(sq, 0.0) + alpha * tv_norm(q)
+
+
+def adjoint_state(model, u_d, q):
+    """Initial adjoint trace S*(S q - u_d) as nodal values."""
+    return adjoint_dirac(model, forward_dirac(model, q) - u_d)
 
 
 def load_measure(path):

@@ -45,7 +45,7 @@ from sparseheat.timestepping import (
     pade_step_oracle,
 )
 
-from measure_helpers import match_supports, project_to_nodes
+from measure_helpers import match_supports, objective, project_to_nodes
 
 TRUTH = DiscreteMeasure(
     [[0.263091083266217, 0.258378565204941], [0.76061544960808, 0.734190309666141]],
@@ -466,7 +466,7 @@ def test_criterion_10_true_support_is_not_optimal():
     G = np.array([[l2_inner(model.mass, a, b) for b in cols] for a in cols])
     c = np.array([l2_inner(model.mass, col, u_d) for col in cols])
     beta, _ = pdap.solve_subproblem(G, c, alpha, np.zeros(2), 1e-12, 100)
-    on_truth = pdap.objective(model, u_d, DiscreteMeasure(truth.positions, beta), alpha)
+    on_truth = objective(model, u_d, DiscreteMeasure(truth.positions, beta), alpha)
     m0 = 0.5 * l2_norm(model.mass, u_d) ** 2 / alpha
     ok = (
         report_out.converged

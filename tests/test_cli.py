@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -234,12 +236,13 @@ def test_verbose_logs_one_line_per_iteration(tmp_path, capsys, monkeypatch):
 def cold_run(tmp_path, capsys, monkeypatch, payload):
     """Exit code and stdout of reconstruct with the coarse level skipped.
 
-    Leaves the two-level path enabled from n = 16 on, for the tests that
-    compare it with the cold run on NOISY_RECONSTRUCT.
+    The cutoff is raised above n for the cold run only, then left at
+    n = 16, for the tests that compare the two-level path with the cold
+    run on NOISY_RECONSTRUCT.
     """
     monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_coarse_seed", lambda model, u_d, cfg: [])
+        patch.setattr(experiments, "TWO_LEVEL_MIN_N", payload["mesh_n"] + 1)
         path = write_config(tmp_path, payload, "cold.json")
         code = main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")])
     return code, capsys.readouterr().out
@@ -451,6 +454,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "reconstruct" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "override, code, prefix",
+    [
+        ({"noise_level": 1e300}, 3, "numerical failure: overflow"),
+        ({"truth": [{"x": [0.5, 0.5], "beta": 1e300}]}, 3, "numerical failure: overflow"),
+        ({"T": 100.0}, 0, None),  # underflows, legitimately
+    ],
+    ids=["noise_level", "truth_beta", "long_horizon"],
+)
+def test_floating_point_failure_is_one_stderr_line(tmp_path, override, code, prefix):
+    # In a subprocess: in process, pytest records numpy's RuntimeWarnings,
+    # so a warning that leaks to stderr would not show.
+    path = write_config(tmp_path, {**TINY_RECONSTRUCT, **override})
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparseheat", "reconstruct", "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    if prefix is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
 
 # A small grammar of command lines and configs: valid configs with every

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,24 @@ def test_reconstruct_log_starts_at_the_empty_measure(tmp_path, monkeypatch):
     assert [float(row[2]) for row in rows] == [r.objective for r in fine.log]
     assert float(rows[-1][2]) == fine.objective < float(start[2])
     assert float(rows[-1][1]) < cfg.pdap.tol * float(start[2]) / cfg.pdap.alpha
+
+
+def test_reconstruct_coarse_level_gets_the_study_space_data(monkeypatch):
+    # reconstruct's n/2 level is a level of study_space: for one
+    # observation both carry the data down to n/2 bit for bit alike.
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
+    data, real_run = [], pdap.run
+
+    def run(model, u_d, config, seed_nodes=()):
+        data.append((model.mesh.n, u_d.copy()))
+        return real_run(model, u_d, config, seed_nodes)
+
+    monkeypatch.setattr(pdap, "run", run)
+    cfg = noisy_config(20)
+    reconstruct(cfg)
+    study_space(replace(cfg, mesh_n=[4, 8, 16]))
+    assert [n for n, _ in data] == [8, 16, 4, 8, 16]
+    assert np.array_equal(data[0][1], data[3][1])
 
 
 def test_study_time_smoke(tmp_path):

@@ -283,6 +283,10 @@ def test_l2_inner_norm_basics():
     u = rng.standard_normal(mesh.num_nodes)
     v = rng.standard_normal(mesh.num_nodes)
     assert l2_inner(M, u, v) == l2_inner(M, v, u)
+    # Scaling by 2 and by 0.25 is exact, so u'Mu evaluated once equals the
+    # polarization identity, whose halves are 2u and the zero vector.
+    for w in (u, 1e-20 * v, 1e20 * v):
+        assert l2_norm(M, w) == np.sqrt(l2_inner(M, w, w))
     with pytest.raises(ValueError):
         l2_inner(M, u, v[:-1])
 

@@ -29,6 +29,8 @@ from sparseheat.pdap import (
 )
 from sparseheat.timestepping import HeatModel, TimeGrid, forward_dirac
 
+from measure_helpers import adjoint_state, objective
+
 
 def make_model(n=8, M=8, r=0):
     return HeatModel(build_uniform(n), TimeGrid(0.1, M), r)
@@ -163,7 +165,7 @@ def heat_model(T):
 def heat_column(T, i, j):
     """S(delta) at interior lattice node (i, j), on interior nodes."""
     model = heat_model(T)
-    load = np.zeros(model.n_interior)
+    load = np.zeros(model.interior.size)
     load[i * (HEAT_LATTICE - 1) + j] = 1.0
     return model.propagate_load(load)
 
@@ -363,7 +365,7 @@ def test_two_sources_enter_in_one_batched_propagation(monkeypatch):
     )
     res = pdap.run(model, u_d, PdapConfig(alpha=1e-3, tol=1e-8))
     assert res.converged
-    assert loads == [(model.n_interior, 2)]
+    assert loads == [(model.interior.size, 2)]
     assert len(adjoints) == len(res.log) == 2
     assert [r.inserted for r in res.log] == [2, 0]
     assert sorted(res.measure.positions.tolist()) == sorted(truth.positions.tolist())
@@ -402,7 +404,7 @@ def test_seed_with_the_optimal_support_stops_after_one_adjoint(monkeypatch):
     assert res.m0 == cold.m0
     assert len(adjoints) == len(res.log) == 1
     # The seed columns go out in one batch and count in row 0.
-    assert loads == [(model.n_interior, len(cold.active_nodes))]
+    assert loads == [(model.interior.size, len(cold.active_nodes))]
     assert res.log.records[0].inserted == len(cold.active_nodes)
     assert res.active_nodes == cold.active_nodes
     scale = np.abs(cold.state).max()
@@ -488,19 +490,27 @@ def primal_dual_gap(mesh, q, z0, alpha, m0, form="identity"):
 
 def test_gap_forms_agree_after_subproblem():
     # Use a weight small enough that the solution keeps a nonzero support,
-    # so the closed gap form applies at the final iterate.
+    # so the closed gap form applies at the final iterate. The second run
+    # is warm-started from every other node of the first run's support.
     model = make_model(n=8, M=4)
     rng = np.random.default_rng(1)
     u_d = rng.standard_normal(model.mesh.num_nodes)
     cfg = PdapConfig(alpha=0.01, tol=1e-10, max_outer_iterations=60)
-    res = pdap.run(model, u_d, cfg)
-    assert len(res.measure) > 0
-    z = pdap.adjoint_state(model, u_d, res.measure)
-    ident = primal_dual_gap(model.mesh, res.measure, z, cfg.alpha, res.m0, form="identity")
-    general = primal_dual_gap(model.mesh, res.measure, z, cfg.alpha, res.m0, form="general")
-    assert ident == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
-    assert res.gap == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
-    assert all(r.phi >= -1e-12 for r in res.log.records)
+    cold = pdap.run(model, u_d, cfg)
+    warm = pdap.run(model, u_d, cfg, cold.active_nodes[::2])
+    assert warm.log.start is not None
+    for res in (cold, warm):
+        assert len(res.measure) > 0
+        z = adjoint_state(model, u_d, res.measure)
+        ident = primal_dual_gap(
+            model.mesh, res.measure, z, cfg.alpha, res.m0, form="identity"
+        )
+        general = primal_dual_gap(
+            model.mesh, res.measure, z, cfg.alpha, res.m0, form="general"
+        )
+        assert ident == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
+        assert res.gap == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
+        assert all(r.phi >= -1e-12 for r in res.log.records)
 
 
 def test_gap_zero_when_max_equals_alpha():
@@ -558,7 +568,7 @@ def test_run_objective_matches_recompute():
     u_d = rng.standard_normal(model.mesh.num_nodes)
     cfg = PdapConfig(alpha=0.05, tol=1e-9)
     res = pdap.run(model, u_d, cfg)
-    recomputed = pdap.objective(model, u_d, res.measure, cfg.alpha)
+    recomputed = objective(model, u_d, res.measure, cfg.alpha)
     assert res.objective == pytest.approx(recomputed, rel=1e-10, abs=1e-12)
     state = forward_dirac(model, res.measure)
     assert np.allclose(res.state, state, rtol=1e-12, atol=1e-14)
@@ -577,7 +587,7 @@ def test_objective_of_empty_measure():
     model = make_model(n=4, M=2)
     rng = np.random.default_rng(8)
     u_d = rng.standard_normal(model.mesh.num_nodes)
-    val = pdap.objective(model, u_d, DiscreteMeasure(), alpha=0.3)
+    val = objective(model, u_d, DiscreteMeasure(), alpha=0.3)
     assert val == pytest.approx(0.5 * l2_norm(model.mass, u_d) ** 2, rel=1e-12)
     assert val >= 0.0
 
@@ -586,7 +596,7 @@ def test_adjoint_state_zero_control():
     model = make_model(n=4, M=2)
     rng = np.random.default_rng(5)
     u_d = rng.standard_normal(model.mesh.num_nodes)
-    z = pdap.adjoint_state(model, u_d, DiscreteMeasure())
+    z = adjoint_state(model, u_d, DiscreteMeasure())
     from sparseheat.timestepping import adjoint_dirac
 
     assert np.allclose(z, adjoint_dirac(model, -u_d), atol=1e-14)

@@ -194,10 +194,10 @@ def test_propagations_factor_one_interior_matrix(monkeypatch):
 
     monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
     model = make_model(n=8, M=4, r=1)
-    b = np.random.default_rng(5).standard_normal(model.n_interior)
+    b = np.random.default_rng(5).standard_normal(model.interior.size)
     model.propagate_load(b)
     model.propagate_adjoint(b)
-    assert shapes == [(model.n_interior, model.n_interior)]
+    assert shapes == [(model.interior.size, model.interior.size)]
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -206,7 +206,7 @@ def test_batched_propagation_matches_columnwise(r, M):
     # PDAP propagates several new columns in one (N, k) call; each column
     # must equal its own single-vector propagation.
     model = make_model(n=8, M=M, r=r)
-    loads = np.random.default_rng(6).standard_normal((model.n_interior, 4))
+    loads = np.random.default_rng(6).standard_normal((model.interior.size, 4))
     for propagate in (model.propagate_load, model.propagate_adjoint):
         batched = propagate(loads)
         assert batched.shape == loads.shape
@@ -230,7 +230,7 @@ def test_factorizations_keep_minimum_degree_fill(monkeypatch):
     monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
     for r in (0, 1):
         model = make_model(n=64, M=2, r=r)
-        model.propagate_load(np.ones(model.n_interior))
+        model.propagate_load(np.ones(model.interior.size))
     spd_solve(model.mass, np.ones(model.mass.shape[0]))
     slab_dg0, slab_dg1, mass = fills
     assert slab_dg0 <= 200_000
