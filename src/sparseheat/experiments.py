@@ -255,9 +255,10 @@ def reconstruct(cfg):
         coarse_mesh = build_uniform(n // 2)
         try:
             _, active, _ = _space_level(coarse_mesh, model, model.mass @ u_d, cfg, [])
-            seed_nodes = refine_support(coarse_mesh, active)
         except SolverFailure:
             pass
+        else:
+            seed_nodes = refine_support(coarse_mesh, active)
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     report = ReconstructionReport(
