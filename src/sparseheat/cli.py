@@ -140,8 +140,8 @@ def _exit_code(converged):
     if converged:
         return 0
     print(
-        "not converged: a PDAP solve stopped at max_outer_iterations "
-        "with its gap above tol * M0",
+        "not converged: a PDAP solve stopped with its gap above tol * M0, "
+        "at max_outer_iterations or with its argmax node already active",
         file=sys.stderr,
     )
     return 2

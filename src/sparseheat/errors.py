@@ -14,11 +14,4 @@ class NumericalError(RuntimeError):
 
 
 class SolverFailure(NumericalError):
-    """An iterative solver exhausted its iteration budget.
-
-    Carries the best iterate found so far in ``best_coefficients``.
-    """
-
-    def __init__(self, message, best_coefficients=None):
-        super().__init__(message)
-        self.best_coefficients = best_coefficients
+    """An iterative solver exhausted its iteration budget."""

@@ -40,7 +40,9 @@ class PdapConfig:
     The outer loop stops once the gap drops below tol * M0, where
     M0 = j(0)/alpha is the gap scale, j(0) being the objective of the
     empty measure, or after
-    max_outer_iterations iterations without convergence.
+    max_outer_iterations iterations without convergence. Since j(q) - j*
+    is at most the gap, tol must be below alpha: otherwise the stop
+    certifies nothing better than j(q) <= j(0).
     """
 
     alpha: float
@@ -52,6 +54,8 @@ class PdapConfig:
             raise ValueError("alpha must be positive")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite positive number, got {self.tol}")
+        if self.tol >= self.alpha:
+            raise ValueError(f"tol must be below alpha = {self.alpha:g}, got {self.tol:g}")
         if self.max_outer_iterations < 0:
             raise ValueError("max_outer_iterations must be nonnegative")
 
@@ -183,37 +187,45 @@ def _sign_pattern_solve(G, c, alpha, idx, theta):
     return x
 
 
-def _feature_sign_search(G, c, alpha, beta0, tol, max_iter):
-    """Active-set semismooth Newton with sign line search (feature-sign search).
+def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
+    """Minimize 0.5 b'Gb - c'b + alpha |b|_1 over the active coefficients.
 
-    Each step solves the restriction to the current sign pattern exactly
-    and damps along the segment to the new point, stopping at the first
-    sign flip when the full step is infeasible. Finitely convergent and
-    stable on strongly correlated columns.
+    Feature-sign search (Lee, Battle, Raina & Ng, NIPS 2007): each step
+    solves the smooth restriction to one sign pattern exactly, adding the
+    most violating inactive coefficient once the pattern is stationary,
+    and damps along the segment to the first sign flip, so it converges
+    finitely. The exact solves keep it reliable on the Gram matrices of
+    heat columns at neighbouring nodes, whose condition numbers exceed
+    1e8 and defeat plain first-order methods. Returns (beta, steps), with
+    steps 0 when beta0 already meets `tol`. Raises SolverFailure when the
+    first-order residual is still above `tol` after `max_iter` steps.
     """
+    G = np.asarray(G, dtype=float)
+    c = np.asarray(c, dtype=float)
+    beta = np.asarray(beta0, dtype=float).copy()
+    # Guard against tolerances below the floating-point floor of G@b - c.
+    tol = max(tol, 1e-14 * max(1.0, float(np.abs(c).max(initial=0.0))))
 
     def f(b):
         return 0.5 * b @ G @ b - c @ b + alpha * np.abs(b).sum()
 
-    beta = beta0.copy()
-    best, fbest = beta.copy(), f(beta)
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
+        residual = _subgradient_residual(G, c, alpha, beta)
+        if residual <= tol:
+            return beta, it
+        if it == max_iter:
+            raise SolverFailure(
+                f"subproblem stalled after {it} iterations at residual "
+                f"{residual:.3e} (tol {tol:.3e}, m={c.size}, "
+                f"cond(G)={np.linalg.cond(G):.3e})"
+            )
         g = G @ beta - c
         active = beta != 0.0
         grow = -1
-        act_res = (
-            float(np.abs(g + alpha * np.sign(beta))[active].max())
-            if active.any()
-            else 0.0
-        )
-        if act_res <= tol:
-            off_grad = np.where(active, -np.inf, np.abs(g))
-            i0 = int(np.argmax(off_grad)) if (~active).any() else -1
-            if i0 < 0 or off_grad[i0] <= alpha + tol:
-                return beta, it, _subgradient_residual(G, c, alpha, beta) <= tol
-            grow = i0
-            active = active.copy()
-            active[i0] = True
+        if not active.any() or np.abs(g + alpha * np.sign(beta))[active].max() <= tol:
+            # The pattern is stationary, so the residual lies off it.
+            grow = int(np.argmax(np.where(active, -np.inf, np.abs(g))))
+            active[grow] = True
         idx = np.flatnonzero(active)
         theta = np.sign(beta[idx])
         if grow >= 0:
@@ -237,49 +249,9 @@ def _feature_sign_search(G, c, alpha, beta0, tol, max_iter):
             ft = f(trial)
             if fmin is None or ft < fmin:
                 fmin, tstar, jstar = ft, t, j
-        beta = beta.copy()
         beta[idx] = cur + tstar * (b_new - cur)
         if jstar >= 0:
             beta[idx[jstar]] = 0.0
-        if fmin < fbest:
-            best, fbest = beta.copy(), fmin
-        if _subgradient_residual(G, c, alpha, beta) <= tol:
-            return beta, it, True
-    return best, max_iter, False
-
-def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
-    """Minimize 0.5 b'Gb - c'b + alpha |b|_1 over the active coefficients.
-
-    Feature-sign search (Lee, Battle, Raina & Ng, NIPS 2007): each step
-    solves the smooth restriction to one sign pattern exactly and damps
-    along the segment to the first sign flip, so it converges finitely.
-    The exact solves keep it reliable on the Gram matrices of heat columns
-    at neighbouring nodes, whose condition numbers exceed 1e8 and defeat
-    plain first-order methods. Returns (beta, iterations). Raises
-    SolverFailure, with the best iterate in `best_coefficients`, when the
-    first-order residual is still above `tol` after `max_iter` steps.
-    """
-    G = np.asarray(G, dtype=float)
-    c = np.asarray(c, dtype=float)
-    beta = np.asarray(beta0, dtype=float).copy()
-    if c.size == 0:
-        return beta, 0
-    # Guard against tolerances below the floating-point floor of G@b - c.
-    tol = max(tol, 1e-14 * max(1.0, float(np.abs(c).max())))
-    if _subgradient_residual(G, c, alpha, beta) <= tol:
-        return beta, 0
-    if float(np.linalg.eigvalsh(G)[-1]) <= 0.0:
-        return np.zeros_like(beta), 0
-
-    beta, iters, ok = _feature_sign_search(G, c, alpha, beta, tol, max_iter)
-    if not ok:
-        raise SolverFailure(
-            f"subproblem stalled after {iters} iterations at residual "
-            f"{_subgradient_residual(G, c, alpha, beta):.3e} (tol {tol:.3e}, "
-            f"m={c.size}, cond(G)={np.linalg.cond(G):.3e})",
-            best_coefficients=beta,
-        )
-    return beta, iters
 
 
 def run(model, u_d, config, seed_nodes=()):
@@ -292,13 +264,14 @@ def run(model, u_d, config, seed_nodes=()):
     the argmax node of |z| and up to MAX_INSERTIONS - 1 inactive local
     maxima of |z| above alpha (`select_candidates`); their columns
     S(delta_node) are propagated together in one batched solve and
-    cached, and the returned terminal state is assembled from them. When
-    the argmax node is already active the gap stems from subproblem
-    inexactness, so the subproblem tolerance is tightened and nothing is
-    inserted. Every iterate q, seeded or not, is certified by the gap
+    cached, and the returned terminal state is assembled from them. Every
+    iterate q, seeded or not, is certified by the gap
     phi = <z, q> + alpha TV(q) + M0 max(max_node |z| - alpha, 0). Stops
-    when phi falls below config.tol * M0; hitting the iteration cap
-    returns the current iterate flagged as non-converged.
+    when phi falls below config.tol * M0. Otherwise it returns the
+    current iterate flagged as non-converged once the iteration cap is
+    hit or the argmax node is already active: the subproblem is solved
+    exactly on its sign pattern, so the gap is then at round-off and no
+    further iteration can lower it.
     Logs one progress line per iteration to the "sparseheat" logger at
     INFO level.
 
@@ -390,7 +363,6 @@ def run(model, u_d, config, seed_nodes=()):
     j = current_objective()
     m0 = j / alpha
     tol_abs = config.tol * m0
-    sub_tol = SUBPROBLEM_TOL
     log = IterationLog()
     converged = False
     seed_iters = 0
@@ -398,7 +370,7 @@ def run(model, u_d, config, seed_nodes=()):
         log.start = IterationRecord(0, float("nan"), j, 0, -1, 0, 0)
         add_nodes(seed_nodes)
         beta, seed_iters = solve_subproblem(
-            G, c, alpha, beta, sub_tol, SUBPROBLEM_MAX_ITERATIONS
+            G, c, alpha, beta, SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERATIONS
         )
         prune()
         j = current_objective()
@@ -418,25 +390,19 @@ def run(model, u_d, config, seed_nodes=()):
             record(n, phi, j, len(active), -1, 0, 0)
             converged = True
             break
-        if n == config.max_outer_iterations:
+        nodes = select_candidates(z, model.mass, interior, active, alpha)
+        if n == config.max_outer_iterations or nodes[0] in active:
             record(n, phi, j, len(active), -1, 0, 0)
             break
 
-        nodes = select_candidates(z, model.mass, interior, active, alpha)
         support_before = len(active)
-        if nodes[0] in active:
-            # Gap now stems from subproblem inexactness; tighten and re-solve.
-            sub_tol *= 0.1
-            inserted = 0
-        else:
-            add_nodes(nodes)
-            inserted = len(nodes)
+        add_nodes(nodes)
         beta, sub_iters = solve_subproblem(
-            G, c, alpha, beta, sub_tol, SUBPROBLEM_MAX_ITERATIONS
+            G, c, alpha, beta, SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERATIONS
         )
         prune()
 
-        record(n, phi, j, support_before, nodes[0], sub_iters, inserted)
+        record(n, phi, j, support_before, nodes[0], sub_iters, len(nodes))
         j = current_objective()
 
     measure = DiscreteMeasure(model.mesh.nodes[active], beta)

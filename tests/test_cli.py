@@ -130,6 +130,45 @@ def test_non_finite_tol_flag_is_one_line_error(tmp_path, capsys, tol):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "pdap_block, flags, tol",
+    [({"tol": 1e-3}, [], "0.001"), ({"tol": 1e-8}, ["--tol", "0.01"], "0.01")],
+    ids=["config", "flag"],
+)
+def test_tol_not_below_alpha_is_one_line_error(tmp_path, capsys, pdap_block, flags, tol):
+    # The gap bounds j(q) - j*, so a stop at tol * M0 = (tol / alpha) j(0)
+    # with tol >= alpha certifies nothing better than j(q) <= j(0).
+    path = write_config(tmp_path, {**TINY_RECONSTRUCT, "pdap": pdap_block})
+    argv = ["reconstruct", "--config", path, "--out", str(tmp_path / "o"), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: tol must be below alpha = 0.001, got {tol}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "pdap_block",
+    [{"tol": 1e-16}, {"max_outer_iterations": 0}],
+    ids=["argmax_active", "iteration_cap"],
+)
+def test_unconverged_solve_is_one_line_exit_2(tmp_path, capsys, pdap_block):
+    # At tol 1e-16 this two-atom solve reaches round-off and then meets
+    # its argmax node already active, long before the default cap of 200.
+    payload = {
+        **TINY_RECONSTRUCT,
+        "truth": [{"x": [0.3, 0.3], "beta": -10.0}, {"x": [0.7, 0.65], "beta": 25.0}],
+        "mesh_n": 16,
+        "time_steps": 32,
+        "noise_level": 0.05,
+        "pdap": pdap_block,
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "not converged: a PDAP solve stopped with its gap above tol * M0, "
+        "at max_outer_iterations or with its argmax node already active\n"
+    )
+
+
 def test_out_of_memory_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
     def no_memory(n):
         raise MemoryError(f"Unable to allocate mesh arrays for n = {n}")

@@ -19,7 +19,7 @@ from sparseheat import (
 )
 from sparseheat import pdap
 from sparseheat.errors import ConfigError, SolverFailure
-from sparseheat.experiments import config_from_dict
+from sparseheat.experiments import config_from_dict, make_observation
 from sparseheat.pdap import (
     MAX_INSERTIONS,
     PdapConfig,
@@ -39,7 +39,7 @@ def make_model(n=8, M=8, r=0):
 def test_config_validation():
     with pytest.raises(ValueError):
         PdapConfig(alpha=0.0)
-    for tol in (-1.0, float("inf"), float("nan")):
+    for tol in (-1.0, float("inf"), float("nan"), 1.0, 2.0):
         with pytest.raises(ValueError):
             PdapConfig(alpha=1.0, tol=tol)
     with pytest.raises(ValueError):
@@ -228,17 +228,39 @@ def test_subproblem_matches_oracle_on_random_instances():
         assert np.allclose(beta, oracle, atol=1e-9)
 
 
-def test_subproblem_stall_raises_with_best_iterate():
+def test_subproblem_stall_raises_with_its_condition_number():
     offsets = [(0, 0), (0, 1), (1, 0), (1, 1), (-1, 0)]
     weights = [3.0, -2.0, 1.0, 4.0, -1.0]
     G, c, alpha = heat_subproblem(0.1, (7, 7), offsets, weights, 0, 1e-4)
-    beta0 = np.zeros(c.size)
-    with pytest.raises(SolverFailure) as info:
-        solve_subproblem(G, c, alpha, beta0, 1e-11, 1)
-    best = info.value.best_coefficients
-    assert best.shape == (c.size,)
-    assert l1_objective(G, c, alpha, best) < l1_objective(G, c, alpha, beta0)
+    with pytest.raises(SolverFailure, match="subproblem stalled after 1 iterations") as info:
+        solve_subproblem(G, c, alpha, np.zeros(c.size), 1e-11, 1)
     assert "cond(G)" in str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    alpha_frac=st.floats(0.05, 0.9),
+    start=st.sampled_from(["zero", "random", "flipped"]),
+)
+def test_subproblem_reaches_the_oracle_from_any_start(m, seed, alpha_frac, start):
+    # A warm start may carry wrong signs: the previous outer iterate's
+    # coefficients, or an arbitrary guess. Each must end at the optimum.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((10, m))
+    G = A.T @ A
+    c = A.T @ rng.standard_normal(10)
+    alpha = alpha_frac * np.abs(c).max()
+    oracle, res = enumerate_patterns(G, c, alpha)
+    assert res <= 1e-10
+    beta0 = {
+        "zero": np.zeros(m),
+        "random": rng.standard_normal(m),
+        "flipped": -oracle + 0.1 * rng.standard_normal(m),
+    }[start]
+    beta, _ = solve_subproblem(G, c, alpha, beta0, 1e-12, 100)
+    assert np.allclose(beta, oracle, atol=1e-8)
 
 
 def test_subproblem_warm_start_noop():
@@ -581,6 +603,25 @@ def test_run_flags_non_convergence():
     res = pdap.run(model, u_d, PdapConfig(alpha=1e-4, tol=1e-12, max_outer_iterations=1))
     assert not res.converged
     assert len(res.measure) >= 1
+
+
+def test_run_stops_unconverged_once_the_argmax_node_is_active():
+    # tol 1e-16 is below the round-off of the gap. Once the argmax node is
+    # already active the exactly solved subproblem leaves nothing to gain,
+    # so the solve ends there instead of running to the iteration cap.
+    model = HeatModel(build_uniform(16), TimeGrid(0.1, 32), 0)
+    truth = DiscreteMeasure([[0.3, 0.3], [0.7, 0.65]], [-10.0, 25.0])
+    u_d = make_observation(model, truth, 0.05, 3)
+    cfg = PdapConfig(alpha=1e-3, tol=1e-16, max_outer_iterations=200)
+    res = pdap.run(model, u_d, cfg)
+    assert not res.converged
+    assert len(res.log) < cfg.max_outer_iterations
+    last = res.log.records[-1]
+    assert (last.new_node, last.subproblem_iters, last.inserted) == (-1, 0, 0)
+    assert select_candidates(
+        res.adjoint, model.mass, model.interior, res.active_nodes, cfg.alpha
+    )[0] in res.active_nodes
+    assert res.gap < 1e-13 * res.m0
 
 
 def test_objective_of_empty_measure():
