@@ -7,7 +7,8 @@ against the truth for the recovery tests and criterion 10;
 `sparseheat.measures.save_measure` writes; `record_runs` records the
 PDAP solves of a driver, level by level; `objective` and
 `adjoint_state` recompute the reduced objective and the adjoint trace of
-a measure from scratch, as oracles for the solver.
+a measure from scratch, as oracles for the solver; `propagate_by_stepping`
+is the explicit M-step loop, the oracle of the Chebyshev propagation.
 """
 
 import json
@@ -45,6 +46,14 @@ def objective(model, u_d, q, alpha):
 def adjoint_state(model, u_d, q):
     """Initial adjoint trace S*(S q - u_d) as nodal values."""
     return adjoint_dirac(model, forward_dirac(model, q) - u_d)
+
+
+def propagate_by_stepping(model, f):
+    """M explicit slab steps u_m = S u_{m-1} from the first step u_1 = step(f)."""
+    u = model._step(f)
+    for _ in range(model.grid.M - 1):
+        u = model._step(model.mass_int @ u)
+    return u
 
 
 def load_measure(path):

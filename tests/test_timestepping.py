@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseheat import (
     DiscreteMeasure,
@@ -12,16 +14,20 @@ from sparseheat import (
     tv_norm,
 )
 from sparseheat import timestepping
+from sparseheat.fem import delta_load
 from sparseheat.timestepping import (
+    LAMBDA_1,
     HeatModel,
     TimeGrid,
     adjoint_dirac,
     forward_dirac,
     forward_field,
     pade_step_oracle,
+    power_weights,
+    spectral_interval,
 )
 
-from measure_helpers import project_to_nodes
+from measure_helpers import project_to_nodes, propagate_by_stepping
 
 
 def make_model(n=4, M=4, r=0, T=0.1):
@@ -213,6 +219,85 @@ def test_batched_propagation_matches_columnwise(r, M):
         for j in range(loads.shape[1]):
             single = propagate(loads[:, j])
             assert np.linalg.norm(batched[:, j] - single) <= 1e-13 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize(
+    "T, M",
+    [(0.1, 1), (0.1, 2), (0.1, 16), (0.1, 64), (0.1, 256), (1.0, 64), (3.0, 256), (1.0, 4)],
+)
+def test_propagation_matches_explicit_stepping(r, T, M):
+    # The Chebyshev series equals M explicit steps to round-off relative to
+    # the decayed state, up to T = 3. At (1, 4) dG(1) has k 2 pi^2 > 3, so
+    # b = 0 and the weights alternate in sign.
+    model = make_model(n=32, M=M, r=r, T=T)
+    dirac = delta_load(model.mesh, DiscreteMeasure([(0.3, 0.6)], [1.0]))[model.interior]
+    rng = np.random.default_rng(7)
+    loads = np.column_stack([dirac, rng.standard_normal(model.interior.size)])
+    expected = propagate_by_stepping(model, loads)
+    for propagate in (model.propagate_load, model.propagate_adjoint):
+        got = propagate(loads)
+        error = np.abs(got - expected).max(axis=0) / np.abs(expected).max(axis=0)
+        assert error.max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "r, M, solves", [(0, 256, 96), (1, 256, 100), (0, 64, 47), (1, 64, 48)]
+    + [(r, M, M) for r in (0, 1) for M in (1, 2, 3, 8, 16)],
+)
+def test_propagation_solve_count(monkeypatch, r, M, solves):
+    # Slab solves per propagation at T = 0.1: one per Chebyshev term, about
+    # sqrt(37 M) instead of M, and never more than M.
+    calls = []
+    step = HeatModel._step
+
+    def counting_step(self, f):
+        calls.append(1)
+        return step(self, f)
+
+    monkeypatch.setattr(HeatModel, "_step", counting_step)
+    model = make_model(n=4, M=M, r=r, T=0.1)
+    load = np.ones(model.interior.size)
+    for propagate in (model.propagate_load, model.propagate_adjoint):
+        calls.clear()
+        propagate(load)
+        assert len(calls) == solves
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_discrete_dirichlet_spectrum_above_lambda_1(n):
+    model = make_model(n=n)
+    lam = sla.eigh(
+        model.stiff_int.toarray(),
+        model.mass_int.toarray(),
+        eigvals_only=True,
+        subset_by_index=[0, 0],
+    )
+    assert lam[0] >= LAMBDA_1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.floats(1e-5, 10.0),
+    excess=st.floats(0.0, 1e6),
+    r=st.sampled_from([0, 1]),
+)
+def test_step_factor_lies_in_the_spectral_interval(k, excess, r):
+    a, b = spectral_interval(k, r)
+    value = pade_step_oracle(LAMBDA_1 * (1.0 + excess), k, r)
+    assert a - 1e-15 <= value <= b + 1e-15
+
+
+def test_power_weights_sum_to_the_power_at_b():
+    # At x = 1 every T_j is 1, so the weights sum to b^(M-1); relative to
+    # sum |w| where b = 0 or alternating signs leave nothing to compare to.
+    for r in (0, 1):
+        for M in range(1, 301):
+            for T in (0.1, 1.0, 3.0):
+                a, b = spectral_interval(T / M, r)
+                w = power_weights(M, a, b)
+                assert 1 <= w.size <= M
+                assert abs(w.sum() - b ** (M - 1)) <= 1e-13 * np.abs(w).sum()
 
 
 def test_factorizations_keep_minimum_degree_fill(monkeypatch):
