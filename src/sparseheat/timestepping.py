@@ -49,7 +49,7 @@ LAMBDA_1 = 2.0 * np.pi**2
 WEIGHT_CUTOFF = 1e-17
 
 
-def amplification(s, order):
+def _amplification(s, order):
     """r(s) = Re(c / (s - sigma)): one dG slab's factor on a mode with s = k lam."""
     sigma, c = _POLES[order]
     return float(np.real(c / (s - sigma)))
@@ -59,22 +59,25 @@ def spectral_interval(k, order):
     """An interval [a, b] holding r(k lam) for every discrete eigenvalue lam.
 
     a is the minimum of r over s >= 0: 0 (the infimum of 1/(1 + s)) for
-    dG(0), r(3 + sqrt 27) for dG(1). r falls from 1 to that minimum and
-    then rises towards 0 from below, so lam >= LAMBDA_1 gives
-    r(k lam) <= max(r(k LAMBDA_1), 0) = b. A bound tied to the decay,
-    rather than b = 1, keeps the series' round-off relative to the state
-    for every final time.
+    dG(0), r(3 + sqrt 27) for dG(1). The dG(0) factor falls throughout;
+    the dG(1) factor falls from 1 to its minimum and then rises towards 0
+    from below. So lam >= LAMBDA_1 gives r(k lam) <= max(r(k LAMBDA_1), 0)
+    = b. With b tied to the decay of
+    the slowest mode rather than b = 1, the series' round-off is about
+    eps max(b, -a)^(M-1) |u1| instead of eps |u1|, so it shrinks with
+    the state as T grows.
     """
-    a = 0.0 if order == 0 else amplification(3.0 + np.sqrt(27.0), 1)
-    return a, max(amplification(k * LAMBDA_1, order), 0.0)
+    a = 0.0 if order == 0 else _amplification(3.0 + np.sqrt(27.0), 1)
+    return a, max(_amplification(k * LAMBDA_1, order), 0.0)
 
 
 def power_weights(M, a, b):
     """Chebyshev coefficients w of t^(M-1) on [a, b], t = (a + b)/2 + (b - a)/2 x.
 
-    The M - 1 products are exact polynomial products; trailing weights of
-    at most WEIGHT_CUTOFF times sum |w| are dropped (at least one stays).
-    The weights sum to b^(M-1), the power at x = 1.
+    Built from the M - 1 products of the linear factor (`chebpow`), not
+    from binomial formulas; trailing weights of at most WEIGHT_CUTOFF
+    times sum |w| are dropped (at least one stays). The weights sum to
+    b^(M-1), the power at x = 1.
     """
     w = chebpow([(a + b) / 2.0, (b - a) / 2.0], M - 1, maxpower=None)
     kept = np.flatnonzero(np.abs(w) > WEIGHT_CUTOFF * np.abs(w).sum())
@@ -99,7 +102,8 @@ class HeatModel:
 
     Bundles the mesh, the full mass matrix, the interior index set, the
     interior mass and stiffness blocks, the time grid and the dG order;
-    the slab matrix is factored on the first propagation and reused. The
+    the slab matrix is factored, and the Chebyshev weights of the
+    propagation are computed, on the first propagation and reused. The
     mass block is sliced from the full mass matrix, which candidate
     selection and the L2 pairings need anyway; the stiffness block comes
     from the 5-point stencil (`fem.interior_stiffness`), so the full
@@ -130,8 +134,9 @@ class HeatModel:
         return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))
 
     def _propagate(self, f):
-        # sum_j w_j T_j(L) u1 with L = (2S - (a + b)) / (b - a), by
-        # y_{j+1} = 2 L y_j - y_{j-1} (y_1 = L y_0), updated in place.
+        # S^(M-1) u1 = sum_j w_j T_j(L) u1 with L = (2S - (a + b)) / (b - a),
+        # by y_{j+1} = 2 L y_j - y_{j-1} (y_1 = L y_0), in place: once
+        # subtracted, the buffer of y_{j-1} holds the scratch products.
         a, b = spectral_interval(self.grid.k, self.order)
         if self._weights is None:
             self._weights = power_weights(self.grid.M, a, b)
