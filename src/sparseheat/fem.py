@@ -17,10 +17,12 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError
 
 _RESIDUAL_TOL = 1e-12
-# SuperLU settings for every factorization in the package: multiple
+# SuperLU settings of `spd_solve`, which serves any SPD matrix: multiple
 # minimum degree on the pattern of A^T + A, diagonal pivots only. No
 # pivoting is safe because each matrix factored is symmetric with a
 # positive definite real part (mass, kA + M, and kA - s1 M of dG(1)).
+# The slab matrices keep the pivots but not the ordering
+# (`timestepping.SPLU_SLAB`).
 SPLU_SYMMETRIC = dict(
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
 )
@@ -94,14 +96,24 @@ def interior_stiffness(mesh):
     On the lattice split along its lower-left to upper-right diagonals
     the P1 stiffness couples each node with weight 4 to itself and -1 to
     its four axis neighbours; the diagonal couplings cancel. So the block
-    is kron(I, T) + kron(T, I), T = tridiag(-1, 2, -1) of size n - 1, in
-    the row-major interior numbering: `assemble_stiffness(mesh)` sliced to
-    the interior, without its explicit zeros and with no full assembly.
+    is the stencil, relabelled to the order of `mesh.interior_nodes()`:
+    `assemble_stiffness(mesh)` sliced to the interior, without its
+    explicit zeros, with sorted column indices and with no full assembly.
     """
-    m = mesh.n - 1
-    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
-    eye = sp.identity(m, format="csr")
-    return sp.kron(eye, T, format="csr") + sp.kron(T, eye, format="csr")
+    interior = mesh.interior_nodes()
+    positions = mesh.interior_positions()
+    size = interior.size
+    rows, cols, vals = [np.arange(size)], [np.arange(size)], [np.full(size, 4.0)]
+    for step in (1, -1, mesh.n + 1, -(mesh.n + 1)):
+        nbr = positions[interior + step]
+        inside = np.flatnonzero(nbr >= 0)
+        rows.append(inside)
+        cols.append(nbr[inside])
+        vals.append(np.full(inside.size, -1.0))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
 
 
 def delta_load(mesh, q):

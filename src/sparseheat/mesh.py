@@ -5,8 +5,9 @@ Every mesh is the uniform n-by-n lattice of squares built by
 diagonal; `refine` builds the lattice of twice the resolution, and
 `refine_support` carries a support onto it. Nodes and cells are numbered
 lexicographically by lattice row and column, so point location and the
-edge test `p1_edges` are closed form. Meshes are immutable after
-construction.
+edge test `p1_edges` are closed form. The interior nodes are listed in
+nested-dissection order (`dissection_order`), the order in which the
+interior matrices are factored. Meshes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -62,12 +63,23 @@ class TriMesh:
         return self.cells.shape[0]
 
     def interior_nodes(self):
-        """Indices of non-boundary nodes, ascending."""
+        """Indices of the non-boundary nodes in nested-dissection order.
+
+        Not ascending: `dissection_order(n)`, the numbering of every
+        interior vector and matrix of the package.
+        """
         if self._interior is None:
-            interior = np.nonzero(~self.boundary_mask)[0]
+            interior = dissection_order(self.n)
             interior.setflags(write=False)
             self._interior = interior
         return self._interior
+
+    def interior_positions(self):
+        """Position of each node in `interior_nodes()`, -1 on the boundary."""
+        interior = self.interior_nodes()
+        positions = np.full(self.num_nodes, -1, dtype=np.int64)
+        positions[interior] = np.arange(interior.size)
+        return positions
 
     def cell_areas(self):
         tri = self.nodes[self.cells]
@@ -151,6 +163,64 @@ def build_uniform(n):
     ri, ci = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     boundary = (ri == 0) | (ri == n) | (ci == 0) | (ci == n)
     return TriMesh(nodes, cells, boundary.ravel(), n)
+
+
+# Blocks of at most this many nodes end the bisection of `dissection_order`.
+DISSECTION_LEAF = 4
+
+
+def _emit(out, n, r0, c0, h, w, off):
+    """Write the nodes of lattice rectangles into `out`, row-major each.
+
+    Rectangle i has interior rows r0..r0 + h - 1 and columns c0..c0 + w - 1
+    (interior lattice coordinates, 0 to n - 2) and fills out[off : off + h w].
+    """
+    size = h * w
+    if not size.size:
+        return
+    start = np.cumsum(size) - size
+    rect = np.repeat(np.arange(size.size), size)
+    local = np.arange(start[-1] + size[-1]) - start[rect]
+    row, col = np.divmod(local, w[rect])
+    out[off[rect] + local] = (r0[rect] + row + 1) * (n + 1) + c0[rect] + col + 1
+
+
+def dissection_order(n):
+    """Interior nodes of `build_uniform(n)` in nested-dissection order.
+
+    Recursive bisection of the (n - 1)-by-(n - 1) interior lattice
+    (George, SIAM J. Numer. Anal. 10, 1973): a block of more than
+    DISSECTION_LEAF nodes is cut at its middle row, or at its middle
+    column if it is wider than tall, and lists its first half, then its
+    second half, then the cut line, which separates the halves for every
+    P1 coupling, the diagonal one included. Smaller blocks and cut lines
+    are listed row-major. Computed level by level with index arithmetic,
+    one array per level.
+    """
+    m = n - 1
+    out = np.empty(m * m, dtype=np.int64)
+    r0 = c0 = off = np.zeros(1, dtype=np.int64)
+    h = w = np.full(1, m, dtype=np.int64)
+    while r0.size:
+        leaf = h * w <= DISSECTION_LEAF
+        _emit(out, n, r0[leaf], c0[leaf], h[leaf], w[leaf], off[leaf])
+        cut = ~leaf
+        r0, c0, h, w, off = r0[cut], c0[cut], h[cut], w[cut], off[cut]
+        # Row or column `half` of the block is the cut; the first half
+        # lies before it, the second after.
+        rows = h >= w
+        half = np.where(rows, h, w) // 2
+        h1, w1 = np.where(rows, half, h), np.where(rows, w, half)
+        h2, w2 = np.where(rows, h - half - 1, h), np.where(rows, w, w - half - 1)
+        line_r, line_c = r0 + rows * half, c0 + ~rows * half
+        off2 = off + h1 * w1
+        line_h, line_w = np.where(rows, 1, h), np.where(rows, w, 1)
+        _emit(out, n, line_r, line_c, line_h, line_w, off2 + h2 * w2)
+        r0 = np.concatenate([r0, line_r + rows])
+        c0 = np.concatenate([c0, line_c + ~rows])
+        h, w = np.concatenate([h1, h2]), np.concatenate([w1, w2])
+        off = np.concatenate([off, off2])
+    return out
 
 
 def refine(mesh):

@@ -131,24 +131,27 @@ def select_candidates(z, mass, interior, active, alpha):
     """Nodes to activate for the adjoint nodal values z, argmax node first.
 
     The first node is the interior maximizer of |z|, ties to the lowest
-    node index. If it is already active, it is returned alone. Otherwise
-    up to MAX_INSERTIONS - 1 more nodes follow, in decreasing |z| with
-    ties to the lowest index: interior, inactive nodes with |z| > alpha
-    that are maxima of |z| over their P1 neighbours, the column pattern
-    of their row in the (CSR, full) mass matrix.
+    node index, in whatever order `interior` lists the interior nodes. If
+    it is already active, it is returned alone. Otherwise up to
+    MAX_INSERTIONS - 1 more nodes follow, in decreasing |z| with ties to
+    the lowest index: interior, inactive nodes with |z| > alpha that are
+    maxima of |z| over their P1 neighbours, the column pattern of their
+    row in the (CSR, full) mass matrix.
     """
     interior = np.asarray(interior)
     if interior.size == 0:
         raise ValueError("empty interior node list")
     absz = np.abs(z)
-    first = int(interior[np.argmax(absz[interior])])
+    ok = np.zeros(absz.size, dtype=bool)
+    ok[interior] = True
+    # The first maximum over the full nodal array breaks ties to the
+    # lowest node index; |z| >= 0 > -1 elsewhere.
+    first = int(np.argmax(np.where(ok, absz, -1.0)))
     if first in active:
         return [first]
     # Every row of the mass matrix holds its diagonal, so each
     # neighbourhood maximum includes the node itself.
     nbr_max = np.maximum.reduceat(absz[mass.indices], mass.indptr[:-1])
-    ok = np.zeros(absz.size, dtype=bool)
-    ok[interior] = True
     ok[list(active)] = False
     ok[first] = False
     ok &= (absz > alpha) & (absz >= nbr_max)
@@ -308,7 +311,7 @@ def run(model, u_d, config, seed_nodes=()):
         nonlocal beta, G, c
         m, k = len(cols), len(nodes)
         load = np.zeros((interior.size, k))
-        load[np.searchsorted(interior, nodes), np.arange(k)] = 1.0
+        load[model.position[nodes], np.arange(k)] = 1.0
         new = [col.copy() for col in model.propagate_load(load).T]
         # Each Gram entry is one dot product, mirrored, so G stays exactly
         # symmetric. Dot products instead of a matrix product keep to the
@@ -383,7 +386,7 @@ def run(model, u_d, config, seed_nodes=()):
         z = adjoint_dirac(model, state - u_d)
         zi = z[interior]
         zmax = float(np.abs(zi).max()) if zi.size else 0.0
-        pairing = float(beta @ zi[np.searchsorted(interior, active)])
+        pairing = float(beta @ z[active])
         phi = pairing + alpha * float(np.abs(beta).sum()) + m0 * max(zmax - alpha, 0.0)
 
         if m0 == 0.0 or phi < tol_abs:

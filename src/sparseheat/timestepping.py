@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from numpy.polynomial.chebyshev import chebpow
 
 from .errors import NumericalError
 from .fem import SPLU_SYMMETRIC, assemble_mass, delta_load, interior_stiffness
@@ -47,6 +46,12 @@ _POLES = {
 LAMBDA_1 = 2.0 * np.pi**2
 # Relative size below which trailing Chebyshev weights are dropped.
 WEIGHT_CUTOFF = 1e-17
+# SuperLU settings of the slab factorization: the pivots of
+# fem.SPLU_SYMMETRIC, no column permutation, since the interior blocks
+# come in nested-dissection order (mesh.dissection_order), and panels of
+# 4 columns, which keep the factorization's transient memory at that of
+# the minimum-degree factorization without changing the fill.
+SPLU_SLAB = dict(SPLU_SYMMETRIC, permc_spec="NATURAL", panel_size=4)
 
 
 def _amplification(s, order):
@@ -74,12 +79,28 @@ def spectral_interval(k, order):
 def power_weights(M, a, b):
     """Chebyshev coefficients w of t^(M-1) on [a, b], t = (a + b)/2 + (b - a)/2 x.
 
-    Built from the M - 1 products of the linear factor (`chebpow`), not
-    from binomial formulas; trailing weights of at most WEIGHT_CUTOFF
-    times sum |w| are dropped (at least one stays). The weights sum to
-    b^(M-1), the power at x = 1.
+    Built as `chebpow` builds it, from the M - 1 products of the linear
+    factor in z-series form, not from binomial formulas, but with the
+    tail dropped during the build: about sqrt(37 M) coefficients are
+    carried instead of up to M. A product multiplies sum |w| by at most
+    rho = max(|a|, |b|), and sum |w| of t^s is at least rho^s (its value
+    at x = 1 or -1), so dropping a last coefficient of at most
+    WEIGHT_CUTOFF / M rho^s after product s changes the result by at most
+    WEIGHT_CUTOFF sum |w| in all. Trailing weights of at most
+    WEIGHT_CUTOFF times sum |w| are dropped at the end (at least one
+    stays). The weights sum to b^(M-1), the power at x = 1.
     """
-    w = chebpow([(a + b) / 2.0, (b - a) / 2.0], M - 1, maxpower=None)
+    c0, c1 = (a + b) / 2.0, (b - a) / 2.0
+    line = np.array([c1 / 2.0, c0, c1 / 2.0])
+    rho, budget = max(abs(a), abs(b)), WEIGHT_CUTOFF / M
+    zs = np.ones(1)
+    for _ in range(M - 1):
+        zs = np.convolve(zs, line)
+        budget *= rho
+        if 2.0 * abs(zs[-1]) <= budget:
+            zs = zs[1:-1]
+    w = zs[zs.size // 2 :].copy()
+    w[1:] *= 2.0
     kept = np.flatnonzero(np.abs(w) > WEIGHT_CUTOFF * np.abs(w).sum())
     return w[: kept[-1] + 1 if kept.size else 1]
 
@@ -103,8 +124,13 @@ class HeatModel:
     Bundles the mesh, the full mass matrix, the interior index set, the
     interior mass and stiffness blocks, the time grid and the dG order;
     the slab matrix is factored, and the Chebyshev weights of the
-    propagation are computed, on the first propagation and reused. The
-    mass block is sliced from the full mass matrix, which candidate
+    propagation are computed, on the first propagation and reused.
+    `interior` lists the interior nodes in the nested-dissection order of
+    `mesh.interior_nodes()`, not ascending, and every interior vector and
+    block follows it, so the slab matrix is factored without a column
+    permutation (`SPLU_SLAB`); `position` maps a node to its index in
+    `interior` (-1 on the boundary), and `embed` scatters back to nodes.
+    The mass block is sliced from the full mass matrix, which candidate
     selection and the L2 pairings need anyway; the stiffness block comes
     from the 5-point stencil (`fem.interior_stiffness`), so the full
     stiffness matrix is never assembled.
@@ -118,6 +144,7 @@ class HeatModel:
         self.order = int(order)
         self.mass = assemble_mass(mesh)
         self.interior = mesh.interior_nodes()
+        self.position = mesh.interior_positions()
         self.mass_int = self.mass[self.interior][:, self.interior].tocsr()
         self.stiff_int = interior_stiffness(mesh)
         self._slab_lu = None
@@ -128,7 +155,7 @@ class HeatModel:
             sigma = _POLES[self.order][0]
             try:
                 mat = (self.grid.k * self.stiff_int - sigma * self.mass_int).tocsc()
-                self._slab_lu = spla.splu(mat, **SPLU_SYMMETRIC)
+                self._slab_lu = spla.splu(mat, **SPLU_SLAB)
             except RuntimeError as exc:
                 raise NumericalError(f"slab factorization failed: {exc}") from exc
         return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))

@@ -8,7 +8,9 @@ against the truth for the recovery tests and criterion 10;
 PDAP solves of a driver, level by level; `objective` and
 `adjoint_state` recompute the reduced objective and the adjoint trace of
 a measure from scratch, as oracles for the solver; `propagate_by_stepping`
-is the explicit M-step loop, the oracle of the Chebyshev propagation.
+is the explicit M-step loop, the oracle of the Chebyshev propagation;
+`AscendingHeatModel` is the model on the ascending interior numbering,
+the oracle of the nested-dissection order.
 """
 
 import json
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparseheat import pdap
-from sparseheat.fem import delta_load
+from sparseheat.fem import assemble_stiffness, delta_load
 from sparseheat.measures import PRUNE_TOL, DiscreteMeasure, tv_norm
-from sparseheat.timestepping import adjoint_dirac, forward_dirac
+from sparseheat.timestepping import HeatModel, adjoint_dirac, forward_dirac
 
 
 def project_to_nodes(mesh, q):
@@ -54,6 +56,24 @@ def propagate_by_stepping(model, f):
     for _ in range(model.grid.M - 1):
         u = model._step(model.mass_int @ u)
     return u
+
+
+class AscendingHeatModel(HeatModel):
+    """HeatModel with the interior nodes numbered in ascending order.
+
+    The interior blocks are sliced from the full assemblies, so neither
+    the nested-dissection order nor the stencil enters; the slab matrix
+    is factored in that order, as banded.
+    """
+
+    def __init__(self, mesh, grid, order):
+        super().__init__(mesh, grid, order)
+        interior = np.flatnonzero(~mesh.boundary_mask)
+        self.interior = interior
+        self.position = np.full(mesh.num_nodes, -1)
+        self.position[interior] = np.arange(interior.size)
+        self.mass_int = self.mass[interior][:, interior].tocsr()
+        self.stiff_int = assemble_stiffness(mesh)[interior][:, interior].tocsr()
 
 
 def load_measure(path):

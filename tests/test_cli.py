@@ -147,12 +147,13 @@ def test_tol_not_below_alpha_is_one_line_error(tmp_path, capsys, pdap_block, fla
 
 @pytest.mark.parametrize(
     "pdap_block",
-    [{"tol": 1e-16}, {"max_outer_iterations": 0}],
+    [{"tol": 1e-24}, {"max_outer_iterations": 0}],
     ids=["argmax_active", "iteration_cap"],
 )
 def test_unconverged_solve_is_one_line_exit_2(tmp_path, capsys, pdap_block):
-    # At tol 1e-16 this two-atom solve reaches round-off and then meets
-    # its argmax node already active, long before the default cap of 200.
+    # At tol 1e-24, far below the gap's round-off of about 1e-16 M0, this
+    # two-atom solve reaches round-off and then meets its argmax node
+    # already active, long before the default cap of 200.
     payload = {
         **TINY_RECONSTRUCT,
         "truth": [{"x": [0.3, 0.3], "beta": -10.0}, {"x": [0.7, 0.65], "beta": 25.0}],

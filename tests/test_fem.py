@@ -140,10 +140,13 @@ def test_solve_spd_roundtrip():
 
 def sliced_stiffness(mesh):
     """The interior block of the assembled stiffness matrix, explicit
-    zeros (the cancelled diagonal couplings) eliminated."""
+    zeros (the cancelled diagonal couplings) eliminated and column
+    indices sorted: slicing in the unsorted interior order leaves each
+    row's columns in node order."""
     interior = mesh.interior_nodes()
     block = assemble_stiffness(mesh)[interior][:, interior].tocsr()
     block.eliminate_zeros()
+    block.sort_indices()
     return block
 
 

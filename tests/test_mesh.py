@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseheat import OutOfDomainError, build_uniform, refine
-from sparseheat.mesh import p1_edges, refine_nodes, refine_support
+from sparseheat.mesh import (
+    DISSECTION_LEAF,
+    dissection_order,
+    p1_edges,
+    refine_nodes,
+    refine_support,
+)
 
 
 def edge_counts(mesh):
@@ -267,10 +273,43 @@ def test_locate_matches_brute_force_scan(data, name):
         assert np.array_equal(lam[k], expected)
 
 
-def test_interior_nodes_ascending_and_interior():
-    mesh = build_uniform(4)
-    interior = mesh.interior_nodes()
-    assert list(interior) == sorted(interior)
-    pts = mesh.nodes[interior]
-    assert (pts > 0).all() and (pts < 1).all()
+def dissection_oracle(n, r0, c0, h, w, cuts):
+    """Recursive bisection of the interior lattice block with interior
+    rows r0..r0 + h - 1 and columns c0..c0 + w - 1: its node list, and
+    each cut's two halves appended to `cuts`."""
+    if h * w <= DISSECTION_LEAF:
+        return [(r0 + i + 1) * (n + 1) + c0 + j + 1 for i in range(h) for j in range(w)]
+    if h >= w:
+        k = h // 2
+        first = dissection_oracle(n, r0, c0, k, w, cuts)
+        second = dissection_oracle(n, r0 + k + 1, c0, h - k - 1, w, cuts)
+        line = [(r0 + k + 1) * (n + 1) + c0 + j + 1 for j in range(w)]
+    else:
+        k = w // 2
+        first = dissection_oracle(n, r0, c0, h, k, cuts)
+        second = dissection_oracle(n, r0, c0 + k + 1, h, w - k - 1, cuts)
+        line = [(r0 + i + 1) * (n + 1) + c0 + k + 1 for i in range(h)]
+    cuts.append((first, second))
+    return first + second + line
 
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40))
+def test_interior_nodes_are_a_nested_dissection_order(n):
+    # A permutation of the interior nodes, equal to the recursive
+    # bisection with cut lines last, and no P1 edge (axis or diagonal)
+    # joins the two halves of any cut.
+    mesh = build_uniform(n)
+    interior = mesh.interior_nodes()
+    assert sorted(interior.tolist()) == np.flatnonzero(~mesh.boundary_mask).tolist()
+    assert (dissection_order(n) == interior).all()
+    cuts = []
+    assert interior.tolist() == dissection_oracle(n, 0, 0, n - 1, n - 1, cuts)
+    assert bool(cuts) == ((n - 1) ** 2 > DISSECTION_LEAF)
+    for first, second in cuts:
+        first = set(first)
+        for a, b in p1_edges(mesh, first.union(second)):
+            assert (a in first) == (b in first)
+    positions = mesh.interior_positions()
+    assert (positions[interior] == np.arange(interior.size)).all()
+    assert (positions[mesh.boundary_mask] == -1).all()

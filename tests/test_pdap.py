@@ -166,7 +166,7 @@ def heat_column(T, i, j):
     """S(delta) at interior lattice node (i, j), on interior nodes."""
     model = heat_model(T)
     load = np.zeros(model.interior.size)
-    load[i * (HEAT_LATTICE - 1) + j] = 1.0
+    load[model.position[(i + 1) * (HEAT_LATTICE + 1) + j + 1]] = 1.0
     return model.propagate_load(load)
 
 
@@ -311,6 +311,19 @@ def test_select_candidate_prefers_largest_and_lowest():
     spikes[nodes] = [5.0, 4.0, 3.0, 2.0, 6.0]
     expected = [nodes[4]] + nodes[:MAX_INSERTIONS - 1]
     assert select(spikes) == expected
+
+
+def test_select_candidates_ties_to_the_lowest_node_in_any_interior_order():
+    # Four separated spikes of equal |z|: the argmax node and the extra
+    # nodes go by node index whatever order `interior` lists them in.
+    mesh = build_uniform(6)
+    z = np.zeros(mesh.num_nodes)
+    spikes = [1 * 7 + 1, 1 * 7 + 4, 4 * 7 + 1, 4 * 7 + 4]
+    z[spikes] = [2.0, -2.0, 2.0, -2.0]
+    interior = mesh.interior_nodes()
+    for order in (interior, interior[::-1], np.sort(interior)):
+        nodes = select_candidates(z, lattice_mass(6), order, [], 1.0)
+        assert nodes == spikes[:MAX_INSERTIONS]
 
 
 def lattice_neighbours(mesh):
@@ -554,7 +567,7 @@ def test_run_zero_data_converges_immediately():
 
 def test_run_recovers_single_source_structure():
     model = make_model(n=8, M=8)
-    node = model.interior[24]
+    node = 4 * 9 + 4  # the central node of the 9 x 9 lattice
     truth = DiscreteMeasure([model.mesh.nodes[node]], [4.0])
     u_d = forward_dirac(model, truth)
     alpha = 1e-3
@@ -606,13 +619,15 @@ def test_run_flags_non_convergence():
 
 
 def test_run_stops_unconverged_once_the_argmax_node_is_active():
-    # tol 1e-16 is below the round-off of the gap. Once the argmax node is
-    # already active the exactly solved subproblem leaves nothing to gain,
-    # so the solve ends there instead of running to the iteration cap.
+    # tol 1e-24 is far below the round-off of the gap, about 1e-16 M0 here,
+    # so the stop cannot hang on the last bits of a summation order. Once
+    # the argmax node is already active the exactly solved subproblem
+    # leaves nothing to gain, so the solve ends there instead of running
+    # to the iteration cap.
     model = HeatModel(build_uniform(16), TimeGrid(0.1, 32), 0)
     truth = DiscreteMeasure([[0.3, 0.3], [0.7, 0.65]], [-10.0, 25.0])
     u_d = make_observation(model, truth, 0.05, 3)
-    cfg = PdapConfig(alpha=1e-3, tol=1e-16, max_outer_iterations=200)
+    cfg = PdapConfig(alpha=1e-3, tol=1e-24, max_outer_iterations=200)
     res = pdap.run(model, u_d, cfg)
     assert not res.converged
     assert len(res.log) < cfg.max_outer_iterations

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebpow
 
 from sparseheat import (
     DiscreteMeasure,
@@ -13,7 +14,7 @@ from sparseheat import (
     spd_solve,
     tv_norm,
 )
-from sparseheat import timestepping
+from sparseheat import pdap, timestepping
 from sparseheat.fem import delta_load
 from sparseheat.timestepping import (
     LAMBDA_1,
@@ -27,7 +28,7 @@ from sparseheat.timestepping import (
     spectral_interval,
 )
 
-from measure_helpers import project_to_nodes, propagate_by_stepping
+from measure_helpers import AscendingHeatModel, project_to_nodes, propagate_by_stepping
 
 
 def make_model(n=4, M=4, r=0, T=0.1):
@@ -263,6 +264,36 @@ def test_propagation_solve_count(monkeypatch, r, many):
             assert len(calls) == solves, M
 
 
+@pytest.mark.parametrize("r", [0, 1])
+def test_nested_dissection_order_matches_the_ascending_oracle(r):
+    # The numbering of the interior changes the rounding only: forward and
+    # adjoint solves and a PDAP solve agree with the model on the
+    # ascending numbering to 1e-13 relative. Atoms on lattice nodes keep
+    # the Gram matrix well conditioned; the final adjoint is a small
+    # difference of terms of the size of S* u_d, so it is compared there.
+    mesh, grid = build_uniform(16), TimeGrid(0.1, 16)
+    model, oracle = HeatModel(mesh, grid, r), AscendingHeatModel(mesh, grid, r)
+    assert not (np.diff(model.interior) > 0).all()
+    q = DiscreteMeasure([(0.25, 0.25), (0.75, 0.25), (0.5, 0.75)], [10.0, -12.0, 15.0])
+
+    def close(got, expected, scale=None):
+        scale = np.abs(expected).max() if scale is None else scale
+        return np.abs(got - expected).max() <= 1e-13 * scale
+
+    u = forward_dirac(model, q)
+    assert close(u, forward_dirac(oracle, q))
+    g = np.random.default_rng(8).standard_normal(mesh.num_nodes)
+    assert close(adjoint_dirac(model, g), adjoint_dirac(oracle, g))
+    config = pdap.PdapConfig(alpha=1e-3, tol=1e-10)
+    res, ref = pdap.run(model, u, config), pdap.run(oracle, u, config)
+    assert res.converged and ref.converged
+    assert res.active_nodes == ref.active_nodes
+    assert close(res.coefficients, ref.coefficients)
+    assert close(res.state, ref.state)
+    assert close(res.objective, ref.objective)
+    assert close(res.adjoint, ref.adjoint, np.abs(adjoint_dirac(oracle, u)).max())
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_discrete_dirichlet_spectrum_above_lambda_1(n):
     model = make_model(n=n)
@@ -299,10 +330,8 @@ def test_power_weights_sum_to_the_power_at_b():
                 assert abs(w.sum() - b ** (M - 1)) <= 1e-13 * np.abs(w).sum()
 
 
-def test_factorizations_keep_minimum_degree_fill(monkeypatch):
-    # LU fill at n = 64 under the shared SuperLU ordering. COLAMD, the
-    # SuperLU default, gives 270,474 for either slab matrix and 297,882
-    # for the mass matrix.
+def record_fills(monkeypatch):
+    """LU fill L.nnz + U.nnz of every later splu call, in call order."""
     fills = []
     splu = timestepping.spla.splu
 
@@ -312,6 +341,15 @@ def test_factorizations_keep_minimum_degree_fill(monkeypatch):
         return lu
 
     monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
+    return fills
+
+
+def test_factorizations_keep_nested_dissection_fill(monkeypatch):
+    # LU fill at n = 64: the slab matrices in nested-dissection order give
+    # 188,416 (minimum degree 188,548), the mass matrix of spd_solve, still
+    # under minimum degree, 203,460. COLAMD, the SuperLU default,
+    # gives 270,474 for either slab matrix and 297,882 for the mass matrix.
+    fills = record_fills(monkeypatch)
     for r in (0, 1):
         model = make_model(n=64, M=2, r=r)
         model.propagate_load(np.ones(model.interior.size))
@@ -320,6 +358,29 @@ def test_factorizations_keep_minimum_degree_fill(monkeypatch):
     assert slab_dg0 <= 200_000
     assert slab_dg1 <= 200_000
     assert mass <= 215_000
+
+
+def test_slab_fill_at_n_256_is_below_minimum_degree(monkeypatch):
+    # Fill counts are exact: 4,931,760 in nested-dissection order against
+    # 5,644,786 under minimum degree for the dG(0) slab matrix at n = 256.
+    fills = record_fills(monkeypatch)
+    model = make_model(n=256, M=2, r=0)
+    model.propagate_load(np.ones(model.interior.size))
+    assert fills[0] < 5_000_000
+
+
+def test_power_weights_match_the_full_chebpow_build():
+    # Dropping the tail during the build leaves the weights of the full
+    # M - 1 products, then cut at WEIGHT_CUTOFF, to round-off.
+    for r in (0, 1):
+        for M in [*range(1, 70), 100, 255, 256, 257, 500, 1000, 1999, 2000]:
+            for T in (0.1, 1.0, 3.0):
+                a, b = spectral_interval(T / M, r)
+                full = chebpow([(a + b) / 2.0, (b - a) / 2.0], M - 1, maxpower=None)
+                w = power_weights(M, a, b)
+                assert w.size <= full.size
+                full[: w.size] -= w
+                assert np.abs(full).sum() <= 1e-15 * np.abs(w).sum()
 
 
 @pytest.mark.parametrize("r", [0, 1])
