@@ -2,7 +2,8 @@
 
 Starts from the lowest eigenmode of the square, evaluates the terminal
 state at the center, and refines one discretization axis at a time while
-the reference shares the other axis. The time sweep isolates the temporal
+the reference shares the other axis; the axis given as a list is the one
+refined. The time sweep isolates the temporal
 error (orders 1 and 3); the mesh sweep isolates the spatial error
 (order 2 at an interior point).
 """
@@ -25,7 +26,7 @@ for order in (0, 1):
         mesh_n=32,
         time_steps=[4, 8, 16, 32, 256],
         dg_order=order,
-        smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep="time"),
+        smoothing=SmoothingSpec(x0=(0.5, 0.5)),
     )
     show(study_smoothing(cfg), f"time-step sweep, order {order} (expected slope {2*order + 1}):")
 
@@ -34,6 +35,6 @@ cfg = ExperimentConfig(
     mesh_n=[16, 32, 64, 128],
     time_steps=64,
     dg_order=0,
-    smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep="space"),
+    smoothing=SmoothingSpec(x0=(0.5, 0.5)),
 )
 show(study_smoothing(cfg), "mesh sweep at a fixed time grid (expected slope 2):")

@@ -50,7 +50,7 @@ def _build_parser():
         epilog=(
             "Config keys: T, truth, mesh_n, time_steps, dg_order, alpha, "
             "noise_level, seed, pdap{tol, max_outer_iterations}, output_dir, "
-            "smoothing{x0, sweep}. See docs/config.md."
+            "smoothing{x0}. See docs/config.md."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,7 +7,9 @@ diagonal; `refine` builds the lattice of twice the resolution, and
 lexicographically by lattice row and column, so point location and the
 edge test `p1_edges` are closed form. The interior nodes are listed in
 nested-dissection order (`dissection_order`), the order in which the
-interior matrices are factored. Meshes are immutable after construction.
+interior matrices are factored; only `fem.interior_stiffness` and
+`timestepping.HeatModel` use it, and the rest of the package sees nodal
+vectors. Meshes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -169,20 +171,30 @@ def build_uniform(n):
 DISSECTION_LEAF = 4
 
 
-def _emit(out, n, r0, c0, h, w, off):
-    """Write the nodes of lattice rectangles into `out`, row-major each.
+def _block_order(h, w, memo):
+    """Lattice (rows, cols) of an h-by-w block in nested-dissection order.
 
-    Rectangle i has interior rows r0..r0 + h - 1 and columns c0..c0 + w - 1
-    (interior lattice coordinates, 0 to n - 2) and fills out[off : off + h w].
+    Coordinates count from the block's first row and column. Blocks of
+    one shape are ordered alike, so `memo` keeps each shape's order and
+    a lattice computes only the O(log n) shapes that its bisection meets.
     """
-    size = h * w
-    if not size.size:
-        return
-    start = np.cumsum(size) - size
-    rect = np.repeat(np.arange(size.size), size)
-    local = np.arange(start[-1] + size[-1]) - start[rect]
-    row, col = np.divmod(local, w[rect])
-    out[off[rect] + local] = (r0[rect] + row + 1) * (n + 1) + c0[rect] + col + 1
+    if (h, w) not in memo:
+        if h * w <= DISSECTION_LEAF:
+            rows, cols = np.divmod(np.arange(h * w), w)
+        elif h >= w:
+            k = h // 2
+            r1, c1 = _block_order(k, w, memo)
+            r2, c2 = _block_order(h - k - 1, w, memo)
+            rows = np.concatenate([r1, r2 + k + 1, np.full(w, k)])
+            cols = np.concatenate([c1, c2, np.arange(w)])
+        else:
+            k = w // 2
+            r1, c1 = _block_order(h, k, memo)
+            r2, c2 = _block_order(h, w - k - 1, memo)
+            rows = np.concatenate([r1, r2, np.arange(h)])
+            cols = np.concatenate([c1, c2 + k + 1, np.full(h, k)])
+        memo[h, w] = rows, cols
+    return memo[h, w]
 
 
 def dissection_order(n):
@@ -194,33 +206,10 @@ def dissection_order(n):
     column if it is wider than tall, and lists its first half, then its
     second half, then the cut line, which separates the halves for every
     P1 coupling, the diagonal one included. Smaller blocks and cut lines
-    are listed row-major. Computed level by level with index arithmetic,
-    one array per level.
+    are listed row-major (`_block_order`).
     """
-    m = n - 1
-    out = np.empty(m * m, dtype=np.int64)
-    r0 = c0 = off = np.zeros(1, dtype=np.int64)
-    h = w = np.full(1, m, dtype=np.int64)
-    while r0.size:
-        leaf = h * w <= DISSECTION_LEAF
-        _emit(out, n, r0[leaf], c0[leaf], h[leaf], w[leaf], off[leaf])
-        cut = ~leaf
-        r0, c0, h, w, off = r0[cut], c0[cut], h[cut], w[cut], off[cut]
-        # Row or column `half` of the block is the cut; the first half
-        # lies before it, the second after.
-        rows = h >= w
-        half = np.where(rows, h, w) // 2
-        h1, w1 = np.where(rows, half, h), np.where(rows, w, half)
-        h2, w2 = np.where(rows, h - half - 1, h), np.where(rows, w, w - half - 1)
-        line_r, line_c = r0 + rows * half, c0 + ~rows * half
-        off2 = off + h1 * w1
-        line_h, line_w = np.where(rows, 1, h), np.where(rows, w, 1)
-        _emit(out, n, line_r, line_c, line_h, line_w, off2 + h2 * w2)
-        r0 = np.concatenate([r0, line_r + rows])
-        c0 = np.concatenate([c0, line_c + ~rows])
-        h, w = np.concatenate([h1, h2]), np.concatenate([w1, w2])
-        off = np.concatenate([off, off2])
-    return out
+    rows, cols = _block_order(n - 1, n - 1, {})
+    return (rows + 1) * (n + 1) + cols + 1
 
 
 def refine(mesh):

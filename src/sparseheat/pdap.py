@@ -9,6 +9,8 @@ conditional-gradient step, as in Pieper & Walter, ESAIM: COCV 27, 2021),
 propagates the new columns in one batched solve, and re-solves an
 l1-regularized least-squares problem in the active coefficients. The
 primal-dual gap certifies suboptimality and drives the stopping test.
+Columns, states and adjoints are nodal vectors, zero on the boundary, as
+the propagations return them.
 """
 
 from __future__ import annotations
@@ -127,31 +129,27 @@ class PdapResult:
     coefficients: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def select_candidates(z, mass, interior, active, alpha):
+def select_candidates(z, mass, boundary, active, alpha):
     """Nodes to activate for the adjoint nodal values z, argmax node first.
 
-    The first node is the interior maximizer of |z|, ties to the lowest
-    node index, in whatever order `interior` lists the interior nodes. If
-    it is already active, it is returned alone. Otherwise up to
-    MAX_INSERTIONS - 1 more nodes follow, in decreasing |z| with ties to
-    the lowest index: interior, inactive nodes with |z| > alpha that are
-    maxima of |z| over their P1 neighbours, the column pattern of their
-    row in the (CSR, full) mass matrix.
+    The first node is the maximizer of |z| off the `boundary` mask, ties
+    to the lowest node index. If it is already active, it is returned
+    alone. Otherwise up to MAX_INSERTIONS - 1 more nodes follow, in
+    decreasing |z| with ties to the lowest index: interior, inactive
+    nodes with |z| > alpha that are maxima of |z| over their P1
+    neighbours, the column pattern of their row in the (CSR, full) mass
+    matrix.
     """
-    interior = np.asarray(interior)
-    if interior.size == 0:
-        raise ValueError("empty interior node list")
     absz = np.abs(z)
-    ok = np.zeros(absz.size, dtype=bool)
-    ok[interior] = True
-    # The first maximum over the full nodal array breaks ties to the
-    # lowest node index; |z| >= 0 > -1 elsewhere.
-    first = int(np.argmax(np.where(ok, absz, -1.0)))
+    # The first maximum breaks ties to the lowest node index; |z| >= 0 > -1
+    # on the boundary.
+    first = int(np.argmax(np.where(boundary, -1.0, absz)))
     if first in active:
         return [first]
     # Every row of the mass matrix holds its diagonal, so each
     # neighbourhood maximum includes the node itself.
     nbr_max = np.maximum.reduceat(absz[mass.indices], mass.indptr[:-1])
+    ok = ~boundary
     ok[list(active)] = False
     ok[first] = False
     ok &= (absz > alpha) & (absz >= nbr_max)
@@ -290,28 +288,27 @@ def run(model, u_d, config, seed_nodes=()):
     nodes that are not interior or repeat.
     """
     alpha = config.alpha
-    interior = model.interior
+    boundary = model.mesh.boundary_mask
     seed_nodes = [int(i) for i in seed_nodes]
     if len(set(seed_nodes)) != len(seed_nodes):
         raise ValueError(f"seed nodes repeat: {seed_nodes}")
     for i in seed_nodes:
-        if not 0 <= i < model.mesh.num_nodes or model.mesh.boundary_mask[i]:
+        if not 0 <= i < model.mesh.num_nodes or boundary[i]:
             raise ValueError(f"seed node {i} is not an interior node")
     ud_norm_sq = max(float(u_d @ (model.mass @ u_d)), 0.0)
-    ud_pairing = (model.mass @ u_d)[interior]  # c_i = col_i . (M u_d)
-    Mi = model.mass_int
+    ud_m = model.mass @ u_d  # c_i = col_i . (M u_d)
 
     active = []  # node indices into the full numbering
     beta = np.zeros(0)
-    cols = []  # interior vectors S(delta_node), aligned with `active`
+    cols = []  # nodal vectors S(delta_node), aligned with `active`
     G = np.zeros((0, 0))
     c = np.zeros(0)
 
     def add_nodes(nodes):
         nonlocal beta, G, c
         m, k = len(cols), len(nodes)
-        load = np.zeros((interior.size, k))
-        load[model.position[nodes], np.arange(k)] = 1.0
+        load = np.zeros((model.mesh.num_nodes, k))
+        load[nodes, np.arange(k)] = 1.0
         new = [col.copy() for col in model.propagate_load(load).T]
         # Each Gram entry is one dot product, mirrored, so G stays exactly
         # symmetric. Dot products instead of a matrix product keep to the
@@ -320,11 +317,10 @@ def run(model, u_d, config, seed_nodes=()):
         G_new = np.zeros((m + k, m + k))
         G_new[:m, :m] = G
         for i, col in enumerate(new):
-            col_m = Mi @ col
-            for j, other in enumerate(cols + new[: i + 1]):
-                G_new[m + i, j] = G_new[j, m + i] = col_m @ other
+            row = model.pairings(model.mass @ col, cols + new[: i + 1])
+            G_new[m + i, : m + i + 1] = G_new[: m + i + 1, m + i] = row
         G = G_new
-        c = np.concatenate([c, [col @ ud_pairing for col in new]])
+        c = np.concatenate([c, model.pairings(ud_m, new)])
         cols.extend(new)
         active.extend(nodes)
         beta = np.concatenate([beta, np.zeros(k)])
@@ -367,7 +363,6 @@ def run(model, u_d, config, seed_nodes=()):
     m0 = j / alpha
     tol_abs = config.tol * m0
     log = IterationLog()
-    converged = False
     seed_iters = 0
     if seed_nodes:
         log.start = IterationRecord(0, float("nan"), j, 0, -1, 0, 0)
@@ -380,21 +375,15 @@ def run(model, u_d, config, seed_nodes=()):
 
     for n in range(config.max_outer_iterations + 1):
         started = time.perf_counter()
-        state = np.zeros(model.mesh.num_nodes)
-        if beta.size:
-            state[interior] = np.column_stack(cols) @ beta
+        state = np.column_stack(cols) @ beta if cols else np.zeros(len(u_d))
         z = adjoint_dirac(model, state - u_d)
-        zi = z[interior]
-        zmax = float(np.abs(zi).max()) if zi.size else 0.0
         pairing = float(beta @ z[active])
+        zmax = float(np.abs(z).max())
         phi = pairing + alpha * float(np.abs(beta).sum()) + m0 * max(zmax - alpha, 0.0)
 
-        if m0 == 0.0 or phi < tol_abs:
-            record(n, phi, j, len(active), -1, 0, 0)
-            converged = True
-            break
-        nodes = select_candidates(z, model.mass, interior, active, alpha)
-        if n == config.max_outer_iterations or nodes[0] in active:
+        converged = m0 == 0.0 or phi < tol_abs
+        nodes = [] if converged else select_candidates(z, model.mass, boundary, active, alpha)
+        if converged or n == config.max_outer_iterations or nodes[0] in active:
             record(n, phi, j, len(active), -1, 0, 0)
             break
 

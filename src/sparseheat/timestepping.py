@@ -9,7 +9,9 @@ into one real part (Richter, Springer & Vexler, Numer. Math. 124, 2013).
 So one step of either order is one shifted N x N solve,
 u = Re(c (kA - sigma M)^{-1} f), with f the previous trace paired with M
 (first slab: the initial load) and one real (dG(0)) or complex (dG(1))
-factorization per model, since every grid is uniform.
+factorization per model, since every grid is uniform. Propagations are
+nodal in and out; the interior numbering in which the slab matrix is
+factored (nested dissection, `mesh.dissection_order`) stays in `HeatModel`.
 
 Every slab applies the same step operator S = Re(c (kA - sigma M)^{-1}) M,
 so a propagation of M slabs is S^(M-1) u1 with u1 the first step. S is
@@ -125,11 +127,12 @@ class HeatModel:
     interior mass and stiffness blocks, the time grid and the dG order;
     the slab matrix is factored, and the Chebyshev weights of the
     propagation are computed, on the first propagation and reused.
-    `interior` lists the interior nodes in the nested-dissection order of
-    `mesh.interior_nodes()`, not ascending, and every interior vector and
-    block follows it, so the slab matrix is factored without a column
-    permutation (`SPLU_SLAB`); `position` maps a node to its index in
-    `interior` (-1 on the boundary), and `embed` scatters back to nodes.
+    Propagations take a nodal load, a column or a batch, ignore its
+    boundary rows and return the nodal end state, zero on the boundary.
+    Inside, `interior` lists the interior nodes in the nested-dissection
+    order of `mesh.interior_nodes()`, and the interior blocks follow it,
+    so the slab matrix is factored without a column permutation
+    (`SPLU_SLAB`).
     The mass block is sliced from the full mass matrix, which candidate
     selection and the L2 pairings need anyway; the stiffness block comes
     from the 5-point stencil (`fem.interior_stiffness`), so the full
@@ -144,7 +147,6 @@ class HeatModel:
         self.order = int(order)
         self.mass = assemble_mass(mesh)
         self.interior = mesh.interior_nodes()
-        self.position = mesh.interior_positions()
         self.mass_int = self.mass[self.interior][:, self.interior].tocsr()
         self.stiff_int = interior_stiffness(mesh)
         self._slab_lu = None
@@ -160,14 +162,14 @@ class HeatModel:
                 raise NumericalError(f"slab factorization failed: {exc}") from exc
         return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))
 
-    def _propagate(self, f):
+    def _propagate(self, load):
         # S^(M-1) u1 = sum_j w_j T_j(L) u1 with L = (2S - (a + b)) / (b - a),
         # by y_{j+1} = 2 L y_j - y_{j-1} (y_1 = L y_0), in place: once
         # subtracted, the buffer of y_{j-1} holds the scratch products.
         a, b = spectral_interval(self.grid.k, self.order)
         if self._weights is None:
             self._weights = power_weights(self.grid.M, a, b)
-        y = self._step(f)
+        y = self._step(load[self.interior])
         acc = self._weights[0] * y
         y_prev = np.zeros_like(acc)
         for j, w in enumerate(self._weights[1:]):
@@ -180,19 +182,28 @@ class HeatModel:
             np.multiply(y_next, w, out=y_prev)
             acc += y_prev
             y_prev, y = y, y_next
-        return acc
+        return self.embed(acc)
 
-    def propagate_load(self, b_int):
-        """End-time trace from a first-slab load vector on interior nodes."""
-        return self._propagate(b_int)
+    def propagate_load(self, load):
+        """End-time state from a first-slab load."""
+        return self._propagate(load)
 
-    def propagate_adjoint(self, w_int):
+    def propagate_adjoint(self, load):
         """Transposed propagation: terminal pairing back to the initial trace."""
-        return self._propagate(w_int)
+        return self._propagate(load)
+
+    def pairings(self, a, vectors):
+        """Dot products of nodal a with each of `vectors` over the interior.
+
+        Summed in the order of `interior`; they are the nodal dot products
+        when either factor vanishes on the boundary, as propagated states do.
+        """
+        a = a[self.interior]
+        return [a @ v[self.interior] for v in vectors]
 
     def embed(self, interior_values):
-        """Interior coefficients as full nodal values (zero boundary)."""
-        values = np.zeros(self.mesh.num_nodes)
+        """Interior values, a column or a batch, as nodal values (zero boundary)."""
+        values = np.zeros((self.mesh.num_nodes,) + np.shape(interior_values)[1:])
         values[self.interior] = interior_values
         return values
 
@@ -206,8 +217,7 @@ def forward_dirac(model, q):
     """
     if len(q) == 0:
         return np.zeros(model.mesh.num_nodes)
-    b = delta_load(model.mesh, q)[model.interior]
-    return model.embed(model.propagate_load(b))
+    return model.propagate_load(delta_load(model.mesh, q))
 
 
 def forward_field(model, v0):
@@ -218,8 +228,7 @@ def forward_field(model, v0):
     """
     if v0.shape[0] != model.mesh.num_nodes:
         raise ValueError("initial field does not match the model mesh")
-    b = (model.mass @ v0)[model.interior]
-    return model.embed(model.propagate_load(b))
+    return model.propagate_load(model.mass @ v0)
 
 
 def adjoint_dirac(model, g):
@@ -230,8 +239,7 @@ def adjoint_dirac(model, g):
     """
     if g.shape[0] != model.mesh.num_nodes:
         raise ValueError("terminal field does not match the model mesh")
-    w = (model.mass @ g)[model.interior]
-    return model.embed(model.propagate_adjoint(w))
+    return model.propagate_adjoint(model.mass @ g)
 
 
 def pade_step_oracle(lam, k, order):

@@ -50,12 +50,15 @@ def adjoint_state(model, u_d, q):
     return adjoint_dirac(model, forward_dirac(model, q) - u_d)
 
 
-def propagate_by_stepping(model, f):
-    """M explicit slab steps u_m = S u_{m-1} from the first step u_1 = step(f)."""
-    u = model._step(f)
+def propagate_by_stepping(model, load):
+    """M explicit slab steps u_m = S u_{m-1} from the first step of a nodal load.
+
+    Nodal in and out, as `HeatModel.propagate_load`.
+    """
+    u = model._step(load[model.interior])
     for _ in range(model.grid.M - 1):
         u = model._step(model.mass_int @ u)
-    return u
+    return model.embed(u)
 
 
 class AscendingHeatModel(HeatModel):
@@ -70,8 +73,6 @@ class AscendingHeatModel(HeatModel):
         super().__init__(mesh, grid, order)
         interior = np.flatnonzero(~mesh.boundary_mask)
         self.interior = interior
-        self.position = np.full(mesh.num_nodes, -1)
-        self.position[interior] = np.arange(interior.size)
         self.mass_int = self.mass[interior][:, interior].tocsr()
         self.stiff_int = assemble_stiffness(mesh)[interior][:, interior].tocsr()
 

@@ -397,7 +397,7 @@ def test_study_smoothing_cli(tmp_path, capsys):
         "mesh_n": 16,
         "time_steps": [2, 4, 8, 64],
         "dg_order": 0,
-        "smoothing": {"x0": [0.5, 0.5], "sweep": "time"},
+        "smoothing": {"x0": [0.5, 0.5]},
     }
     path = write_config(tmp_path, payload, "smooth.json")
     out = tmp_path / "sm"
@@ -420,8 +420,12 @@ def test_study_smoothing_verbose_logs_one_line_per_level(
         "T": 0.1,
         "mesh_n": mesh_n,
         "time_steps": time_steps,
-        "smoothing": {"x0": [0.5, 0.5], "sweep": sweep},
+        "smoothing": {"x0": [0.5, 0.5]},
     }
+    # The swept parameter is the list one; naming it is an unknown key.
+    named = {**payload, "smoothing": {"x0": [0.5, 0.5], "sweep": sweep}}
+    assert main(["study-smoothing", "--config", write_config(tmp_path, named, "named.json")]) == 1
+    assert capsys.readouterr().err == "error: unknown smoothing keys: ['sweep']\n"
     path = write_config(tmp_path, payload, "smooth.json")
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
     assert main(["study-smoothing", "--config", path, "--out", str(quiet)]) == 0
@@ -548,7 +552,7 @@ _VALID = st.fixed_dictionaries(
             {"tol": st.sampled_from([1e-8, 1e-3]), "max_outer_iterations": st.integers(0, 3)}
         ),
         "smoothing": st.sampled_from(
-            [None, {"x0": [0.5, 0.5], "sweep": "time"}, {"sweep": "space"}]
+            [None, {"x0": [0.5, 0.5]}, {}]
         ),
     }
 )

@@ -428,7 +428,7 @@ def test_smoothing_time_sweep_small():
         mesh_n=16,
         time_steps=[2, 4, 8, 64],
         dg_order=0,
-        smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep="time"),
+        smoothing=SmoothingSpec(x0=(0.5, 0.5)),
     )
     table = study_smoothing(cfg)
     assert all(e > 0 for e in table.errors)
@@ -462,7 +462,7 @@ def test_smoothing_factors_once_per_level_and_solves_no_mass(
         T=0.1,
         mesh_n=mesh_n,
         time_steps=time_steps,
-        smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep=sweep),
+        smoothing=SmoothingSpec(x0=(0.5, 0.5)),
     )
     table = study_smoothing(cfg)
     levels = mesh_n if sweep == "space" else [mesh_n] * len(time_steps)
@@ -487,7 +487,7 @@ def test_smoothing_rejects_boundary_point():
         T=0.1,
         mesh_n=8,
         time_steps=[2, 4, 8],
-        smoothing=SmoothingSpec(x0=(0.05, 0.5), sweep="time"),
+        smoothing=SmoothingSpec(x0=(0.05, 0.5)),
     )
     with pytest.raises(ConfigError):
         study_smoothing(cfg)
@@ -498,7 +498,7 @@ def test_smoothing_zero_initial_state():
         T=0.1,
         mesh_n=16,
         time_steps=[2, 4, 8],
-        smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep="time"),
+        smoothing=SmoothingSpec(x0=(0.5, 0.5)),
     )
     table = study_smoothing(cfg, v0=lambda x, y: np.zeros_like(x))
     assert all(e == 0.0 for e in table.errors)
@@ -579,7 +579,7 @@ CONFIGS = st.fixed_dictionaries(
         "seed": JSON,
         "pdap": JSON | json_object(PDAP_KEYS),
         "output_dir": JSON,
-        "smoothing": JSON | json_object({"x0", "sweep"}),
+        "smoothing": JSON | json_object({"x0"}),
     },
 )
 

@@ -293,6 +293,12 @@ def dissection_oracle(n, r0, c0, h, w, cuts):
     return first + second + line
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_dissection_order_matches_the_oracle_on_benchmark_lattices(n):
+    # The lattices that the benchmark factors; hypothesis draws n <= 40.
+    assert dissection_order(n).tolist() == dissection_oracle(n, 0, 0, n - 1, n - 1, [])
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 40))
 def test_interior_nodes_are_a_nested_dissection_order(n):

@@ -163,10 +163,10 @@ def heat_model(T):
 
 @functools.lru_cache(maxsize=None)
 def heat_column(T, i, j):
-    """S(delta) at interior lattice node (i, j), on interior nodes."""
+    """S(delta) at interior lattice node (i, j), on all nodes."""
     model = heat_model(T)
-    load = np.zeros(model.interior.size)
-    load[model.position[(i + 1) * (HEAT_LATTICE + 1) + j + 1]] = 1.0
+    load = np.zeros(model.mesh.num_nodes)
+    load[(i + 1) * (HEAT_LATTICE + 1) + j + 1] = 1.0
     return model.propagate_load(load)
 
 
@@ -174,7 +174,7 @@ def heat_subproblem(T, anchor, offsets, weights, noise_seed, alpha_frac):
     """Gram system of heat columns at the interior lattice nodes anchor +
     offsets, as PDAP builds it: G = C' M C and c = C' M u_d for data u_d
     near span(C)."""
-    Mi = heat_model(T).mass_int
+    Mi = heat_model(T).mass
     C = np.column_stack(
         [heat_column(T, anchor[0] + di, anchor[1] + dj) for di, dj in offsets]
     )
@@ -279,8 +279,8 @@ def lattice_mass(n):
 
 def select(z, active=(), alpha=1.0):
     n = math.isqrt(z.size) - 1  # z holds the (n + 1)^2 lattice nodes
-    interior = build_uniform(n).interior_nodes()
-    return select_candidates(z, lattice_mass(n), interior, list(active), alpha)
+    boundary = build_uniform(n).boundary_mask
+    return select_candidates(z, lattice_mass(n), boundary, list(active), alpha)
 
 
 def test_select_candidate_prefers_largest_and_lowest():
@@ -311,19 +311,6 @@ def test_select_candidate_prefers_largest_and_lowest():
     spikes[nodes] = [5.0, 4.0, 3.0, 2.0, 6.0]
     expected = [nodes[4]] + nodes[:MAX_INSERTIONS - 1]
     assert select(spikes) == expected
-
-
-def test_select_candidates_ties_to_the_lowest_node_in_any_interior_order():
-    # Four separated spikes of equal |z|: the argmax node and the extra
-    # nodes go by node index whatever order `interior` lists them in.
-    mesh = build_uniform(6)
-    z = np.zeros(mesh.num_nodes)
-    spikes = [1 * 7 + 1, 1 * 7 + 4, 4 * 7 + 1, 4 * 7 + 4]
-    z[spikes] = [2.0, -2.0, 2.0, -2.0]
-    interior = mesh.interior_nodes()
-    for order in (interior, interior[::-1], np.sort(interior)):
-        nodes = select_candidates(z, lattice_mass(6), order, [], 1.0)
-        assert nodes == spikes[:MAX_INSERTIONS]
 
 
 def lattice_neighbours(mesh):
@@ -400,7 +387,7 @@ def test_two_sources_enter_in_one_batched_propagation(monkeypatch):
     )
     res = pdap.run(model, u_d, PdapConfig(alpha=1e-3, tol=1e-8))
     assert res.converged
-    assert loads == [(model.interior.size, 2)]
+    assert loads == [(model.mesh.num_nodes, 2)]
     assert len(adjoints) == len(res.log) == 2
     assert [r.inserted for r in res.log] == [2, 0]
     assert sorted(res.measure.positions.tolist()) == sorted(truth.positions.tolist())
@@ -439,7 +426,7 @@ def test_seed_with_the_optimal_support_stops_after_one_adjoint(monkeypatch):
     assert res.m0 == cold.m0
     assert len(adjoints) == len(res.log) == 1
     # The seed columns go out in one batch and count in row 0.
-    assert loads == [(model.interior.size, len(cold.active_nodes))]
+    assert loads == [(model.mesh.num_nodes, len(cold.active_nodes))]
     assert res.log.records[0].inserted == len(cold.active_nodes)
     assert res.active_nodes == cold.active_nodes
     scale = np.abs(cold.state).max()
@@ -634,7 +621,7 @@ def test_run_stops_unconverged_once_the_argmax_node_is_active():
     last = res.log.records[-1]
     assert (last.new_node, last.subproblem_iters, last.inserted) == (-1, 0, 0)
     assert select_candidates(
-        res.adjoint, model.mass, model.interior, res.active_nodes, cfg.alpha
+        res.adjoint, model.mass, model.mesh.boundary_mask, res.active_nodes, cfg.alpha
     )[0] in res.active_nodes
     assert res.gap < 1e-13 * res.m0
 

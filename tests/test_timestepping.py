@@ -201,7 +201,7 @@ def test_propagations_factor_one_interior_matrix(monkeypatch):
 
     monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
     model = make_model(n=8, M=4, r=1)
-    b = np.random.default_rng(5).standard_normal(model.interior.size)
+    b = np.random.default_rng(5).standard_normal(model.mesh.num_nodes)
     model.propagate_load(b)
     model.propagate_adjoint(b)
     assert shapes == [(model.interior.size, model.interior.size)]
@@ -213,13 +213,33 @@ def test_batched_propagation_matches_columnwise(r, M):
     # PDAP propagates several new columns in one (N, k) call; each column
     # must equal its own single-vector propagation.
     model = make_model(n=8, M=M, r=r)
-    loads = np.random.default_rng(6).standard_normal((model.interior.size, 4))
+    loads = np.random.default_rng(6).standard_normal((model.mesh.num_nodes, 4))
     for propagate in (model.propagate_load, model.propagate_adjoint):
         batched = propagate(loads)
         assert batched.shape == loads.shape
         for j in range(loads.shape[1]):
             single = propagate(loads[:, j])
             assert np.linalg.norm(batched[:, j] - single) <= 1e-13 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("kind", ["load", "adjoint"])
+def test_propagation_ignores_boundary_rows_and_returns_zero_boundary(kind, batch, r):
+    # Propagations take and return nodal vectors, one column or a batch:
+    # the load's boundary rows do not enter, and the end state is exactly
+    # zero on the boundary.
+    model = make_model(n=8, M=4, r=r)
+    propagate = getattr(model, f"propagate_{kind}")
+    boundary = model.mesh.boundary_mask
+    load = np.random.default_rng(9).standard_normal((model.mesh.num_nodes, *batch))
+    cleared = load.copy()
+    cleared[boundary] = 0.0
+    got = propagate(load)
+    assert got.shape == load.shape
+    assert np.array_equal(got, propagate(cleared))
+    assert not got[boundary].any()
+    assert got[~boundary].all()
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -232,9 +252,9 @@ def test_propagation_matches_explicit_stepping(r, T, M):
     # the decayed state, up to T = 3. At (1, 4) dG(1) has k 2 pi^2 > 3, so
     # b = 0 and the weights alternate in sign.
     model = make_model(n=32, M=M, r=r, T=T)
-    dirac = delta_load(model.mesh, DiscreteMeasure([(0.3, 0.6)], [1.0]))[model.interior]
+    dirac = delta_load(model.mesh, DiscreteMeasure([(0.3, 0.6)], [1.0]))
     rng = np.random.default_rng(7)
-    loads = np.column_stack([dirac, rng.standard_normal(model.interior.size)])
+    loads = np.column_stack([dirac, rng.standard_normal(model.mesh.num_nodes)])
     expected = propagate_by_stepping(model, loads)
     for propagate in (model.propagate_load, model.propagate_adjoint):
         got = propagate(loads)
@@ -257,7 +277,7 @@ def test_propagation_solve_count(monkeypatch, r, many):
     expected = {M: M for M in range(1, 17)} | many
     for M, solves in expected.items():
         model = make_model(n=4, M=M, r=r, T=0.1)
-        load = np.ones(model.interior.size)
+        load = np.ones(model.mesh.num_nodes)
         for propagate in (model.propagate_load, model.propagate_adjoint):
             calls.clear()
             propagate(load)
@@ -352,7 +372,7 @@ def test_factorizations_keep_nested_dissection_fill(monkeypatch):
     fills = record_fills(monkeypatch)
     for r in (0, 1):
         model = make_model(n=64, M=2, r=r)
-        model.propagate_load(np.ones(model.interior.size))
+        model.propagate_load(np.ones(model.mesh.num_nodes))
     spd_solve(model.mass, np.ones(model.mass.shape[0]))
     slab_dg0, slab_dg1, mass = fills
     assert slab_dg0 <= 200_000
@@ -365,7 +385,7 @@ def test_slab_fill_at_n_256_is_below_minimum_degree(monkeypatch):
     # 5,644,786 under minimum degree for the dG(0) slab matrix at n = 256.
     fills = record_fills(monkeypatch)
     model = make_model(n=256, M=2, r=0)
-    model.propagate_load(np.ones(model.interior.size))
+    model.propagate_load(np.ones(model.mesh.num_nodes))
     assert fills[0] < 5_000_000
 
 
