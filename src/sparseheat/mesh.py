@@ -171,29 +171,32 @@ def build_uniform(n):
 DISSECTION_LEAF = 4
 
 
-def _block_order(h, w, memo):
-    """Lattice (rows, cols) of an h-by-w block in nested-dissection order.
+def _block_order(h, w, stride, memo):
+    """Nodes of an h-by-w lattice block in nested-dissection order.
 
-    Coordinates count from the block's first row and column. Blocks of
-    one shape are ordered alike, so `memo` keeps each shape's order and
-    a lattice computes only the O(log n) shapes that its bisection meets.
+    Each node at row r and column c of the block is given as its offset
+    r * stride + c from the block's first node, so a block placed
+    anywhere in a lattice of that row stride is ordered alike: `memo`
+    keeps each shape's order, and a lattice computes only the O(log n)
+    shapes that its bisection meets.
     """
     if (h, w) not in memo:
         if h * w <= DISSECTION_LEAF:
             rows, cols = np.divmod(np.arange(h * w), w)
+            order = rows * stride + cols
         elif h >= w:
             k = h // 2
-            r1, c1 = _block_order(k, w, memo)
-            r2, c2 = _block_order(h - k - 1, w, memo)
-            rows = np.concatenate([r1, r2 + k + 1, np.full(w, k)])
-            cols = np.concatenate([c1, c2, np.arange(w)])
+            first = _block_order(k, w, stride, memo)
+            second = _block_order(h - k - 1, w, stride, memo)
+            order = np.concatenate([first, second, k * stride + np.arange(w)])
+            order[first.size : first.size + second.size] += (k + 1) * stride
         else:
             k = w // 2
-            r1, c1 = _block_order(h, k, memo)
-            r2, c2 = _block_order(h, w - k - 1, memo)
-            rows = np.concatenate([r1, r2, np.arange(h)])
-            cols = np.concatenate([c1, c2 + k + 1, np.full(h, k)])
-        memo[h, w] = rows, cols
+            first = _block_order(h, k, stride, memo)
+            second = _block_order(h, w - k - 1, stride, memo)
+            order = np.concatenate([first, second, k + stride * np.arange(h)])
+            order[first.size : first.size + second.size] += k + 1
+        memo[h, w] = order
     return memo[h, w]
 
 
@@ -208,8 +211,10 @@ def dissection_order(n):
     P1 coupling, the diagonal one included. Smaller blocks and cut lines
     are listed row-major (`_block_order`).
     """
-    rows, cols = _block_order(n - 1, n - 1, {})
-    return (rows + 1) * (n + 1) + cols + 1
+    # The interior lattice starts at node (1, 1), index n + 2.
+    order = _block_order(n - 1, n - 1, n + 1, {})
+    order += n + 2
+    return order
 
 
 def refine(mesh):

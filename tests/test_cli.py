@@ -424,7 +424,8 @@ def test_study_smoothing_verbose_logs_one_line_per_level(
     }
     # The swept parameter is the list one; naming it is an unknown key.
     named = {**payload, "smoothing": {"x0": [0.5, 0.5], "sweep": sweep}}
-    assert main(["study-smoothing", "--config", write_config(tmp_path, named, "named.json")]) == 1
+    named_path = write_config(tmp_path, named, "named.json")
+    assert main(["study-smoothing", "--config", named_path]) == 1
     assert capsys.readouterr().err == "error: unknown smoothing keys: ['sweep']\n"
     path = write_config(tmp_path, payload, "smooth.json")
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"

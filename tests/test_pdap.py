@@ -174,15 +174,15 @@ def heat_subproblem(T, anchor, offsets, weights, noise_seed, alpha_frac):
     """Gram system of heat columns at the interior lattice nodes anchor +
     offsets, as PDAP builds it: G = C' M C and c = C' M u_d for data u_d
     near span(C)."""
-    Mi = heat_model(T).mass
+    mass = heat_model(T).mass
     C = np.column_stack(
         [heat_column(T, anchor[0] + di, anchor[1] + dj) for di, dj in offsets]
     )
     w = np.asarray(weights[: len(offsets)])
     rng = np.random.default_rng(noise_seed)
     u_d = C @ w + 1e-3 * np.abs(C @ w).max() * rng.standard_normal(C.shape[0])
-    G = C.T @ (Mi @ C)
-    c = C.T @ (Mi @ u_d)
+    G = C.T @ (mass @ C)
+    c = C.T @ (mass @ u_d)
     return G, c, alpha_frac * np.abs(c).max()
 
 
