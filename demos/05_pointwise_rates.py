@@ -3,9 +3,9 @@
 Starts from the lowest eigenmode of the square, evaluates the terminal
 state at the center, and refines one discretization axis at a time while
 the reference shares the other axis; the axis given as a list is the one
-refined. The time sweep isolates the temporal
-error (orders 1 and 3); the mesh sweep isolates the spatial error
-(order 2 at an interior point).
+refined. The time sweep isolates the temporal error (orders 1 and 3);
+the mesh sweep isolates the spatial error (order 2 at an interior
+point).
 """
 
 from sparseheat.experiments import ExperimentConfig, SmoothingSpec, study_smoothing

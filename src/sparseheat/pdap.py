@@ -382,7 +382,8 @@ def run(model, u_d, config, seed_nodes=()):
         phi = pairing + alpha * float(np.abs(beta).sum()) + m0 * max(zmax - alpha, 0.0)
 
         converged = m0 == 0.0 or phi < tol_abs
-        nodes = [] if converged else select_candidates(z, model.mass, boundary, active, alpha)
+        if not converged:
+            nodes = select_candidates(z, model.mass, boundary, active, alpha)
         if converged or n == config.max_outer_iterations or nodes[0] in active:
             record(n, phi, j, len(active), -1, 0, 0)
             break
