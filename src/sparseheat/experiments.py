@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,14 +46,10 @@ _log = logging.getLogger("sparseheat")
 
 @dataclass
 class SmoothingSpec:
-    """Evaluation point x0 of `study_smoothing`.
-
-    The study sweeps whichever of mesh_n and time_steps is a list, so
-    `sweep` is accepted and not stored.
-    """
+    """Evaluation point x0 of `study_smoothing`, which sweeps whichever of
+    mesh_n and time_steps is a list."""
 
     x0: tuple = (0.5, 0.5)
-    sweep: InitVar[str] = None
 
 
 @dataclass

@@ -4,8 +4,10 @@ Provides mass/stiffness assembly as CSR matrices, a checked sparse
 direct solve, point evaluation, Dirac and L2 load vectors, L2
 projection, nested-lattice interpolation and mass-weighted inner
 products. A discrete field is the float array of its nodal values.
-Matrices are assembled over all nodes; homogeneous Dirichlet conditions
-are imposed by restricting to the interior index set.
+Every matrix is written from the 7-point stencil of the lattice
+(`_lattice_matrix`), over all nodes or as the block on the interior
+nodes in the order of `mesh.interior_nodes()`, to which homogeneous
+Dirichlet conditions restrict.
 """
 
 from __future__ import annotations
@@ -51,69 +53,90 @@ def spd_solve(mat, rhs):
     return x
 
 
+# Lattice offsets (row, column) of the vertices of the two cells of a
+# square, below and above its lower-left to upper-right diagonal, in the
+# order of `TriMesh.cells`; and the node offsets of the 7-point P1
+# stencil, in node order.
+_CELL_VERTICES = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
+_STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+# Element stiffness (e_a . e_b) / (4 |T|) of the two cells, e_a the edge
+# opposite vertex a; in lattice units, since it does not depend on h.
+_EDGES = np.roll(_CELL_VERTICES, -2, axis=1) - np.roll(_CELL_VERTICES, -1, axis=1)
+_STIFFNESS = np.einsum("kad,kbd->kab", _EDGES, _EDGES) / 2.0
+
+
+def _lattice_matrix(mesh, nodes, values):
+    """Matrix of a P1 form on the listed nodes, written from the lattice.
+
+    `values` holds the 3x3 element matrix of the cells below and above
+    the diagonals, in `_CELL_VERTICES` order. Entry (i, j) sums the
+    element entries of the cells holding both nodes, one term after
+    another, as `tocsr` adds the duplicates of a per-cell assembly: six
+    cells at an interior node and fewer on the boundary, two at an axis
+    edge (one on the boundary) and two at a diagonal edge. Rows and
+    columns follow `nodes`; each row lists its columns in node order, as
+    slicing the full matrix does, and keeps the entries that cancel.
+    """
+    n = mesh.n
+    nodes = np.asarray(nodes)
+    r, c = np.divmod(nodes, n + 1)
+    vals = np.zeros((len(_STENCIL), nodes.size))
+    keep = np.zeros(vals.shape, dtype=bool)
+    for vertices, local in zip(_CELL_VERTICES, values):
+        for a, (ar, ac) in enumerate(vertices):
+            # Square whose cell has the node as vertex a; elsewhere the
+            # terms are 0.0, which leaves every sum as it is.
+            inside = (np.minimum(r - ar, c - ac) >= 0) & (np.maximum(r - ar, c - ac) < n)
+            for b, (br, bc) in enumerate(vertices):
+                k = _STENCIL.index((br - ar, bc - ac))
+                vals[k] += local[a][b] * inside
+                keep[k] |= inside
+    positions = np.full(mesh.num_nodes, -1)
+    positions[nodes] = np.arange(nodes.size)
+    dr, dc = np.array(_STENCIL).T[:, :, None]
+    cols = positions.take((r + dr) * (n + 1) + c + dc, mode="clip")
+    keep &= cols >= 0
+    # Row by row, each in stencil order.
+    keep, vals, cols = keep.T, vals.T, cols.T
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(nodes.size,) * 2)
+
+
+def _mass_values(mesh):
+    """Element mass area/12 * [2,1,1] of both cells, area = 1/(2 n^2)."""
+    return [0.5 / mesh.n**2 / 12.0 * (1.0 + np.eye(3))] * 2
+
+
 def assemble_mass(mesh):
     """P1 mass matrix, exact element integration (area/12 * [2,1,1] pattern)."""
-    cells = mesh.cells
-    w = mesh.cell_areas() / 12.0
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(cells[:, a])
-            cols.append(cells[:, b])
-            vals.append(w * (2.0 if a == b else 1.0))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.num_nodes, mesh.num_nodes),
-    )
-    return mat.tocsr()
+    return _lattice_matrix(mesh, np.arange(mesh.num_nodes), _mass_values(mesh))
 
 
 def assemble_stiffness(mesh):
-    """P1 stiffness matrix; K_ab = (e_a . e_b) / (4 |T|) per cell."""
-    cells = mesh.cells
-    tri, area = mesh.nodes[cells], mesh.cell_areas()
-    # Edge opposite each vertex.
-    e = np.stack(
-        [tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0]],
-        axis=1,
-    )
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(cells[:, a])
-            cols.append(cells[:, b])
-            vals.append(np.einsum("ij,ij->i", e[:, a], e[:, b]) / (4.0 * area))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.num_nodes, mesh.num_nodes),
-    )
-    return mat.tocsr()
+    """P1 stiffness matrix; K_ab = (e_a . e_b) / (4 |T|) per cell.
+
+    The diagonal edges' couplings cancel and stay as explicit zeros.
+    """
+    return _lattice_matrix(mesh, np.arange(mesh.num_nodes), _STIFFNESS)
+
+
+def interior_mass(mesh):
+    """Mass block on `mesh.interior_nodes()`, in that order.
+
+    Equal, array for array, to `assemble_mass(mesh)` sliced to the
+    interior, without the full assembly.
+    """
+    return _lattice_matrix(mesh, mesh.interior_nodes(), _mass_values(mesh))
 
 
 def interior_stiffness(mesh):
-    """Stiffness block on the interior nodes, from the 5-point stencil.
+    """Stiffness block on `mesh.interior_nodes()`, in that order.
 
-    On the lattice split along its lower-left to upper-right diagonals
-    the P1 stiffness couples each node with weight 4 to itself and -1 to
-    its four axis neighbours; the diagonal couplings cancel. So the block
-    is the stencil, relabelled to the order of `mesh.interior_nodes()`:
-    `assemble_stiffness(mesh)` sliced to the interior, without its
-    explicit zeros, with sorted column indices and with no full assembly.
+    The 5-point stencil (4 on the diagonal, -1 for each axis neighbour)
+    with the cancelled diagonal couplings as explicit zeros: equal,
+    array for array, to `assemble_stiffness(mesh)` sliced to the interior.
     """
-    interior = mesh.interior_nodes()
-    positions = mesh.interior_positions()
-    size = interior.size
-    rows, cols, vals = [np.arange(size)], [np.arange(size)], [np.full(size, 4.0)]
-    for step in (1, -1, mesh.n + 1, -(mesh.n + 1)):
-        nbr = positions[interior + step]
-        inside = np.flatnonzero(nbr >= 0)
-        rows.append(inside)
-        cols.append(nbr[inside])
-        vals.append(np.full(inside.size, -1.0))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
+    return _lattice_matrix(mesh, mesh.interior_nodes(), _STIFFNESS)
 
 
 def delta_load(mesh, q):

@@ -1,15 +1,16 @@
 """Structured right-triangle meshes of the unit square.
 
-Every mesh is the uniform n-by-n lattice of squares built by
-`build_uniform`, each square split along its lower-left to upper-right
-diagonal; `refine` builds the lattice of twice the resolution, and
-`refine_support` carries a support onto it. Nodes and cells are numbered
-lexicographically by lattice row and column, so point location and the
-edge test `p1_edges` are closed form. The interior nodes are listed in
-nested-dissection order (`dissection_order`), the order in which the
-interior matrices are factored; only `fem.interior_stiffness` and
-`timestepping.HeatModel` use it, and the rest of the package sees nodal
-vectors. Meshes are immutable after construction.
+Every mesh is the uniform n-by-n lattice of squares `TriMesh(n)`
+(`build_uniform(n)`), each square split along its lower-left to
+upper-right diagonal; `refine` builds the lattice of twice the
+resolution, and `refine_support` carries a support onto it. Nodes and
+cells are numbered lexicographically by lattice row and column, so point
+location, the edge test `p1_edges` and the matrix stencils of `fem` are
+closed form. The interior nodes are listed in nested-dissection order
+(`dissection_order`), the order in which the interior matrices are
+factored; only the interior blocks of `fem` and `timestepping.HeatModel`
+use it, and the rest of the package sees nodal vectors. Meshes are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -29,7 +30,15 @@ _SQUARE_SLACK = 1e-9
 
 
 class TriMesh:
-    """Conforming triangulation of the unit square.
+    """Uniform triangulation of the unit square with an n-by-n lattice.
+
+    Nodes sit on the lattice {i/n} x {j/n}, ordered lexicographically by
+    (row, column); each lattice square is split along the diagonal from
+    its lower-left to its upper-right corner, into the cells 2 (r n + c)
+    below and 2 (r n + c) + 1 above it. The mesh has (n+1)^2 nodes, 2 n^2
+    cells and mesh size sqrt(2)/n. Every array is built from n, so the
+    lattice indices of a node or cell are closed form, which point
+    location and the stencils of `fem` rely on.
 
     Attributes
     ----------
@@ -45,15 +54,27 @@ class TriMesh:
         Mesh size, the maximum cell diameter sqrt(2)/n.
     """
 
-    def __init__(self, nodes, cells, boundary_mask, n):
-        self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
-        self.boundary_mask = np.ascontiguousarray(boundary_mask, dtype=bool)
-        self.n = int(n)
-        self.h = math.sqrt(2.0) / self.n
-        self.nodes.setflags(write=False)
-        self.cells.setflags(write=False)
-        self.boundary_mask.setflags(write=False)
+    def __init__(self, n):
+        if n < 2:
+            raise ValueError("build_uniform requires n >= 2")
+        self.n = n = int(n)
+        self.h = math.sqrt(2.0) / n
+        side = np.arange(n + 1, dtype=float) / n
+        cols, rows = np.meshgrid(side, side)  # row-major: index = row*(n+1)+col
+        self.nodes = np.column_stack([cols.ravel(), rows.ravel()])
+
+        r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        ll = (r * (n + 1) + c).ravel()
+        lr = ll + 1
+        ul = ll + n + 1
+        ur = ul + 1
+        self.cells = np.empty((2 * n * n, 3), dtype=np.int64)
+        self.cells[0::2] = np.column_stack([ll, lr, ur])
+        self.cells[1::2] = np.column_stack([ll, ur, ul])
+
+        self.boundary_mask = ((self.nodes == 0.0) | (self.nodes == 1.0)).any(axis=1)
+        for array in (self.nodes, self.cells, self.boundary_mask):
+            array.setflags(write=False)
         self._interior = None
 
     @property
@@ -75,13 +96,6 @@ class TriMesh:
             interior.setflags(write=False)
             self._interior = interior
         return self._interior
-
-    def interior_positions(self):
-        """Position of each node in `interior_nodes()`, -1 on the boundary."""
-        interior = self.interior_nodes()
-        positions = np.full(self.num_nodes, -1, dtype=np.int64)
-        positions[interior] = np.arange(interior.size)
-        return positions
 
     def cell_areas(self):
         tri = self.nodes[self.cells]
@@ -138,33 +152,8 @@ class TriMesh:
 
 
 def build_uniform(n):
-    """Uniform triangulation of the unit square with an n-by-n lattice.
-
-    Nodes sit on the lattice {i/n} x {j/n}, ordered lexicographically by
-    (row, column); each lattice square is split along the diagonal from
-    its lower-left to its upper-right corner. The mesh has (n+1)^2 nodes,
-    2 n^2 cells and mesh size sqrt(2)/n.
-    """
-    if n < 2:
-        raise ValueError("build_uniform requires n >= 2")
-    side = np.arange(n + 1, dtype=float) / n
-    cols, rows = np.meshgrid(side, side)  # row-major: index = row*(n+1)+col
-    nodes = np.column_stack([cols.ravel(), rows.ravel()])
-
-    r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ll = (r * (n + 1) + c).ravel()
-    lr = ll + 1
-    ul = ll + n + 1
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    cells = np.empty((2 * n * n, 3), dtype=np.int64)
-    cells[0::2] = lower
-    cells[1::2] = upper
-
-    ri, ci = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    boundary = (ri == 0) | (ri == n) | (ci == 0) | (ci == n)
-    return TriMesh(nodes, cells, boundary.ravel(), n)
+    """The uniform triangulation `TriMesh(n)` of the unit square."""
+    return TriMesh(n)
 
 
 # Blocks of at most this many nodes end the bisection of `dissection_order`.

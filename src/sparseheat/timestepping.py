@@ -31,11 +31,14 @@ independently from the raw dG(1) slab system.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fem import SPLU_SYMMETRIC, assemble_mass, delta_load, interior_stiffness
+from .fem import SPLU_SYMMETRIC, assemble_mass, delta_load, interior_mass
+from .fem import interior_stiffness
 from .fem import assemble_stiffness  # unused here; perfbench/tracing.py wraps this name
 
 _S1 = complex(-2.0, np.sqrt(2.0))
@@ -123,20 +126,22 @@ class TimeGrid:
 class HeatModel:
     """Assembled discretization of the homogeneous heat equation.
 
-    Bundles the mesh, the full mass matrix, the interior index set, the
-    interior mass and stiffness blocks, the time grid and the dG order;
-    the slab matrix is factored, and the Chebyshev weights of the
-    propagation are computed, on the first propagation and reused.
+    Bundles the mesh, the interior index set, the interior mass and
+    stiffness blocks, the time grid and the dG order; the slab matrix is
+    factored, and the Chebyshev weights of the propagation are computed,
+    on the first propagation and reused, and the full mass matrix is
+    assembled when `mass` is first read.
     Propagations take a nodal load, a column or a batch, ignore its
     boundary rows and return the nodal end state, zero on the boundary.
     Inside, `interior` lists the interior nodes in the nested-dissection
     order of `mesh.interior_nodes()`, and the interior blocks follow it,
     so the slab matrix is factored without a column permutation
     (`SPLU_SLAB`).
-    The mass block is sliced from the full mass matrix, which candidate
-    selection and the L2 pairings need anyway; the stiffness block comes
-    from the 5-point stencil (`fem.interior_stiffness`), so the full
-    stiffness matrix is never assembled.
+    Both blocks are written from the lattice stencil
+    (`fem.interior_mass`, `fem.interior_stiffness`), so propagation
+    assembles no full matrix. The full mass serves the L2 loads and
+    pairings of `forward_field`, `adjoint_dirac`, PDAP and the drivers;
+    the smoothing study never reads it.
     """
 
     def __init__(self, mesh, grid, order):
@@ -145,12 +150,16 @@ class HeatModel:
         self.mesh = mesh
         self.grid = grid
         self.order = int(order)
-        self.mass = assemble_mass(mesh)
         self.interior = mesh.interior_nodes()
-        self.mass_int = self.mass[self.interior][:, self.interior].tocsr()
+        self.mass_int = interior_mass(mesh)
         self.stiff_int = interior_stiffness(mesh)
         self._slab_lu = None
         self._weights = None
+
+    @functools.cached_property
+    def mass(self):
+        """Full mass matrix, assembled on first use."""
+        return assemble_mass(self.mesh)
 
     def _step(self, f):
         if self._slab_lu is None:

@@ -9,6 +9,8 @@ PDAP solves of a driver, level by level; `objective` and
 `adjoint_state` recompute the reduced objective and the adjoint trace of
 a measure from scratch, as oracles for the solver; `propagate_by_stepping`
 is the explicit M-step loop, the oracle of the Chebyshev propagation;
+`per_cell_mass` and `per_cell_stiffness` assemble cell by cell, the
+oracles of the lattice stencil of `sparseheat.fem`;
 `AscendingHeatModel` is the model on the ascending interior numbering,
 the oracle of the nested-dissection order.
 """
@@ -17,9 +19,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from sparseheat import pdap
-from sparseheat.fem import assemble_stiffness, delta_load
+from sparseheat.fem import delta_load
 from sparseheat.measures import PRUNE_TOL, DiscreteMeasure, tv_norm
 from sparseheat.timestepping import HeatModel, adjoint_dirac, forward_dirac
 
@@ -61,20 +64,53 @@ def propagate_by_stepping(model, load):
     return model.embed(u)
 
 
+def _per_cell(mesh, local):
+    """CSR matrix summing the 3x3 cell matrices local[cell] by `tocsr`."""
+    cells = mesh.cells
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            rows.append(cells[:, a])
+            cols.append(cells[:, b])
+            vals.append(local[:, a, b])
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.num_nodes, mesh.num_nodes),
+    )
+    return mat.tocsr()
+
+
+def per_cell_mass(mesh):
+    """P1 mass matrix assembled per cell: area/12 * [2,1,1] pattern."""
+    w = mesh.cell_areas() / 12.0
+    return _per_cell(mesh, w[:, None, None] * (1.0 + np.eye(3)))
+
+
+def per_cell_stiffness(mesh):
+    """P1 stiffness matrix assembled per cell: (e_a . e_b) / (4 |T|)."""
+    tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
+    # Edge opposite each vertex.
+    e = np.stack(
+        [tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0]],
+        axis=1,
+    )
+    return _per_cell(mesh, np.einsum("iad,ibd->iab", e, e) / (4.0 * area)[:, None, None])
+
+
 class AscendingHeatModel(HeatModel):
     """HeatModel with the interior nodes numbered in ascending order.
 
-    The interior blocks are sliced from the full assemblies, so neither
-    the nested-dissection order nor the stencil enters; the slab matrix
-    is factored in that order, as banded.
+    The interior blocks are sliced from the per-cell assemblies, so
+    neither the nested-dissection order nor the stencil enters; the slab
+    matrix is factored in that order, as banded.
     """
 
     def __init__(self, mesh, grid, order):
         super().__init__(mesh, grid, order)
         interior = np.flatnonzero(~mesh.boundary_mask)
         self.interior = interior
-        self.mass_int = self.mass[interior][:, interior].tocsr()
-        self.stiff_int = assemble_stiffness(mesh)[interior][:, interior].tocsr()
+        self.mass_int = per_cell_mass(mesh)[interior][:, interior].tocsr()
+        self.stiff_int = per_cell_stiffness(mesh)[interior][:, interior].tocsr()
 
 
 def load_measure(path):

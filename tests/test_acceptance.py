@@ -335,7 +335,7 @@ def test_criterion_8_slope_is_second_order_at_any_tolerance():
 
 def test_criterion_9_pointwise_smoothing_rates():
     start = time.time()
-    spec = SmoothingSpec(x0=(0.5, 0.5), sweep="time")
+    spec = SmoothingSpec(x0=(0.5, 0.5))
     cfg_t0 = ExperimentConfig(
         T=0.1, mesh_n=32, time_steps=[4, 8, 16, 32, 256], dg_order=0, smoothing=spec
     )
@@ -349,7 +349,7 @@ def test_criterion_9_pointwise_smoothing_rates():
         mesh_n=[16, 32, 64, 128, 256],
         time_steps=64,
         dg_order=0,
-        smoothing=SmoothingSpec(x0=(0.5, 0.5), sweep="space"),
+        smoothing=SmoothingSpec(x0=(0.5, 0.5)),
     )
     slope_s = study_smoothing(cfg_s).slope
     elapsed = time.time() - start

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseheat import build_uniform, experiments, pdap
+from sparseheat import build_uniform, experiments, pdap, timestepping
 from sparseheat.cli import main, _resolve_config
 from sparseheat.errors import ConfigError, SolverFailure
 from sparseheat.mesh import refine_support
@@ -404,6 +404,30 @@ def test_study_smoothing_cli(tmp_path, capsys):
     assert main(["study-smoothing", "--config", path, "--out", str(out)]) == 0
     assert (out / "errors.csv").exists()
     assert "slope=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mesh_n, time_steps", [([16, 32, 64], 4), (16, [2, 4, 8])])
+def test_study_smoothing_never_assembles_the_full_mass(
+    tmp_path, monkeypatch, mesh_n, time_steps
+):
+    # Its models propagate from the interior blocks and never read
+    # HeatModel.mass, so the full mass is never built.
+    payload = {
+        "T": 0.1,
+        "mesh_n": mesh_n,
+        "time_steps": time_steps,
+        "smoothing": {"x0": [0.5, 0.5]},
+    }
+    path = write_config(tmp_path, payload, "smooth.json")
+    plain, lazy = tmp_path / "plain", tmp_path / "lazy"
+    assert main(["study-smoothing", "--config", path, "--out", str(plain)]) == 0
+
+    def refuse(mesh):
+        raise AssertionError("full mass assembled")
+
+    monkeypatch.setattr(timestepping, "assemble_mass", refuse)
+    assert main(["study-smoothing", "--config", path, "--out", str(lazy)]) == 0
+    assert (lazy / "errors.csv").read_bytes() == (plain / "errors.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

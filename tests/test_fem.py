@@ -19,9 +19,12 @@ from sparseheat import (
     refine,
     spd_solve,
 )
+from sparseheat import fem
 from sparseheat.errors import NumericalError
 from sparseheat.fem import interior_stiffness
 from sparseheat.timestepping import _POLES, HeatModel, TimeGrid
+
+from measure_helpers import per_cell_mass, per_cell_stiffness
 
 
 def lattice_node(n, i, j):
@@ -138,58 +141,66 @@ def test_solve_spd_roundtrip():
         spd_solve(M, y[:-1])
 
 
-def sliced_stiffness(mesh):
-    """The interior block of the assembled stiffness matrix, explicit
-    zeros (the cancelled diagonal couplings) eliminated and column
-    indices sorted: slicing in the unsorted interior order leaves each
-    row's columns in node order."""
+def interior_block(mat, mesh):
+    # Slicing in the unsorted interior order leaves each row's columns in
+    # node order, which the stencil matches.
     interior = mesh.interior_nodes()
-    block = assemble_stiffness(mesh)[interior][:, interior].tocsr()
-    block.eliminate_zeros()
-    block.sort_indices()
-    return block
+    return mat[interior][:, interior]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64])
-def test_interior_stiffness_is_the_sliced_assembly(n):
-    # Same CSR arrays. The stencil's 4 and -1 are exact, while assembly
-    # rounds the coordinates i/n: bit-identical on dyadic lattices, and
-    # within four ulp elsewhere (n = 5).
+@pytest.mark.parametrize(
+    "name", ["assemble_mass", "assemble_stiffness", "interior_mass", "interior_stiffness"]
+)
+def test_stencil_is_the_per_cell_assembly(name, n):
+    # Same CSR arrays, explicit zeros of the cancelled diagonal stiffness
+    # couplings included. The stencil's cell terms are those of area
+    # 1/(2 n^2) and exact edges, while the per-cell assembly rounds the
+    # coordinates i/n: bit-identical on dyadic lattices. Elsewhere the
+    # interior stiffness (4 and -1, from exact halves) stays within four
+    # ulp, and the other matrices, whose boundary and mass entries carry
+    # the rounded cell areas, within six: measured at n = 3 and 5, the
+    # only non-dyadic cases here (the gap grows with n, to 13 at n = 10).
     mesh = build_uniform(n)
-    stencil, sliced = interior_stiffness(mesh), sliced_stiffness(mesh)
+    stencil = getattr(fem, name)(mesh)
+    oracle = (per_cell_mass if name.endswith("mass") else per_cell_stiffness)(mesh)
+    if name.startswith("interior"):
+        oracle = interior_block(oracle, mesh)
     assert stencil.format == "csr" and stencil.dtype == np.float64
-    np.testing.assert_array_equal(stencil.indptr, sliced.indptr)
-    np.testing.assert_array_equal(stencil.indices, sliced.indices)
+    np.testing.assert_array_equal(stencil.indptr, oracle.indptr)
+    np.testing.assert_array_equal(stencil.indices, oracle.indices)
     if n & (n - 1) == 0:
-        np.testing.assert_array_equal(stencil.data, sliced.data)
+        np.testing.assert_array_equal(stencil.data, oracle.data)
     else:
-        np.testing.assert_array_max_ulp(stencil.data, sliced.data, maxulp=4)
+        maxulp = 4 if name == "interior_stiffness" else 6
+        np.testing.assert_array_max_ulp(stencil.data, oracle.data, maxulp=maxulp)
 
 
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("order", [0, 1])
 def test_slab_matrix_is_unchanged_by_the_stencil(n, order):
     # The slab matrix kA - sigma M that HeatModel factors equals, array for
-    # array, the one built from the sliced full stiffness assembly.
+    # array, the one built from the sliced per-cell assemblies.
     model = HeatModel(build_uniform(n), TimeGrid(0.1, 16), order)
     sigma = _POLES[order][0]
-    k, mass = model.grid.k, model.mass_int
-    ours = (k * model.stiff_int - sigma * mass).tocsc()
-    interior = model.interior
-    full = assemble_stiffness(model.mesh)[interior][:, interior].tocsr()
-    oracle = (k * full - sigma * mass).tocsc()
+    k = model.grid.k
+    ours = (k * model.stiff_int - sigma * model.mass_int).tocsc()
+    mass, stiffness = (
+        interior_block(f(model.mesh), model.mesh) for f in (per_cell_mass, per_cell_stiffness)
+    )
+    oracle = (k * stiffness - sigma * mass).tocsc()
     for attr in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(ours, attr), getattr(oracle, attr))
 
 
 def test_solve_spd_single_interior_node():
-    A = sliced_stiffness(build_uniform(2))
+    A = interior_stiffness(build_uniform(2))
     x = spd_solve(A, np.array([2.0]))
     assert x[0] == pytest.approx(0.5, abs=1e-15)  # stencil center is 4
 
 
 def test_solve_spd_residual_contract():
-    A = sliced_stiffness(build_uniform(8))
+    A = interior_stiffness(build_uniform(8))
     rng = np.random.default_rng(2)
     b = rng.standard_normal(A.shape[0])
     x = spd_solve(A, b)

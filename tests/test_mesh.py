@@ -316,6 +316,3 @@ def test_interior_nodes_are_a_nested_dissection_order(n):
         first = set(first)
         for a, b in p1_edges(mesh, first.union(second)):
             assert (a in first) == (b in first)
-    positions = mesh.interior_positions()
-    assert (positions[interior] == np.arange(interior.size)).all()
-    assert (positions[mesh.boundary_mask] == -1).all()

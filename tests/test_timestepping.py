@@ -207,6 +207,28 @@ def test_propagations_factor_one_interior_matrix(monkeypatch):
     assert shapes == [(model.interior.size, model.interior.size)]
 
 
+def test_full_mass_is_assembled_once_on_first_read(monkeypatch):
+    # Propagation uses the interior blocks only; the full mass is built
+    # when `mass` is first read and kept for the model's lifetime.
+    meshes = []
+    assemble_mass = timestepping.assemble_mass
+
+    def counting_assemble_mass(mesh):
+        meshes.append(mesh)
+        return assemble_mass(mesh)
+
+    monkeypatch.setattr(timestepping, "assemble_mass", counting_assemble_mass)
+    model = make_model(n=8, M=4, r=1)
+    g = np.random.default_rng(5).standard_normal(model.mesh.num_nodes)
+    model.propagate_load(g)
+    model.propagate_adjoint(g)
+    assert meshes == []
+    forward_field(model, g)
+    adjoint_dirac(model, g)
+    assert model.mass is model.mass
+    assert meshes == [model.mesh]
+
+
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("M", [4])
 def test_batched_propagation_matches_columnwise(r, M):
