@@ -78,7 +78,6 @@ def _lattice_matrix(mesh, nodes, values):
     slicing the full matrix does, and keeps the entries that cancel.
     """
     n = mesh.n
-    nodes = np.asarray(nodes)
     r, c = np.divmod(nodes, n + 1)
     vals = np.zeros((len(_STENCIL), nodes.size))
     keep = np.zeros(vals.shape, dtype=bool)
