@@ -21,7 +21,7 @@ import numpy as np
 from . import pdap
 from .errors import ConfigError, SolverFailure
 from .fem import (
-    eval_field,
+    delta_load,
     field_to_csv,
     interpolation_matrix,
     l2_load,
@@ -400,13 +400,15 @@ def first_eigenmode(x, y):
 def _point_value(label, model, load, x0):
     """Value at x0 of the end-time state from an initial L2 load vector.
 
-    The load F_j = (v0, phi_j) on all nodes is propagated as
-    `forward_dirac` propagates the load of atoms; the level (`label`,
-    such as "n=32") and its milliseconds are logged as one INFO line.
+    The load F_j = (v0, phi_j) on all nodes is paired with the Dirac load
+    of x0, the barycentric weights that `eval_field` interpolates with, by
+    `HeatModel.pair_end_state`, so the end state is never formed; the
+    level (`label`, such as "n=32") and its milliseconds are logged as
+    one INFO line.
     """
     started = time.perf_counter()
-    u = model.propagate_load(load)
-    value = eval_field(model.mesh, u, [x0])[0]
+    point = delta_load(model.mesh, DiscreteMeasure([x0], [1.0]))
+    value = model.pair_end_state(point, load)
     _log.info("level %s ms=%.1f", label, 1e3 * (time.perf_counter() - started))
     return value
 
@@ -421,7 +423,9 @@ def study_smoothing(cfg, v0=first_eigenmode):
     expected slopes are 2r+1 in time and 2 (up to a log factor) in space.
     The initial datum enters as its L2 load `l2_load(mesh, v0)`, which is
     the mass matrix applied to the L2 projection of v0, so no mass system
-    is solved. x0 must stay well inside the domain: dist(x0, boundary) > 4h.
+    is solved, and each level pairs it with x0 (`_point_value`) without
+    propagating the state. x0 must stay well inside the domain:
+    dist(x0, boundary) > 4h.
     """
     if cfg.smoothing is None:
         raise ConfigError("smoothing study needs a smoothing block")

@@ -153,22 +153,36 @@ def l2_load(mesh, f):
     """Load vector F_j = (f, phi_j) of a pointwise-evaluable function.
 
     Uses the three-point edge-midpoint rule, exact for quadratics, over
-    all nodes (no boundary conditions). `f` must accept numpy arrays
-    (x, y).
+    all nodes (no boundary conditions). A cell gives each vertex area/6
+    times f at the midpoints of the vertex's two edges, so F_j is area/6
+    times the sum over the lattice edges at node j of f at the midpoint,
+    counted once per cell holding the edge: twice, once on the boundary.
+    `f` is called once, on the midpoints of the horizontal, vertical and
+    diagonal edges, and must accept numpy arrays (x, y).
     """
-    tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
-    mids = [
-        0.5 * (tri[:, 0] + tri[:, 1]),
-        0.5 * (tri[:, 1] + tri[:, 2]),
-        0.5 * (tri[:, 2] + tri[:, 0]),
-    ]
-    fvals = [np.asarray(f(m[:, 0], m[:, 1]), dtype=float) for m in mids]
-    F = np.zeros(mesh.num_nodes)
-    # Each vertex sees the two midpoints of its adjacent edges with hat value 1/2.
-    adjacent = {0: (0, 2), 1: (0, 1), 2: (1, 2)}
-    for vert, (ea, eb) in adjacent.items():
-        np.add.at(F, mesh.cells[:, vert], area / 3.0 * 0.5 * (fvals[ea] + fvals[eb]))
-    return F
+    n = mesh.n
+    side = np.arange(n + 1, dtype=float) / n
+    mid = 0.5 * (side[:-1] + side[1:])
+    # Midpoints of the horizontal, vertical and diagonal edges, each
+    # family row by row: (n + 1, n), (n, n + 1) and (n, n) of them.
+    x = np.concatenate([np.tile(mid, n + 1), np.tile(side, n), np.tile(mid, n)])
+    y = np.concatenate([np.repeat(side, n), np.repeat(mid, n + 1), np.repeat(mid, n)])
+    values = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+    split = n * (n + 1)
+    # Cells holding an edge: two, one in a boundary row or column.
+    cells = np.full(n + 1, 2.0)
+    cells[[0, n]] = 1.0
+    families = (
+        (values[:split].reshape(n + 1, n) * cells[:, None], (0, 1)),
+        (values[split : 2 * split].reshape(n, n + 1) * cells, (1, 0)),
+        (values[2 * split :].reshape(n, n) * 2.0, (1, 1)),
+    )
+    F = np.zeros((n + 1, n + 1))
+    for edges, (dr, dc) in families:
+        F[: n + 1 - dr, : n + 1 - dc] += edges
+        F[dr:, dc:] += edges
+    F *= 0.5 / n**2 / 6.0
+    return F.ravel()
 
 
 def l2_project(mesh, f):

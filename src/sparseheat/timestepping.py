@@ -25,8 +25,10 @@ instead of M, with the same factorization (the Chebyshev propagator of
 Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Sachdeva & Vishnoi, Found.
 Trends Theor. Comput. Sci. 9, 2014, section 3). The result is a polynomial
 in S applied to a symmetric solve, so the adjoint is the same series as
-the forward solve. `pade_step_oracle` computes the amplification
-independently from the raw dG(1) slab system.
+the forward solve, and a pairing of the end state with a fixed vector
+(`HeatModel.pair_end_state`) is a sum of Chebyshev moments that two
+columns reach in half the steps. `pade_step_oracle` computes the
+amplification independently from the raw dG(1) slab system.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class HeatModel:
 
     Bundles the mesh, the interior index set, the interior mass and
     stiffness blocks, the time grid and the dG order; the slab matrix is
-    factored, and the Chebyshev weights of the propagation are computed,
-    on the first propagation and reused, and the full mass matrix is
+    factored, and the Chebyshev weights are computed, on the first
+    propagation or pairing and reused, and the full mass matrix is
     assembled when `mass` is first read.
     Propagations take a nodal load, a column or a batch, ignore its
     boundary rows and return the nodal end state, zero on the boundary.
@@ -153,44 +155,59 @@ class HeatModel:
         self.interior = mesh.interior_nodes()
         self.mass_int = interior_mass(mesh)
         self.stiff_int = interior_stiffness(mesh)
-        self._slab_lu = None
-        self._weights = None
+        self._weights = {}
 
     @functools.cached_property
     def mass(self):
         """Full mass matrix, assembled on first use."""
         return assemble_mass(self.mesh)
 
+    @functools.cached_property
+    def _slab_lu(self):
+        """LU factors of the slab matrix kA - sigma M, computed on first use."""
+        sigma = _POLES[self.order][0]
+        try:
+            mat = (self.grid.k * self.stiff_int - sigma * self.mass_int).tocsc()
+            return spla.splu(mat, **SPLU_SLAB)
+        except RuntimeError as exc:
+            raise NumericalError(f"slab factorization failed: {exc}") from exc
+
     def _step(self, f):
-        if self._slab_lu is None:
-            sigma = _POLES[self.order][0]
-            try:
-                mat = (self.grid.k * self.stiff_int - sigma * self.mass_int).tocsc()
-                self._slab_lu = spla.splu(mat, **SPLU_SLAB)
-            except RuntimeError as exc:
-                raise NumericalError(f"slab factorization failed: {exc}") from exc
         return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))
 
-    def _propagate(self, load):
-        # S^(M-1) u1 = sum_j w_j T_j(L) u1 with L = (2S - (a + b)) / (b - a),
-        # by y_{j+1} = 2 L y_j - y_{j-1} (y_1 = L y_0), in place: once
-        # subtracted, the buffer of y_{j-1} holds the scratch products.
+    def _power_weights(self, M):
+        """`power_weights(M, a, b)` on this model's interval, computed once."""
+        if M not in self._weights:
+            interval = spectral_interval(self.grid.k, self.order)
+            self._weights[M] = power_weights(M, *interval)
+        return self._weights[M]
+
+    def _chebyshev(self, y):
+        # T_j(L) y for j = 1, 2, ... with L = (2S - (a + b)) / (b - a), by
+        # y_{j+1} = 2 L y_j - y_{j-1} (y_1 = L y_0), in place: once
+        # subtracted, the buffer of y_{j-1} holds the scratch products, and
+        # it is yielded with y_{j+1} as the caller's scratch until the next.
         a, b = spectral_interval(self.grid.k, self.order)
-        if self._weights is None:
-            self._weights = power_weights(self.grid.M, a, b)
-        y = self._step(load[self.interior])
-        acc = self._weights[0] * y
-        y_prev = np.zeros_like(acc)
-        for j, w in enumerate(self._weights[1:]):
-            scale = (2.0 if j else 1.0) * 2.0 / (b - a)
+        y_prev = np.zeros_like(y)
+        scale = 2.0 / (b - a)
+        while True:
             y_next = self._step(self.mass_int @ y)
             y_next *= scale
             y_next -= y_prev
             np.multiply(y, scale * (a + b) / 2.0, out=y_prev)
             y_next -= y_prev
-            np.multiply(y_next, w, out=y_prev)
-            acc += y_prev
+            yield y_next, y_prev
             y_prev, y = y, y_next
+            scale = 4.0 / (b - a)
+
+    def _propagate(self, load):
+        # S^(M-1) u1 = sum_j w_j T_j(L) u1.
+        weights = self._power_weights(self.grid.M)
+        y = self._step(load[self.interior])
+        acc = weights[0] * y
+        for w, (y, scratch) in zip(weights[1:], self._chebyshev(y)):
+            np.multiply(y, w, out=scratch)
+            acc += scratch
         return self.embed(acc)
 
     def propagate_load(self, load):
@@ -200,6 +217,40 @@ class HeatModel:
     def propagate_adjoint(self, load):
         """Transposed propagation: terminal pairing back to the initial trace."""
         return self._propagate(load)
+
+    def pair_end_state(self, functional, load):
+        """functional . propagate_load(load), without forming the end state.
+
+        S = R M with R = Re(c (kA - sigma M)^{-1}) symmetric, so with
+        v = R functional and u1 = R load, solved as one two-column batch,
+        the value is <v, S^(M-2) u1>_M: the weights of t^(M-2) summed
+        against the moments mu_j = <v, T_j(L) u1>_M. L is self-adjoint in
+        the M inner product, so T_{i+k} = 2 T_i T_k - T_{|i-k|} gives
+        mu_{2k} = 2 <T_k v, T_k u1>_M - mu_0 and mu_{2k+1} =
+        2 <T_{k+1} v, T_k u1>_M - mu_1, and both columns run only
+        ceil(d/2) steps of the recurrence for d + 1 weights (the moment
+        doubling of the kernel polynomial method; Weisse, Wellein,
+        Alvermann & Fehske, Rev. Mod. Phys. 78, 2006). That is one solve
+        for M = 1 and 1 + ceil(d/2) two-column ones otherwise. The long
+        products are einsum loops, not BLAS dot products, whose worker
+        thread costs more than the product at these sizes.
+        """
+        # Factored first: the factorization's transient memory adds to the
+        # resident set it starts from, which the batch would raise.
+        self._slab_lu
+        functional, load = functional[self.interior], load[self.interior]
+        if self.grid.M == 1:
+            return float(np.einsum("i,i", functional, self._step(load)))
+        weights = self._power_weights(self.grid.M - 1)
+        y = self._step(np.column_stack([functional, load]))
+        mass_u = self.mass_int @ y[:, 1]
+        moments = [np.einsum("i,i", y[:, 0], mass_u)]
+        for _, (y, _) in zip(range(weights.size // 2), self._chebyshev(y)):
+            pair = np.einsum("i,i", y[:, 0], mass_u)
+            moments.append(2.0 * pair - moments[1] if len(moments) > 1 else pair)
+            mass_u = self.mass_int @ y[:, 1]
+            moments.append(2.0 * np.einsum("i,i", y[:, 0], mass_u) - moments[0])
+        return float(np.einsum("i,i", weights, moments[: weights.size]))
 
     def pairings(self, a, vectors):
         """Dot products of nodal a with each of `vectors` over the interior.

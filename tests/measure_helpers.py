@@ -10,7 +10,8 @@ PDAP solves of a driver, level by level; `objective` and
 a measure from scratch, as oracles for the solver; `propagate_by_stepping`
 is the explicit M-step loop, the oracle of the Chebyshev propagation;
 `per_cell_mass` and `per_cell_stiffness` assemble cell by cell, the
-oracles of the lattice stencil of `sparseheat.fem`;
+oracles of the lattice stencil of `sparseheat.fem`, and `per_cell_l2_load`
+is the cell-by-cell oracle of `sparseheat.fem.l2_load`;
 `AscendingHeatModel` is the model on the ascending interior numbering,
 the oracle of the nested-dissection order.
 """
@@ -84,6 +85,24 @@ def per_cell_mass(mesh):
     """P1 mass matrix assembled per cell: area/12 * [2,1,1] pattern."""
     w = mesh.cell_areas() / 12.0
     return _per_cell(mesh, w[:, None, None] * (1.0 + np.eye(3)))
+
+
+def per_cell_l2_load(mesh, f):
+    """L2 load of f by the edge-midpoint rule, cell by cell: each vertex
+    gets area/3 times the mean of f at the midpoints of its two edges."""
+    tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
+    mids = [
+        0.5 * (tri[:, 0] + tri[:, 1]),
+        0.5 * (tri[:, 1] + tri[:, 2]),
+        0.5 * (tri[:, 2] + tri[:, 0]),
+    ]
+    fvals = [np.asarray(f(m[:, 0], m[:, 1]), dtype=float) for m in mids]
+    F = np.zeros(mesh.num_nodes)
+    # Each vertex sees the two midpoints of its adjacent edges with hat value 1/2.
+    adjacent = {0: (0, 2), 1: (0, 1), 2: (1, 2)}
+    for vert, (ea, eb) in adjacent.items():
+        np.add.at(F, mesh.cells[:, vert], area / 3.0 * 0.5 * (fvals[ea] + fvals[eb]))
+    return F
 
 
 def per_cell_stiffness(mesh):

@@ -470,6 +470,29 @@ def test_smoothing_factors_once_per_level_and_solves_no_mass(
     assert all(e > 0 for e in table.errors)
 
 
+@pytest.mark.parametrize("mesh_n, time_steps", [([16, 32, 64], 4), (16, [2, 4, 8])])
+def test_smoothing_pairs_each_level_without_propagating(monkeypatch, mesh_n, time_steps):
+    # Each level's point value is one pairing; no end state is formed.
+    calls = []
+
+    def counted(name):
+        real = getattr(HeatModel, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return real(self, *args)
+
+        return wrapper
+
+    for name in ("propagate_load", "propagate_adjoint", "pair_end_state"):
+        monkeypatch.setattr(HeatModel, name, counted(name))
+    cfg = ExperimentConfig(
+        T=0.1, mesh_n=mesh_n, time_steps=time_steps, smoothing=SmoothingSpec(x0=(0.5, 0.5))
+    )
+    study_smoothing(cfg)
+    assert calls == ["pair_end_state"] * 3
+
+
 def test_study_table_logs_inversions_as_one_warning_line(caplog):
     cfg = ExperimentConfig()
     with caplog.at_level(logging.WARNING, logger="sparseheat"):

@@ -306,6 +306,70 @@ def test_propagation_solve_count(monkeypatch, r, many):
             assert len(calls) == solves, M
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 32),
+    M=st.integers(1, 300),
+    r=st.sampled_from([0, 1]),
+    x0=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    dirac=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, seed):
+    # The Dirac load of x0 carries the barycentric weights of eval_field,
+    # so the pairing is the point value of the propagated state, up to the
+    # round-off of two Chebyshev sums, each about eps rho^(M-1) |u1|
+    # (`spectral_interval`). Random loads put them up to 2.4e-13 max|u|
+    # apart (the series alone is up to 3.8e-13 max|u| from stepping
+    # there), never more than 9 eps rho^(M-1) max|u1| in 3000 cases.
+    model = make_model(n=n, M=M, r=r, T=0.1)
+    mesh = model.mesh
+    rng = np.random.default_rng(seed)
+    if dirac:
+        load = delta_load(mesh, DiscreteMeasure([rng.uniform(0.0, 1.0, 2)], [1.0]))
+    else:
+        load = rng.standard_normal(mesh.num_nodes)
+    u = model.propagate_load(load)
+    point = delta_load(mesh, DiscreteMeasure([x0], [1.0]))
+    value = model.pair_end_state(point, load)
+    a, b = spectral_interval(model.grid.k, r)
+    u1 = model._step(load[model.interior])
+    scale = max(np.abs(u).max(), max(b, -a) ** (M - 1) * np.abs(u1).max())
+    assert abs(value - eval_field(mesh, u, [x0])[0]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "r, many", [(0, {32: 16, 64: 24, 256: 49}), (1, {32: 16, 64: 25, 256: 51})]
+)
+def test_pairing_solve_count(monkeypatch, r, many):
+    # One step for M = 1; otherwise one two-column first step and
+    # ceil(d/2) more for the d + 1 weights of t^(M-2): ceil(M/2) up to
+    # M = 17, about half of a propagation's solves beyond.
+    calls = []
+    step = HeatModel._step
+
+    def counting_step(self, f):
+        calls.append(1)
+        return step(self, f)
+
+    monkeypatch.setattr(HeatModel, "_step", counting_step)
+    expected = {M: (M + 1) // 2 for M in range(1, 18)} | many
+    for M, solves in expected.items():
+        model = make_model(n=4, M=M, r=r, T=0.1)
+        load = np.ones(model.mesh.num_nodes)
+        calls.clear()
+        model.pair_end_state(load, load)
+        assert len(calls) == solves, M
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("M", [1, 2, 3, 64])
+def test_pairing_of_a_zero_load_is_zero(r, M):
+    model = make_model(n=8, M=M, r=r)
+    point = delta_load(model.mesh, DiscreteMeasure([(0.3, 0.6)], [1.0]))
+    assert model.pair_end_state(point, np.zeros(model.mesh.num_nodes)) == 0.0
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_nested_dissection_order_matches_the_ascending_oracle(r):
     # The numbering of the interior changes the rounding only: forward and
