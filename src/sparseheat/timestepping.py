@@ -185,8 +185,7 @@ class HeatModel:
     def _chebyshev(self, y):
         # T_j(L) y for j = 1, 2, ... with L = (2S - (a + b)) / (b - a), by
         # y_{j+1} = 2 L y_j - y_{j-1} (y_1 = L y_0), in place: once
-        # subtracted, the buffer of y_{j-1} holds the scratch products, and
-        # it is yielded with y_{j+1} as the caller's scratch until the next.
+        # subtracted, the buffer of y_{j-1} holds the scratch products.
         a, b = spectral_interval(self.grid.k, self.order)
         y_prev = np.zeros_like(y)
         scale = 2.0 / (b - a)
@@ -196,7 +195,7 @@ class HeatModel:
             y_next -= y_prev
             np.multiply(y, scale * (a + b) / 2.0, out=y_prev)
             y_next -= y_prev
-            yield y_next, y_prev
+            yield y_next
             y_prev, y = y, y_next
             scale = 4.0 / (b - a)
 
@@ -205,9 +204,8 @@ class HeatModel:
         weights = self._power_weights(self.grid.M)
         y = self._step(load[self.interior])
         acc = weights[0] * y
-        for w, (y, scratch) in zip(weights[1:], self._chebyshev(y)):
-            np.multiply(y, w, out=scratch)
-            acc += scratch
+        for w, y in zip(weights[1:], self._chebyshev(y)):
+            acc += w * y
         return self.embed(acc)
 
     def propagate_load(self, load):
@@ -245,7 +243,7 @@ class HeatModel:
         y = self._step(np.column_stack([functional, load]))
         mass_u = self.mass_int @ y[:, 1]
         moments = [np.einsum("i,i", y[:, 0], mass_u)]
-        for _, (y, _) in zip(range(weights.size // 2), self._chebyshev(y)):
+        for _, y in zip(range(weights.size // 2), self._chebyshev(y)):
             pair = np.einsum("i,i", y[:, 0], mass_u)
             moments.append(2.0 * pair - moments[1] if len(moments) > 1 else pair)
             mass_u = self.mass_int @ y[:, 1]
