@@ -34,6 +34,7 @@ amplification independently from the raw dG(1) slab system.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -243,7 +244,7 @@ class HeatModel:
         y = self._step(np.column_stack([functional, load]))
         mass_u = self.mass_int @ y[:, 1]
         moments = [np.einsum("i,i", y[:, 0], mass_u)]
-        for _, y in zip(range(weights.size // 2), self._chebyshev(y)):
+        for y in itertools.islice(self._chebyshev(y), weights.size // 2):
             pair = np.einsum("i,i", y[:, 0], mass_u)
             moments.append(2.0 * pair - moments[1] if len(moments) > 1 else pair)
             mass_u = self.mass_int @ y[:, 1]
