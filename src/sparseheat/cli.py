@@ -180,28 +180,14 @@ def main(argv=None):
                 f"out={cfg.output_dir}"
             )
             return _exit_code(report.converged)
-        if args.command == "study-space":
-            table, converged = experiments.study_space(cfg)
-            print(
-                f"study-space: slope={table.slope:.4g} levels={len(table.rows)} "
-                f"out={cfg.output_dir}"
-            )
-            return _exit_code(converged)
-        if args.command == "study-time":
-            table, converged = experiments.study_time(cfg)
-            print(
-                f"study-time: slope={table.slope:.4g} levels={len(table.rows)} "
-                f"out={cfg.output_dir}"
-            )
-            return _exit_code(converged)
-        if args.command == "study-smoothing":
-            table = experiments.study_smoothing(cfg)
-            print(
-                f"study-smoothing: slope={table.slope:.4g} levels={len(table.rows)} "
-                f"out={cfg.output_dir}"
-            )
-            return 0
-        raise ConfigError(f"unknown command {args.command}")
+        # A study; study-smoothing solves no PDAP, so it always converges.
+        result = getattr(experiments, args.command.replace("-", "_"))(cfg)
+        table, converged = (result, True) if args.command == "study-smoothing" else result
+        print(
+            f"{args.command}: slope={table.slope:.4g} levels={len(table.rows)} "
+            f"out={cfg.output_dir}"
+        )
+        return _exit_code(converged)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -215,12 +215,31 @@ def _single(value, name):
     return int(value)
 
 
-def _levels(value):
-    """The levels of a swept parameter: its list, or its single value."""
-    levels = list(value) if isinstance(value, (list, tuple)) else [value]
-    if len(levels) < 3:
+def _sweep(cfg, swept):
+    """The levels of a refinement study along `swept`, coarse to fine.
+
+    `swept` is "mesh_n" or "time_steps"; its list (at least three
+    entries) gives the levels, and the other setting must be a single
+    value. The list is checked first, then the single setting. Returns
+    the levels as (label, mesh, M), labelled "n=…" or "M=…", and the
+    swept step of each level: h for a mesh sweep, whose lattices double
+    and are nested by `refine`, and T/M for a time sweep, whose levels
+    share one mesh.
+    """
+    value = getattr(cfg, swept)
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    if len(values) < 3:
         raise ConfigError("refinement studies need at least three levels")
-    return levels
+    if swept == "time_steps":
+        mesh = build_uniform(_single(cfg.mesh_n, "mesh_n"))
+        return [(f"M={M}", mesh, M) for M in values], [cfg.T / M for M in values]
+    if any(b != 2 * a for a, b in zip(values, values[1:])):
+        raise ConfigError("mesh resolutions must double between levels")
+    M = _single(cfg.time_steps, "time_steps")
+    meshes = [build_uniform(values[0])]
+    for _ in values[1:]:
+        meshes.append(refine(meshes[-1]))
+    return [(f"n={mesh.n}", mesh, M) for mesh in meshes], [mesh.h for mesh in meshes]
 
 
 def _ensure_dir(path):
@@ -233,7 +252,7 @@ def reconstruct(cfg):
 
     Makes the observation on the n lattice. For an even n of at least
     TWO_LEVEL_MIN_N it first solves the n/2 lattice on the same time grid,
-    as a level of `study_space` (`_space_level`), and seeds the n level's
+    as a level of `study_space` (`_level`), and seeds the n level's
     PDAP with that support, converged or not, carried by
     `refine_support`; a coarse SolverFailure gives no seed. Other n are
     solved cold. Lumps clustered atoms within twice the mesh size. The
@@ -252,7 +271,7 @@ def reconstruct(cfg):
     if n % 2 == 0 and n >= TWO_LEVEL_MIN_N:
         coarse_mesh = build_uniform(n // 2)
         try:
-            _, active, _ = _space_level(coarse_mesh, model, model.mass @ u_d, cfg, [])
+            _, active, _ = _level(f"n={n // 2}", coarse_mesh, M, model, u_d, cfg, [])
         except SolverFailure:
             pass
         else:
@@ -277,17 +296,6 @@ def reconstruct(cfg):
     return report
 
 
-def _nested_meshes(ns):
-    """Meshes for the ascending resolutions ns, nested by refinement."""
-    for a, b in zip(ns, ns[1:]):
-        if b != 2 * a:
-            raise ConfigError("mesh resolutions must double between levels")
-    meshes = [build_uniform(ns[0])]
-    for _ in ns[1:]:
-        meshes.append(refine(meshes[-1]))
-    return meshes
-
-
 def _solve_level(label, model, u_d, cfg, seed_nodes):
     """`pdap.run` on one study level, logged as one INFO line.
 
@@ -306,22 +314,52 @@ def _solve_level(label, model, u_d, cfg, seed_nodes):
     return result
 
 
-def _space_level(mesh, ref_model, ud_ref_m, cfg, seed_nodes):
-    """One level of a spatial refinement on a lattice nested in ref_model's.
+def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
+    """One level of a refinement study against the data u_d on ref_model.
 
-    Builds the level's model on the reference time grid, carries the data
-    down from `ud_ref_m` (M u_d on the reference lattice) by the
-    mass-orthogonal projection, which leaves the optimality system
-    unchanged on nested meshes, and solves it from `seed_nodes`. Returns
-    the optimal state interpolated onto the reference lattice, the active
-    nodes and whether the solve converged. The level's model and slab LU
-    are freed when this call returns.
+    Builds the level's model on `mesh` with M steps and solves it from
+    `seed_nodes`. On the reference lattice it solves u_d as it is; on a
+    coarser lattice nested in the reference one it carries the data down
+    by the mass-orthogonal projection, which leaves the optimality system
+    unchanged on nested meshes, and interpolates the optimal state back.
+    Returns the optimal state on the reference lattice, the active nodes
+    and whether the solve converged. The level's model and slab LU are
+    freed when this call returns.
     """
-    model = HeatModel(mesh, ref_model.grid, ref_model.order)
+    model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
+    if mesh.n == ref_model.mesh.n:
+        result = _solve_level(label, model, u_d, cfg, seed_nodes)
+        return result.state, result.active_nodes, result.converged
     interp = interpolation_matrix(mesh, ref_model.mesh)
-    u_d = spd_solve(model.mass, interp.T @ ud_ref_m)
-    result = _solve_level(f"n={mesh.n}", model, u_d, cfg, seed_nodes)
+    data = spd_solve(model.mass, interp.T @ (ref_model.mass @ u_d))
+    result = _solve_level(label, model, data, cfg, seed_nodes)
     return interp @ result.state, result.active_nodes, result.converged
+
+
+def _study(cfg, swept):
+    """Refinement study of the optimal terminal state along `swept`.
+
+    Makes the observation on the finest level, the reference, then
+    solves the coarser levels (`_level`) coarse to fine and the reference
+    last, each PDAP seeded with the previous level's support: as it is
+    when the mesh stays, and carried by `refine_support` onto a finer
+    lattice. Returns the EOC table of the coarse levels' L2 distances
+    from the reference state, and whether every solve converged.
+    """
+    levels, params = _sweep(cfg, swept)
+    ref_label, ref_mesh, ref_M = levels[-1]
+    ref_model = HeatModel(ref_mesh, TimeGrid(cfg.T, ref_M), cfg.dg_order)
+    u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
+
+    states, converged, seed_nodes = [], True, []
+    for (label, mesh, M), (_, finer, _) in zip(levels, levels[1:]):
+        state, active, ok = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
+        states.append(state)
+        converged = converged and ok
+        seed_nodes = active if finer.n == mesh.n else refine_support(mesh, active)
+    ref_result = _solve_level(ref_label, ref_model, u_d, cfg, seed_nodes)
+    errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
+    return _study_table(cfg, params[:-1], errors), converged and ref_result.converged
 
 
 def study_space(cfg):
@@ -338,24 +376,7 @@ def study_space(cfg):
     spike split over two adjacent nodes is resolved between them on the
     finer lattice. Returns the EOC table over the coarse levels.
     """
-    meshes = _nested_meshes(_levels(cfg.mesh_n))
-    M = _single(cfg.time_steps, "time_steps")
-
-    ref_mesh = meshes[-1]
-    ref_model = HeatModel(ref_mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-    u_d_ref = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
-    ud_ref_m = ref_model.mass @ u_d_ref
-
-    states, converged, seed_nodes = [], True, []
-    for mesh in meshes[:-1]:
-        state, active, ok = _space_level(mesh, ref_model, ud_ref_m, cfg, seed_nodes)
-        states.append(state)
-        converged = converged and ok
-        seed_nodes = refine_support(mesh, active)
-    ref_result = _solve_level(f"n={ref_mesh.n}", ref_model, u_d_ref, cfg, seed_nodes)
-    errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
-    params = [m.h for m in meshes[:-1]]
-    return _study_table(cfg, params, errors), converged and ref_result.converged
+    return _study(cfg, "mesh_n")
 
 
 def study_time(cfg):
@@ -368,28 +389,7 @@ def study_time(cfg):
     last, each PDAP seeded with the previous grid's support. Returns the
     EOC table over the coarse grids.
     """
-    Ms = _levels(cfg.time_steps)
-    n = _single(cfg.mesh_n, "mesh_n")
-    mesh = build_uniform(n)
-
-    ref_model = HeatModel(mesh, TimeGrid(cfg.T, Ms[-1]), cfg.dg_order)
-    u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
-
-    def solve_level(M, seed_nodes):
-        # A call of its own, so the level's slab LU is freed on return.
-        model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-        result = _solve_level(f"M={M}", model, u_d, cfg, seed_nodes)
-        return result.state, result.active_nodes, result.converged
-
-    states, converged, seed_nodes = [], True, []
-    for M in Ms[:-1]:
-        state, seed_nodes, ok = solve_level(M, seed_nodes)
-        states.append(state)
-        converged = converged and ok
-    ref_result = _solve_level(f"M={Ms[-1]}", ref_model, u_d, cfg, seed_nodes)
-    errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
-    params = [cfg.T / M for M in Ms[:-1]]
-    return _study_table(cfg, params, errors), converged and ref_result.converged
+    return _study(cfg, "time_steps")
 
 
 def first_eigenmode(x, y):
@@ -417,52 +417,34 @@ def study_smoothing(cfg, v0=first_eigenmode):
     """Pointwise rate study for the plain forward solver at an interior point.
 
     Sweeps the time grid (fixed mesh) if time_steps is a list, else the
-    mesh (fixed time grid), measuring |v_ref(T, x0) - v_level(T, x0)|
-    against the finest level of the swept parameter. Since the reference shares the fixed
-    discretization axis, the sweep isolates one error component: the
-    expected slopes are 2r+1 in time and 2 (up to a log factor) in space.
-    The initial datum enters as its L2 load `l2_load(mesh, v0)`, which is
-    the mass matrix applied to the L2 projection of v0, so no mass system
-    is solved, and each level pairs it with x0 (`_point_value`) without
-    propagating the state. x0 must stay well inside the domain:
-    dist(x0, boundary) > 4h.
+    mesh (fixed time grid), over the levels of `_sweep`, measuring
+    |v_ref(T, x0) - v_level(T, x0)| against the finest level. Since the
+    reference shares the fixed discretization axis, the sweep isolates
+    one error component: the expected slopes are 2r+1 in time and 2 (up
+    to a log factor) in space. The initial datum enters as its L2 load
+    `l2_load(mesh, v0)`, built once per mesh, which is the mass matrix
+    applied to the L2 projection of v0, so no mass system is solved, and
+    each level pairs it with x0 (`_point_value`) without propagating the
+    state. x0 must stay well inside the domain: dist(x0, boundary) > 4h
+    on the coarsest level.
     """
     if cfg.smoothing is None:
         raise ConfigError("smoothing study needs a smoothing block")
     x0 = tuple(cfg.smoothing.x0)
-    dist = min(x0[0], 1.0 - x0[0], x0[1], 1.0 - x0[1])
+    swept = "time_steps" if isinstance(cfg.time_steps, (list, tuple)) else "mesh_n"
+    levels, params = _sweep(cfg, swept)
+    if min(x0[0], 1.0 - x0[0], x0[1], 1.0 - x0[1]) <= 4.0 * levels[0][1].h:
+        raise ConfigError("x0 is too close to the boundary for this mesh")
 
-    if isinstance(cfg.time_steps, (list, tuple)):
-        n = _single(cfg.mesh_n, "mesh_n")
-        mesh = build_uniform(n)
-        if dist <= 4.0 * mesh.h:
-            raise ConfigError("x0 is too close to the boundary for this mesh")
-        load = l2_load(mesh, v0)
-        Ms = _levels(cfg.time_steps)
-
-        def value(M):
-            model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-            return _point_value(f"M={M}", model, load, x0)
-
-        values = [value(M) for M in Ms]
-        errors = [abs(v - values[-1]) for v in values[:-1]]
-        params = [cfg.T / M for M in Ms[:-1]]
-    else:
-        meshes = _nested_meshes(_levels(cfg.mesh_n))
-        if dist <= 4.0 * meshes[0].h:
-            raise ConfigError("x0 is too close to the boundary for this mesh")
-        M = _single(cfg.time_steps, "time_steps")
-        grid = TimeGrid(cfg.T, M)
-
-        def value(mesh):
-            model = HeatModel(mesh, grid, cfg.dg_order)
-            return _point_value(f"n={mesh.n}", model, l2_load(mesh, v0), x0)
-
-        values = [value(mesh) for mesh in meshes]
-        errors = [abs(v - values[-1]) for v in values[:-1]]
-        params = [m.h for m in meshes[:-1]]
-
-    return _study_table(cfg, params, errors)
+    values, load_mesh = [], None
+    for label, mesh, M in levels:
+        if mesh is not load_mesh:
+            load, load_mesh = l2_load(mesh, v0), mesh
+        model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
+        values.append(_point_value(label, model, load, x0))
+        del model  # free the level's slab LU before the next level factors
+    errors = [abs(v - values[-1]) for v in values[:-1]]
+    return _study_table(cfg, params[:-1], errors)
 
 
 # -- configuration files -----------------------------------------------

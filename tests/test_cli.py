@@ -183,6 +183,56 @@ def test_out_of_memory_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command, mesh_n, time_steps",
+    [("study-space", [4, 8, 16], 8), ("study-time", 8, [4, 8, 16]), ("reconstruct", 8, 8)],
+)
+def test_stalled_subproblem_is_one_line_exit_3(
+    tmp_path, capsys, monkeypatch, command, mesh_n, time_steps
+):
+    # A spent subproblem budget raises SolverFailure, a NumericalError, so
+    # it exits 3 as a numerical failure, not 2 as non-convergence.
+    monkeypatch.setattr(pdap, "SUBPROBLEM_MAX_ITERATIONS", 0)
+    payload = {**TINY_RECONSTRUCT, "mesh_n": mesh_n, "time_steps": time_steps}
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: subproblem stalled after 0 iterations")
+    assert err.count("\n") == 1
+
+
+SINGLE = "must be a single value for this driver"
+
+
+@pytest.mark.parametrize(
+    "command, mesh_n, time_steps, message",
+    [
+        ("study-space", [4, 8, 16], [4, 8, 16], f"time_steps {SINGLE}"),
+        ("study-time", [4, 8, 16], [4, 8, 16], f"mesh_n {SINGLE}"),
+        ("study-smoothing", [16, 32, 64], [2, 4, 8], f"mesh_n {SINGLE}"),
+        ("study-smoothing", 16, 4, "refinement studies need at least three levels"),
+    ],
+    ids=["space", "time", "smoothing-both-lists", "smoothing-no-list"],
+)
+def test_study_sweep_errors_build_no_model(
+    tmp_path, capsys, monkeypatch, command, mesh_n, time_steps, message
+):
+    # The level list is checked in full before the first model is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("HeatModel built before the sweep was checked")
+
+    monkeypatch.setattr(experiments, "HeatModel", refuse)
+    payload = {
+        **TINY_RECONSTRUCT,
+        "mesh_n": mesh_n,
+        "time_steps": time_steps,
+        "smoothing": {"x0": [0.5, 0.5]},
+    }
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["selftest", "-v"], [], ["reconstruct"]],
     ids=["unknown_flag", "missing_subcommand", "missing_config"],
@@ -347,15 +397,27 @@ def test_reconstruct_coarse_solver_failure_falls_back_to_cold(
     assert (code, capsys.readouterr().out) == expected
 
 
-def test_study_space_verbose_logs_one_line_per_level(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, mesh_n, time_steps, key, labels",
+    [
+        ("study-space", [4, 8, 16], 8, "n", [4, 8, 16]),
+        ("study-time", 8, [4, 8, 16], "M", [4, 8, 16]),
+    ],
+    ids=["space", "time"],
+)
+def test_study_space_verbose_logs_one_line_per_level(
+    tmp_path, capsys, command, mesh_n, time_steps, key, labels
+):
+    # Both studies run one seeded level loop: the first level starts
+    # cold, every later one from the previous level's support.
     payload = {**TINY_RECONSTRUCT, "truth": [{"x": [0.37, 0.41], "beta": 5.0}]}
-    payload["mesh_n"] = [4, 8, 16]
-    path = write_config(tmp_path, payload, "space.json")
+    payload.update(mesh_n=mesh_n, time_steps=time_steps)
+    path = write_config(tmp_path, payload, "study.json")
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
-    assert main(["study-space", "--config", path, "--out", str(quiet)]) == 0
+    assert main([command, "--config", path, "--out", str(quiet)]) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
-    assert main(["study-space", "--config", path, "--out", str(loud), "-v"]) == 0
+    assert main([command, "--config", path, "--out", str(loud), "-v"]) == 0
     verbose = capsys.readouterr()
     # Each level's pdap iteration lines come first, then its summary line.
     levels, iterations = [], []
@@ -366,13 +428,13 @@ def test_study_space_verbose_logs_one_line_per_level(tmp_path, capsys):
             iterations.append(fields)
             continue
         assert kind == "level"
-        assert fields.keys() == {"n", "seeds", "outer", "columns", "ms"}
+        assert fields.keys() == {key, "seeds", "outer", "columns", "ms"}
         assert int(fields["outer"]) == len(iterations)
         assert int(fields["columns"]) == sum(int(f["inserted"]) for f in iterations)
-        levels.append((int(fields["n"]), int(fields["seeds"])))
+        levels.append((int(fields[key]), int(fields["seeds"])))
         iterations = []
     assert iterations == []
-    assert [n for n, _ in levels] == [4, 8, 16]
+    assert [label for label, _ in levels] == labels
     assert levels[0][1] == 0 and all(seeds > 0 for _, seeds in levels[1:])
     assert verbose.out.replace(str(loud), str(quiet)) == plain.out
     assert [p.name for p in loud.iterdir()] == ["errors.csv"]
