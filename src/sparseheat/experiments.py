@@ -422,11 +422,12 @@ def study_smoothing(cfg, v0=first_eigenmode):
     reference shares the fixed discretization axis, the sweep isolates
     one error component: the expected slopes are 2r+1 in time and 2 (up
     to a log factor) in space. The initial datum enters as its L2 load
-    `l2_load(mesh, v0)`, built once per mesh, which is the mass matrix
-    applied to the L2 projection of v0, so no mass system is solved, and
-    each level pairs it with x0 (`_point_value`) without propagating the
-    state. x0 must stay well inside the domain: dist(x0, boundary) > 4h
-    on the coarsest level.
+    `l2_load(mesh, v0)`, the mass matrix applied to the L2 projection of
+    v0, so no mass system is solved; each level builds it after its model,
+    which keeps less heap resident before the finest factorization than
+    one load held across levels, and pairs it with x0 (`_point_value`)
+    without propagating the state. x0 must stay well inside the domain:
+    dist(x0, boundary) > 4h on the coarsest level.
     """
     if cfg.smoothing is None:
         raise ConfigError("smoothing study needs a smoothing block")
@@ -436,12 +437,10 @@ def study_smoothing(cfg, v0=first_eigenmode):
     if min(x0[0], 1.0 - x0[0], x0[1], 1.0 - x0[1]) <= 4.0 * levels[0][1].h:
         raise ConfigError("x0 is too close to the boundary for this mesh")
 
-    values, load_mesh = [], None
+    values = []
     for label, mesh, M in levels:
-        if mesh is not load_mesh:
-            load, load_mesh = l2_load(mesh, v0), mesh
         model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-        values.append(_point_value(label, model, load, x0))
+        values.append(_point_value(label, model, l2_load(mesh, v0), x0))
         del model  # free the level's slab LU before the next level factors
     errors = [abs(v - values[-1]) for v in values[:-1]]
     return _study_table(cfg, params[:-1], errors)
