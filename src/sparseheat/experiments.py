@@ -326,12 +326,16 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     and whether the solve converged. The level's model and slab LU are
     freed when this call returns.
     """
+    # The reference mass is assembled on its first read; reading it before
+    # the level's model is built leaves less heap resident.
+    nested = mesh.n != ref_model.mesh.n
+    mass_u_d = ref_model.mass @ u_d if nested else None
     model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-    if mesh.n == ref_model.mesh.n:
+    if not nested:
         result = _solve_level(label, model, u_d, cfg, seed_nodes)
         return result.state, result.active_nodes, result.converged
     interp = interpolation_matrix(mesh, ref_model.mesh)
-    data = spd_solve(model.mass, interp.T @ (ref_model.mass @ u_d))
+    data = spd_solve(model.mass, interp.T @ mass_u_d)
     result = _solve_level(label, model, data, cfg, seed_nodes)
     return interp @ result.state, result.active_nodes, result.converged
 
