@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _keys(table):
+    """The keys of a config schema table, each block's as "name{a, b}"."""
+    return ", ".join(
+        f"{key}{{{_keys(spec)}}}" if isinstance(spec, dict) else key
+        for key, spec in table.items()
+    )
+
+
 def _build_parser():
     parser = _Parser(
         prog="sparseheat",
@@ -47,11 +55,7 @@ def _build_parser():
             "Recover point-source initial data of the heat equation from a "
             "final-time observation, and reproduce the convergence studies."
         ),
-        epilog=(
-            "Config keys: T, truth, mesh_n, time_steps, dg_order, alpha, "
-            "noise_level, seed, pdap{tol, max_outer_iterations}, output_dir, "
-            "smoothing{x0}. See docs/config.md."
-        ),
+        epilog=f"Config keys: {_keys(experiments.SCHEMA)}. See docs/config.md.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

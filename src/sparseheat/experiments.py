@@ -452,29 +452,15 @@ def study_smoothing(cfg, v0=first_eigenmode):
 
 # -- configuration files -----------------------------------------------
 
-_TOP_KEYS = {
-    "T",
-    "truth",
-    "mesh_n",
-    "time_steps",
-    "dg_order",
-    "alpha",
-    "noise_level",
-    "seed",
-    "pdap",
-    "output_dir",
-    "smoothing",
-}
-_PDAP_KEYS = {"tol", "max_outer_iterations"}
-_SMOOTHING_KEYS = {"x0"}
-
 
 def _number(name, value):
-    """A finite float, or ConfigError."""
+    """A finite float from a JSON number, not a boolean or a string, or ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        out = np.inf if value > 0 else -np.inf
     if not np.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {out}")
     return out
@@ -488,11 +474,81 @@ def _integer(name, value):
     return int(value)
 
 
+def _levels(name, value):
+    """An integer, or a list of integers, or ConfigError."""
+    if isinstance(value, list):
+        return [_integer(name, v) for v in value]
+    return _integer(name, value)
+
+
 def _point(name, value):
-    """A list of exactly two finite numbers, or ConfigError."""
+    """A tuple of exactly two finite numbers from a JSON list, or ConfigError."""
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{name} must be a list of two numbers, got {value!r}")
-    return [_number(name, v) for v in value]
+    return tuple(_number(name, v) for v in value)
+
+
+def _path(name, value):
+    """A string, or None for the default, or ConfigError."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string or null, got {value!r}")
+    return value
+
+
+def _truth(name, atoms):
+    """A DiscreteMeasure from a list of {"x": [x1, x2], "beta": b} atoms."""
+    if not isinstance(atoms, list):
+        raise ConfigError(f"{name} must be a list of atoms")
+    positions, betas = [], []
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise ConfigError(f"{name}[{i}] must be an object with keys x and beta")
+        extra = set(atom) - {"x", "beta"}
+        if extra:
+            raise ConfigError(f"unknown atom keys: {sorted(extra)}")
+        positions.append(_point(f"{name}[{i}].x", atom.get("x")))
+        betas.append(_number(f"{name}[{i}].beta", atom.get("beta")))
+    return DiscreteMeasure(positions, betas)
+
+
+# The config file's schema. Each key maps to its reader, called as
+# reader(name, value), and a block to the table of its own keys; `_object`
+# reads the root and every block, and the CLI lists its keys.
+SCHEMA = {
+    "T": _number,
+    "truth": _truth,
+    "mesh_n": _levels,
+    "time_steps": _levels,
+    "dg_order": _integer,
+    "alpha": _number,
+    "noise_level": _number,
+    "seed": _integer,
+    "pdap": {"tol": _number, "max_outer_iterations": _integer},
+    "output_dir": _path,
+    "smoothing": {"x0": _point},
+}
+_PDAP_KEYS = SCHEMA["pdap"].keys()  # read by tests/test_benchmark_hooks.py
+
+
+def _object(value, table, block=None):
+    """The keys of a JSON object read against `table`, or ConfigError.
+
+    `block` names a nested block in messages and in its keys' names
+    ("pdap.tol"); None is the config root. A null `smoothing` block means
+    absent, as `_path` reads a null `output_dir`; a null `pdap` is an error.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{block or 'config root'} must be an object")
+    unknown = set(value) - table.keys()
+    if unknown:
+        raise ConfigError(f"unknown {block or 'config'} keys: {sorted(unknown)}")
+    out = {}
+    for key, v in value.items():
+        if v is None and key == "smoothing":
+            continue
+        name, spec = f"{block}.{key}" if block else key, table[key]
+        out[key] = _object(v, spec, name) if isinstance(spec, dict) else spec(name, v)
+    return out
 
 
 def _construct(cls, **kwargs):
@@ -504,58 +560,14 @@ def _construct(cls, **kwargs):
 
 
 def config_from_dict(data):
-    """Build an ExperimentConfig from a JSON-style dict; unknown keys fail."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("T", "alpha", "noise_level"):
-        if key in data:
-            kwargs[key] = _number(key, data[key])
-    for key in ("mesh_n", "time_steps", "dg_order", "seed"):
-        if key in data:
-            v = data[key]
-            listed = key in ("mesh_n", "time_steps") and isinstance(v, list)
-            kwargs[key] = [_integer(key, x) for x in v] if listed else _integer(key, v)
-    if "output_dir" in data and data["output_dir"] is not None:
-        kwargs["output_dir"] = str(data["output_dir"])
-    if "truth" in data:
-        atoms = data["truth"]
-        if not isinstance(atoms, list):
-            raise ConfigError("truth must be a list of atoms")
-        positions, betas = [], []
-        for i, atom in enumerate(atoms):
-            if not isinstance(atom, dict):
-                raise ConfigError(f"truth[{i}] must be an object with keys x and beta")
-            extra = set(atom) - {"x", "beta"}
-            if extra:
-                raise ConfigError(f"unknown atom keys: {sorted(extra)}")
-            positions.append(_point(f"truth[{i}].x", atom.get("x")))
-            betas.append(_number(f"truth[{i}].beta", atom.get("beta")))
-        kwargs["truth"] = DiscreteMeasure(positions, betas)
-    if "smoothing" in data and data["smoothing"] is not None:
-        block = data["smoothing"]
-        if not isinstance(block, dict):
-            raise ConfigError("smoothing must be an object")
-        unknown = set(block) - _SMOOTHING_KEYS
-        if unknown:
-            raise ConfigError(f"unknown smoothing keys: {sorted(unknown)}")
-        kwargs["smoothing"] = _construct(
-            SmoothingSpec,
-            x0=tuple(_point("smoothing.x0", block.get("x0", [0.5, 0.5]))),
-        )
-    pdap_block = data.get("pdap", {})
-    if not isinstance(pdap_block, dict):
-        raise ConfigError("pdap must be an object")
-    unknown = set(pdap_block) - _PDAP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown pdap keys: {sorted(unknown)}")
-    pdap_block = {
-        key: (_number if key == "tol" else _integer)(f"pdap.{key}", v)
-        for key, v in pdap_block.items()
-    }
+    """Build an ExperimentConfig from a JSON-style dict read against SCHEMA.
+
+    Unknown keys and values of the wrong JSON type raise ConfigError.
+    """
+    kwargs = _object(data, SCHEMA)
+    if "smoothing" in kwargs:
+        kwargs["smoothing"] = _construct(SmoothingSpec, **kwargs["smoothing"])
+    pdap_block = kwargs.pop("pdap", {})
     kwargs["pdap"] = _construct(PdapConfig, alpha=kwargs.pop("alpha", 1e-3), **pdap_block)
     return _construct(ExperimentConfig, **kwargs)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,8 @@ from sparseheat.errors import ConfigError, SolverFailure
 from sparseheat.mesh import refine_support
 
 from measure_helpers import record_runs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 TINY_RECONSTRUCT = {
@@ -73,6 +76,7 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"truth": [[0.5, 0.5]]},
         {"truth": [{"x": [0.5, 0.5], "beta": "big"}]},
         {"T": float("nan")},
+        {"T": 10**400},
         {"alpha": float("nan")},
         {"noise_level": float("inf")},
         {"pdap": {"tol": float("nan")}},
@@ -96,6 +100,7 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         "atom_not_object",
         "atom_beta_not_number",
         "T_nan",
+        "T_beyond_float_range",
         "alpha_nan",
         "noise_level_inf",
         "pdap_tol_nan",
@@ -117,6 +122,57 @@ def test_invalid_input_is_one_line_error(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1"], ids=["true", "false", "string"])
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("T", lambda v: {"T": v}),
+        ("pdap.tol", lambda v: {"pdap": {"tol": v}}),
+        ("truth[0].x", lambda v: {"truth": [{"x": [0.5, v], "beta": 1.0}]}),
+        ("truth[0].beta", lambda v: {"truth": [{"x": [0.5, 0.5], "beta": v}]}),
+        ("smoothing.x0", lambda v: {"smoothing": {"x0": [v, 0.5]}}),
+    ],
+    ids=["top_level", "pdap", "atom_x", "atom_beta", "x0"],
+)
+def test_numbers_must_be_json_numbers(tmp_path, capsys, name, override, value):
+    # float() would read True as 1.0 and "0.1" as 0.1.
+    path = write_config(tmp_path, {**TINY_RECONSTRUCT, **override(value)})
+    assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {name} must be a number, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [["a"], True, 3], ids=["list", "true", "number"])
+def test_output_dir_must_be_a_string_or_null(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {**TINY_RECONSTRUCT, "output_dir": value})
+    assert main(["reconstruct", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output_dir must be a string or null, got {value!r}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_schema_docs_and_help_list_the_same_keys(capsys):
+    assert main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    listed = out.split("Config keys: ", 1)[1].split(". See docs/config.md.", 1)[0]
+    helped = {
+        block: {key.strip() for key in keys.split(",")}
+        for block, keys in re.findall(r"(\w+)\{([^}]*)\}", listed)
+    }
+    helped["root"] = {key.strip() for key in re.sub(r"\{[^}]*\}", "", listed).split(",")}
+    doc = (ROOT / "docs" / "config.md").read_text()
+    for block, heading, table in [
+        ("root", "## Top-level keys", experiments.SCHEMA),
+        ("pdap", "## `pdap` block", experiments.SCHEMA["pdap"]),
+        ("smoothing", "## `smoothing` block", experiments.SCHEMA["smoothing"]),
+    ]:
+        section = doc.split(heading, 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE))
+        assert documented == helped[block] == set(table), block
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
