@@ -295,8 +295,8 @@ def run(model, u_d, config, seed_nodes=()):
     for i in seed_nodes:
         if not 0 <= i < model.mesh.num_nodes or boundary[i]:
             raise ValueError(f"seed node {i} is not an interior node")
-    ud_norm_sq = max(float(u_d @ (model.mass @ u_d)), 0.0)
     ud_m = model.mass @ u_d  # c_i = col_i . (M u_d)
+    ud_norm_sq = max(float(u_d @ ud_m), 0.0)
 
     active = []  # node indices into the full numbering
     beta = np.zeros(0)
