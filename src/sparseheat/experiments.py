@@ -40,6 +40,14 @@ LUMP_RADIUS_FACTOR = 2.0  # lumping radius in units of the mesh size
 # cost more than it saved at n = 8 and 16 in every run, was faster in 2
 # of 6 at n = 32 and in 6 of 6 at n = 64.
 TWO_LEVEL_MIN_N = 64
+# A level whose coarser level ends on more nodes than this is solved cold.
+# study-space on the paper_fig4 atoms at mesh_n [8, 16, 32], one time step
+# and noise 1.0 ends the n = 8 level on all 49 interior nodes. Seeded from
+# them by midpoints (169 seeds) the n = 16 level stalls in its seed solve;
+# by peaks (20 seeds) it takes 53 outer iterations and ends on 221 nodes,
+# and the n = 32 level seeded from those took over 200 s. With both levels
+# solved cold the study takes 17 s, its n = 16 level 238 ms.
+MAX_SEED_SUPPORT = 40
 
 _log = logging.getLogger("sparseheat")
 
@@ -253,10 +261,12 @@ def reconstruct(cfg):
     Makes the observation on the n lattice. For an even n of at least
     TWO_LEVEL_MIN_N it first solves the n/2 lattice on the same time grid,
     as a level of `study_space` (`_level`), and seeds the n level's
-    PDAP with that support, converged or not, carried by
-    `refine_support`; a coarse SolverFailure gives no seed. Other n are
-    solved cold. Lumps clustered atoms within twice the mesh size. The
-    report and the artifacts (measure.json, measure_lumped.json, log.csv,
+    PDAP from that solve, converged or not (`_carry`). For n below
+    2 * PEAK_SEED_BELOW_N = 128 `refine_support` seeds the fine square
+    at the fitted peak of the coarse adjoint around each same-sign
+    cluster of the coarse support. A coarse SolverFailure gives no seed.
+    Other n are solved cold. Lumps clustered atoms within twice the mesh
+    size. The report and the artifacts (measure.json, measure_lumped.json, log.csv,
     field.csv, written to cfg.output_dir when set) describe the n level
     only; row 0 of a seeded level's log.csv is the empty measure and row
     1 counts the seed columns. Solver non-convergence is reported in the
@@ -271,11 +281,11 @@ def reconstruct(cfg):
     if n % 2 == 0 and n >= TWO_LEVEL_MIN_N:
         coarse_mesh = build_uniform(n // 2)
         try:
-            _, active, _ = _level(f"n={n // 2}", coarse_mesh, M, model, u_d, cfg, [])
+            _, coarse = _level(f"n={n // 2}", coarse_mesh, M, model, u_d, cfg, [])
         except SolverFailure:
             pass
         else:
-            seed_nodes = refine_support(coarse_mesh, active)
+            seed_nodes = _carry(coarse_mesh, mesh, coarse)
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     report = ReconstructionReport(
@@ -322,9 +332,9 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     coarser lattice nested in the reference one it carries the data down
     by the mass-orthogonal projection, which leaves the optimality system
     unchanged on nested meshes, and interpolates the optimal state back.
-    Returns the optimal state on the reference lattice, the active nodes
-    and whether the solve converged. The level's model and slab LU are
-    freed when this call returns.
+    Returns the optimal state on the reference lattice and the level's
+    `pdap.run` result. The level's model and slab LU are freed when this
+    call returns.
     """
     # The reference mass is assembled on its first read; reading it before
     # the level's model is built leaves less heap resident.
@@ -333,11 +343,25 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
     if not nested:
         result = _solve_level(label, model, u_d, cfg, seed_nodes)
-        return result.state, result.active_nodes, result.converged
+        return result.state, result
     interp = interpolation_matrix(mesh, ref_model.mesh)
     data = spd_solve(model.mass, interp.T @ mass_u_d)
     result = _solve_level(label, model, data, cfg, seed_nodes)
-    return interp @ result.state, result.active_nodes, result.converged
+    return interp @ result.state, result
+
+
+def _carry(mesh, finer, result):
+    """Seed nodes on `finer` from the `pdap.run` result of a level on `mesh`.
+
+    The support as it is when the mesh stays; on the refined lattice
+    `refine_support` of the support, its coefficients and its adjoint.
+    A support of more than MAX_SEED_SUPPORT nodes gives no seed.
+    """
+    if len(result.active_nodes) > MAX_SEED_SUPPORT:
+        return []
+    if finer.n == mesh.n:
+        return result.active_nodes
+    return refine_support(mesh, result.active_nodes, result.coefficients, result.adjoint)
 
 
 def _study(cfg, swept):
@@ -345,9 +369,10 @@ def _study(cfg, swept):
 
     Makes the observation on the finest level, the reference, then
     solves the coarser levels (`_level`) coarse to fine and the reference
-    last, each PDAP seeded with the previous level's support: as it is
-    when the mesh stays, and carried by `refine_support` onto a finer
-    lattice. Returns the EOC table of the coarse levels' L2 distances
+    last, each PDAP seeded from the previous level's solve (`_carry`):
+    its support as it is when the mesh stays, and `refine_support` of it
+    onto a finer lattice, unless it has more than MAX_SEED_SUPPORT
+    nodes. Returns the EOC table of the coarse levels' L2 distances
     from the reference state, and whether every solve converged.
     """
     levels, params = _sweep(cfg, swept)
@@ -357,10 +382,10 @@ def _study(cfg, swept):
 
     states, converged, seed_nodes = [], True, []
     for (label, mesh, M), (_, finer, _) in zip(levels, levels[1:]):
-        state, active, ok = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
+        state, result = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
         states.append(state)
-        converged = converged and ok
-        seed_nodes = active if finer.n == mesh.n else refine_support(mesh, active)
+        converged = converged and result.converged
+        seed_nodes = _carry(mesh, finer, result)
     ref_result = _solve_level(ref_label, ref_model, u_d, cfg, seed_nodes)
     errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     return _study_table(cfg, params[:-1], errors), converged and ref_result.converged
@@ -374,11 +399,15 @@ def study_space(cfg):
     projection, which leaves the optimality system unchanged on nested
     meshes) and compares optimal states on the reference mesh via exact
     nodal interpolation. The levels are solved coarse to fine, the
-    reference last, each PDAP seeded with the previous level's support
-    carried by `refine_support`: its nodes mapped onto the finer lattice
-    plus the fine midpoint of every edge between two of them, since a
-    spike split over two adjacent nodes is resolved between them on the
-    finer lattice. Returns the EOC table over the coarse levels.
+    reference last, each PDAP seeded from the previous level's solve by
+    `refine_support`. From a lattice below PEAK_SEED_BELOW_N = 64 the
+    seed is the fine square at the peak of the coarse adjoint fitted
+    around each same-sign cluster of the support, where the spike that
+    the cluster splits lands on the finer lattice; from n = 64 on it is
+    the support's nodes mapped onto the finer lattice plus the fine
+    midpoint of every edge between two of them. A support of more than
+    MAX_SEED_SUPPORT nodes gives no seed. Returns the EOC table over the
+    coarse levels.
     """
     return _study(cfg, "mesh_n")
 
@@ -471,6 +500,7 @@ def _integer(name, value):
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    _number(name, value)  # rejects an integer beyond the float range
     return int(value)
 
 
@@ -527,7 +557,6 @@ SCHEMA = {
     "output_dir": _path,
     "smoothing": {"x0": _point},
 }
-_PDAP_KEYS = SCHEMA["pdap"].keys()  # read by tests/test_benchmark_hooks.py
 
 
 def _object(value, table, block=None):

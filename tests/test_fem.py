@@ -350,6 +350,18 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(values, v)  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize("kind", ["random", "plus_zero", "minus_zero", "tiny"])
+def test_field_csv_matches_per_row_formatting(tmp_path, kind):
+    mesh = build_uniform(16)
+    v = np.random.default_rng(3).standard_normal(mesh.num_nodes)
+    scale = {"random": 1.0, "plus_zero": 0.0, "minus_zero": -0.0, "tiny": 1e-300}[kind]
+    v = scale * (np.abs(v) if kind == "minus_zero" else v)
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, v, path)
+    rows = [f"{x:.17g},{y:.17g},{w:.17g}\n" for (x, y), w in zip(mesh.nodes, v)]
+    assert path.read_text() == "x,y,value\n" + "".join(rows)
+
+
 def test_nested_interpolation_exact_at_parent_nodes():
     n = 4
     coarse = build_uniform(n)

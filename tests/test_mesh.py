@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from sparseheat import OutOfDomainError, build_uniform, refine
 from sparseheat.mesh import (
     DISSECTION_LEAF,
+    PEAK_SEED_BELOW_N,
     dissection_order,
     p1_edges,
     refine_nodes,
@@ -20,6 +23,36 @@ def edge_counts(mesh):
             key = tuple(sorted((cell[a], cell[b])))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_edges(n):
+    return frozenset(edge_counts(build_uniform(n)))
+
+
+def clustered_support(mesh, data):
+    """Distinct interior nodes of `mesh`, mostly near one node, so that
+    adjacent pairs and triangles occur often."""
+    interior = mesh.interior_nodes()
+    centre = data.draw(st.sampled_from(interior.tolist()))
+    distance = np.abs(mesh.nodes[interior] - mesh.nodes[centre]).max(axis=1)
+    near = interior[distance * mesh.n <= 2].tolist()
+    idx = data.draw(st.lists(st.sampled_from(near), max_size=9))
+    idx += data.draw(st.lists(st.sampled_from(interior.tolist()), max_size=4))
+    return list(dict.fromkeys(idx))
+
+
+def coefficients_and_adjoint(mesh, data, size):
+    """Nonzero coefficients for `size` nodes and a random nodal adjoint."""
+    beta = data.draw(
+        st.lists(
+            st.floats(0.01, 10.0).map(lambda b: b * data.draw(st.sampled_from([-1, 1]))),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    return beta, np.random.default_rng(seed).standard_normal(mesh.num_nodes)
 
 
 def assert_same_mesh(mesh, target):
@@ -115,18 +148,15 @@ def test_refine_nodes_maps_interior_nodes_in_place(n, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(2, 24), data=st.data())
+@given(n=st.integers(PEAK_SEED_BELOW_N, PEAK_SEED_BELOW_N + 3), data=st.data())
 def test_refine_support_seeds_mapped_nodes_and_edge_midpoints(n, data):
+    # From PEAK_SEED_BELOW_N on, the seed reads the support only: the
+    # coefficients and the adjoint are drawn at random.
     mesh = build_uniform(n)
     fine = refine(mesh)
-    interior = mesh.interior_nodes().tolist()
-    # Clustered draws, so that adjacent pairs and triangles occur often.
-    centre = data.draw(st.sampled_from(interior))
-    near = [i for i in interior if abs(mesh.nodes[i] - mesh.nodes[centre]).max() * n <= 2]
-    idx = data.draw(st.lists(st.sampled_from(near), max_size=9))
-    idx += data.draw(st.lists(st.sampled_from(interior), max_size=4))
-    idx = list(dict.fromkeys(idx))
-    seeds = refine_support(mesh, idx)
+    idx = clustered_support(mesh, data)
+    beta, z = coefficients_and_adjoint(mesh, data, len(idx))
+    seeds = refine_support(mesh, idx, beta, z)
     mapped = refine_nodes(mesh, idx)
     assert seeds[: len(mapped)] == mapped
     assert len(set(seeds)) == len(seeds)
@@ -135,7 +165,7 @@ def test_refine_support_seeds_mapped_nodes_and_edge_midpoints(n, data):
     # Every extra seed is the midpoint of a mesh edge between two listed
     # nodes, and every such edge gives one; edges come from the cells.
     listed = set(idx)
-    edges = {e for e in edge_counts(mesh) if set(e) <= listed}
+    edges = {e for e in lattice_edges(n) if set(e) <= listed}
     midpoints = {tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])) for a, b in edges}
     extra = [tuple(fine.nodes[s]) for s in seeds[len(mapped):]]
     assert len(extra) == len(edges)
@@ -148,18 +178,76 @@ def test_refine_support_seeds_mapped_nodes_and_edge_midpoints(n, data):
 
 
 def test_refine_support_adds_the_midpoint_of_a_split_spike():
-    mesh = build_uniform(4)
+    n = PEAK_SEED_BELOW_N
+    mesh = build_uniform(n)
     fine = refine(mesh)
+    w, z = n + 1, np.zeros(mesh.num_nodes)
     # Nodes (1, 1) and (2, 2) share the split diagonal of their square;
     # (1, 3) is no neighbour of either.
-    idx = [1 * 5 + 1, 2 * 5 + 2, 1 * 5 + 3]
-    assert p1_edges(mesh, idx) == [(6, 12)]
-    seeds = refine_support(mesh, idx)
-    assert seeds == refine_nodes(mesh, idx) + [3 * 9 + 3]
-    assert np.allclose(fine.nodes[seeds[-1]], [0.375, 0.375])
-    assert refine_support(mesh, [1 * 5 + 2, 2 * 5 + 1]) == refine_nodes(
-        mesh, [1 * 5 + 2, 2 * 5 + 1]
-    )
+    idx = [1 * w + 1, 2 * w + 2, 1 * w + 3]
+    assert p1_edges(mesh, idx) == [(w + 1, 2 * w + 2)]
+    seeds = refine_support(mesh, idx, [1.0, 1.0, 1.0], z)
+    assert seeds == refine_nodes(mesh, idx) + [3 * (2 * n + 1) + 3]
+    assert np.allclose(fine.nodes[seeds[-1]], [1.5 / n, 1.5 / n])
+    anti = [1 * w + 2, 2 * w + 1]
+    assert refine_support(mesh, anti, [1.0, 1.0], z) == refine_nodes(mesh, anti)
+
+
+def same_sign_clusters(mesh, idx, beta):
+    """Number of components of the listed nodes under "same sign and at
+    most one lattice step apart per axis", by union-find."""
+    parent = list(range(len(idx)))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    steps = np.rint(mesh.nodes[idx] * mesh.n)
+    for a in range(len(idx)):
+        for b in range(a):
+            if (beta[a] > 0) == (beta[b] > 0) and np.abs(steps[a] - steps[b]).max() <= 1:
+                parent[root(a)] = root(b)
+    return len({root(a) for a in range(len(idx))})
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, PEAK_SEED_BELOW_N - 1), data=st.data())
+def test_refine_support_below_the_cutoff_seeds_a_fine_square_per_cluster(n, data):
+    mesh = build_uniform(n)
+    fine = refine(mesh)
+    idx = clustered_support(mesh, data)
+    beta, z = coefficients_and_adjoint(mesh, data, len(idx))
+    seeds = refine_support(mesh, idx, beta, z)
+    assert len(set(seeds)) == len(seeds)
+    assert all(0 <= s < fine.num_nodes for s in seeds)
+    assert not fine.boundary_mask[seeds].any()
+    assert len(seeds) <= 4 * same_sign_clusters(mesh, idx, beta)
+    # A cluster's square lies within half a coarse step of its largest
+    # node, so each seed is at most two fine steps from a mapped node.
+    mapped = fine.nodes[refine_nodes(mesh, idx)]
+    for s in seeds:
+        assert (np.abs(mapped - fine.nodes[s]).max(axis=1) * fine.n <= 2 + 1e-9).any()
+
+
+def test_refine_support_below_the_cutoff_seeds_the_square_at_a_quadratic_peak():
+    # Central differences fit a quadratic |z| exactly, so the seed is the
+    # fine square that holds its peak, fitted around the cluster's largest
+    # node (2, 2) and not its neighbour (3, 2). The negative node (3, 3)
+    # next to them is a cluster of its own; its offset towards the peak is
+    # clipped to half a coarse step, which gives the fine square at (5, 5)
+    # and repeats the corner (5, 5).
+    mesh = build_uniform(8)
+    x, y = mesh.nodes.T
+    peak = (0.3, 0.3)  # lattice position (2.4, 2.4)
+    dx, dy = x - peak[0], y - peak[1]
+    z = -(1.0 - 0.5 * dx * dx - 0.2 * dx * dy - 0.3 * dy * dy)  # negative throughout
+    idx = [3 * 9 + 2, 2 * 9 + 2, 3 * 9 + 3]
+    seeds = refine_support(mesh, idx, [2.0, 5.0, -1.0], z)
+    # The peak sits at fine position (4.8, 4.8), in the square with
+    # lower-left corner (4, 4).
+    first = [4 * 17 + 4, 4 * 17 + 5, 5 * 17 + 4, 5 * 17 + 5]
+    assert seeds == first + [5 * 17 + 6, 6 * 17 + 5, 6 * 17 + 6]
 
 
 def locate_one(mesh, point):

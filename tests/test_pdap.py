@@ -425,13 +425,32 @@ def test_seed_with_the_optimal_support_stops_after_one_adjoint(monkeypatch):
     assert res.converged and res.gap < cfg.tol * res.m0
     assert res.m0 == cold.m0
     assert len(adjoints) == len(res.log) == 1
-    # The seed columns go out in one batch and count in row 0.
-    assert loads == [(model.mesh.num_nodes, len(cold.active_nodes))]
+    # The seed columns go out in batches of at most MAX_INSERTIONS and
+    # count in row 0.
+    k, size = pdap.MAX_INSERTIONS, len(cold.active_nodes)
+    assert loads == [(model.mesh.num_nodes, min(k, size - i)) for i in range(0, size, k)]
     assert res.log.records[0].inserted == len(cold.active_nodes)
     assert res.active_nodes == cold.active_nodes
     scale = np.abs(cold.state).max()
     assert np.allclose(res.state, cold.state, rtol=0.0, atol=1e-12 * scale)
     assert res.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+def test_seed_of_more_than_max_insertions_nodes_propagates_in_batches(monkeypatch):
+    # Nine seeds reach propagate_load as batches of 4, 4 and 1 unit
+    # columns, in seed order.
+    model, u_d, cfg, _ = off_grid_problem()
+    seeds = model.mesh.interior_nodes()[:9].tolist()
+    batches = []
+
+    def propagate_load(self, b):
+        batches.append(np.argmax(b, axis=0).tolist())
+        return real_load(self, b)
+
+    real_load = HeatModel.propagate_load
+    monkeypatch.setattr(HeatModel, "propagate_load", propagate_load)
+    pdap.run(model, u_d, dataclasses.replace(cfg, max_outer_iterations=0), seeds)
+    assert batches == [seeds[:4], seeds[4:8], seeds[8:]]
 
 
 @settings(max_examples=40, deadline=None)
