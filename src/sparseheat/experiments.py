@@ -261,7 +261,7 @@ def reconstruct(cfg):
     Makes the observation on the n lattice. For an even n of at least
     TWO_LEVEL_MIN_N it first solves the n/2 lattice on the same time grid,
     as a level of `study_space` (`_level`), and seeds the n level's
-    PDAP from that solve, converged or not (`_carry`). For n below
+    PDAP with the seed of that solve, converged or not. For n below
     2 * PEAK_SEED_BELOW_N = 128 `refine_support` seeds the fine square
     at the fitted peak of the coarse adjoint around each same-sign
     cluster of the coarse support. A coarse SolverFailure gives no seed.
@@ -281,11 +281,11 @@ def reconstruct(cfg):
     if n % 2 == 0 and n >= TWO_LEVEL_MIN_N:
         coarse_mesh = build_uniform(n // 2)
         try:
-            _, coarse = _level(f"n={n // 2}", coarse_mesh, M, model, u_d, cfg, [])
+            _, _, seed_nodes = _level(
+                f"n={n // 2}", coarse_mesh, M, model, u_d, cfg, [], mesh
+            )
         except SolverFailure:
             pass
-        else:
-            seed_nodes = _carry(coarse_mesh, mesh, coarse)
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     report = ReconstructionReport(
@@ -324,7 +324,7 @@ def _solve_level(label, model, u_d, cfg, seed_nodes):
     return result
 
 
-def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
+def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes, finer):
     """One level of a refinement study against the data u_d on ref_model.
 
     Builds the level's model on `mesh` with M steps and solves it from
@@ -332,36 +332,34 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     coarser lattice nested in the reference one it carries the data down
     by the mass-orthogonal projection, which leaves the optimality system
     unchanged on nested meshes, and interpolates the optimal state back.
-    Returns the optimal state on the reference lattice and the level's
-    `pdap.run` result. The level's model and slab LU are freed when this
-    call returns.
+    Returns the optimal state on the reference lattice, whether the solve
+    converged, and the seed of the next level, on `finer`: the support as
+    it is when the mesh stays, `refine_support` of the support, its
+    coefficients and its adjoint on the refined lattice, and no seed for
+    a support of more than MAX_SEED_SUPPORT nodes. The level's model,
+    slab LU and PDAP result are freed when this call returns.
     """
     # The reference mass is assembled on its first read; reading it before
     # the level's model is built leaves less heap resident.
     nested = mesh.n != ref_model.mesh.n
     mass_u_d = ref_model.mass @ u_d if nested else None
     model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-    if not nested:
+    if nested:
+        interp = interpolation_matrix(mesh, ref_model.mesh)
+        data = spd_solve(model.mass, interp.T @ mass_u_d)
+        result = _solve_level(label, model, data, cfg, seed_nodes)
+        state = interp @ result.state
+    else:
         result = _solve_level(label, model, u_d, cfg, seed_nodes)
-        return result.state, result
-    interp = interpolation_matrix(mesh, ref_model.mesh)
-    data = spd_solve(model.mass, interp.T @ mass_u_d)
-    result = _solve_level(label, model, data, cfg, seed_nodes)
-    return interp @ result.state, result
-
-
-def _carry(mesh, finer, result):
-    """Seed nodes on `finer` from the `pdap.run` result of a level on `mesh`.
-
-    The support as it is when the mesh stays; on the refined lattice
-    `refine_support` of the support, its coefficients and its adjoint.
-    A support of more than MAX_SEED_SUPPORT nodes gives no seed.
-    """
-    if len(result.active_nodes) > MAX_SEED_SUPPORT:
-        return []
-    if finer.n == mesh.n:
-        return result.active_nodes
-    return refine_support(mesh, result.active_nodes, result.coefficients, result.adjoint)
+        state = result.state
+    active = result.active_nodes
+    if len(active) > MAX_SEED_SUPPORT:
+        seeds = []
+    elif finer.n == mesh.n:
+        seeds = active
+    else:
+        seeds = refine_support(mesh, active, result.coefficients, result.adjoint)
+    return state, result.converged, seeds
 
 
 def _study(cfg, swept):
@@ -369,11 +367,12 @@ def _study(cfg, swept):
 
     Makes the observation on the finest level, the reference, then
     solves the coarser levels (`_level`) coarse to fine and the reference
-    last, each PDAP seeded from the previous level's solve (`_carry`):
-    its support as it is when the mesh stays, and `refine_support` of it
-    onto a finer lattice, unless it has more than MAX_SEED_SUPPORT
-    nodes. Returns the EOC table of the coarse levels' L2 distances
-    from the reference state, and whether every solve converged.
+    last, each PDAP seeded with the seed that `_level` makes of the
+    previous level's solve: its support as it is when the mesh stays,
+    and `refine_support` of it onto a finer lattice, unless it has more
+    than MAX_SEED_SUPPORT nodes. Returns the EOC table of the coarse
+    levels' L2 distances from the reference state, and whether every
+    solve converged.
     """
     levels, params = _sweep(cfg, swept)
     ref_label, ref_mesh, ref_M = levels[-1]
@@ -382,10 +381,11 @@ def _study(cfg, swept):
 
     states, converged, seed_nodes = [], True, []
     for (label, mesh, M), (_, finer, _) in zip(levels, levels[1:]):
-        state, result = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
+        state, ok, seed_nodes = _level(
+            label, mesh, M, ref_model, u_d, cfg, seed_nodes, finer
+        )
         states.append(state)
-        converged = converged and result.converged
-        seed_nodes = _carry(mesh, finer, result)
+        converged = converged and ok
     ref_result = _solve_level(ref_label, ref_model, u_d, cfg, seed_nodes)
     errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
     return _study_table(cfg, params[:-1], errors), converged and ref_result.converged
