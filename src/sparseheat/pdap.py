@@ -27,7 +27,7 @@ from .timestepping import adjoint_dirac
 
 # Nodes activated per outer iteration at most, the argmax node included;
 # also the widest batch of columns propagated at once, as a wider one
-# raises the peak RSS (8 seed columns in one batch: +1.1 MB on
+# raises the peak RSS (8 seed columns in one batch: about +1 MB on
 # `reconstruct`).
 MAX_INSERTIONS = 4
 # First-order residual target and iteration budget of the coefficient
