@@ -386,7 +386,7 @@ def test_study_space_peak_seed_costs_one_adjoint(monkeypatch):
     # level is certified optimal by its first adjoint evaluation. With
     # mapped nodes plus edge midpoints as seeds the levels took 3, 2 and
     # 3 adjoints.
-    adjoints, seeds, supports = [], [], []
+    adjoints, seeds, results = [], [], []
 
     def propagate_adjoint(self, w):
         adjoints[-1] += 1
@@ -396,7 +396,7 @@ def test_study_space_peak_seed_costs_one_adjoint(monkeypatch):
         adjoints.append(0)
         seeds.append(list(seed_nodes))
         result = real_run(model, u_d, config, seed_nodes)
-        supports.append(result)
+        results.append(result)
         return result
 
     real_adjoint, real_run = HeatModel.propagate_adjoint, pdap.run
@@ -415,7 +415,7 @@ def test_study_space_peak_seed_costs_one_adjoint(monkeypatch):
     assert all(e > 0 for e in table.errors)
     assert adjoints == [3, 1, 1]
     for level, coarse in enumerate([build_uniform(4), build_uniform(8)], start=1):
-        previous, result = supports[level - 1], supports[level]
+        previous, result = results[level - 1], results[level]
         assert seeds[level] == refine_support(
             coarse, previous.active_nodes, previous.coefficients, previous.adjoint
         )
@@ -440,7 +440,6 @@ def test_study_space_solves_a_level_cold_after_a_large_support(monkeypatch):
 
     calls = record_runs(monkeypatch)
     recorded_run = pdap.run
-
     monkeypatch.setattr(pdap, "run", run)
     cfg = ExperimentConfig(
         T=0.1,
