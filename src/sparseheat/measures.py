@@ -1,8 +1,8 @@
 """Atomic (finitely supported) signed measures on the unit square.
 
 A measure is a list of (position, coefficient) atoms. The module covers
-total-variation arithmetic, merging of clustered atoms and the
-measure.json writer.
+total-variation arithmetic, grouping and merging of clustered atoms,
+and the measure.json writer.
 """
 
 from __future__ import annotations
@@ -62,18 +62,17 @@ def tv_norm(q):
     return float(np.abs(q.coefficients).sum())
 
 
-def lump_clusters(q, radius):
-    """Merge groups of same-sign atoms within single-linkage distance `radius`.
+def same_sign_groups(positions, coefficients, radius):
+    """Groups of same-sign atoms within single-linkage distance `radius`.
 
-    Only atoms of equal sign are linked, so a dipole keeps both atoms
-    however close they are. Each group becomes one atom with the summed
-    coefficient placed at the magnitude-weighted center of gravity.
+    Two atoms are linked when their coefficients have one sign and their
+    positions lie at most `radius` apart; the groups are the connected
+    components of that relation. Each is an ascending list of indices,
+    and the groups come in the order of their first members.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    n = len(q)
-    if n == 0:
-        return DiscreteMeasure()
+    n = len(coefficients)
     parent = list(range(n))
 
     def find(i):
@@ -82,19 +81,28 @@ def lump_clusters(q, radius):
             i = parent[i]
         return i
 
-    signs = np.sign(q.coefficients)
+    signs = np.sign(coefficients)
     for i in range(n):
         for j in range(i + 1, n):
-            near = np.linalg.norm(q.positions[i] - q.positions[j]) <= radius
+            near = np.linalg.norm(positions[i] - positions[j]) <= radius
             if near and signs[i] == signs[j]:
                 parent[find(i)] = find(j)
 
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
+
+def lump_clusters(q, radius):
+    """Merge the `same_sign_groups` of the atoms of `q` at `radius`.
+
+    Only atoms of equal sign are linked, so a dipole keeps both atoms
+    however close they are. Each group becomes one atom with the summed
+    coefficient placed at the magnitude-weighted center of gravity.
+    """
     positions, coefficients = [], []
-    for members in sorted(groups.values(), key=min):
+    for members in same_sign_groups(q.positions, q.coefficients, radius):
         betas = q.coefficients[members]
         weights = np.abs(betas)
         center = (weights[:, None] * q.positions[members]).sum(axis=0) / weights.sum()

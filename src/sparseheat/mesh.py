@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, OutOfDomainError
+from .measures import same_sign_groups
 
 # Barycentric containment slack: points this far outside a cell still
 # count as inside, with weights clamped and renormalized.
@@ -289,40 +290,14 @@ def refine_support(mesh, nodes, beta, z):
     return seeds
 
 
-def _support_clusters(mesh, nodes, beta):
-    """Same-sign clusters of the support `nodes` with coefficients `beta`.
-
-    Two listed nodes with coefficients of one sign join a cluster when
-    they lie at most one lattice step apart in row and in column; the
-    clusters are the connected components of that relation. Each is a
-    list of positions into `nodes`, in the order of its first member.
-    """
-    width = mesh.n + 1
-    where = {divmod(int(i), width): k for k, i in enumerate(nodes)}
-    positive = [b > 0 for b in beta]
-    seen, clusters = set(), []
-    for k in range(len(nodes)):
-        if k in seen:
-            continue
-        seen.add(k)
-        stack, members = [k], []
-        while stack:
-            a = stack.pop()
-            members.append(a)
-            r, c = divmod(int(nodes[a]), width)
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    b = where.get((r + dr, c + dc))
-                    if b not in seen and b is not None and positive[b] == positive[k]:
-                        seen.add(b)
-                        stack.append(b)
-        clusters.append(sorted(members))
-    return clusters
-
-
 def _peak_seeds(mesh, nodes, beta, z):
     """The four corners of the fine square at the fitted peak of |z| of
-    each cluster of `_support_clusters`, interior corners only, each once.
+    each same-sign cluster of the support, interior corners only, each once.
+
+    The clusters are `measures.same_sign_groups` of the support's nodes
+    at radius 1.5/n: lattice neighbours lie 1/n or sqrt(2)/n apart and
+    the next nodes 2/n, so a cluster links nodes of one sign at most one
+    lattice step apart in row and in column.
 
     A cluster's peak is fitted on the 3-by-3 block of |z| around its
     largest-|beta| node: central differences give the gradient g and the
@@ -337,7 +312,7 @@ def _peak_seeds(mesh, nodes, beta, z):
     width, fine_width = n + 1, 2 * n + 1
     absz = np.abs(np.asarray(z, dtype=float)).reshape(width, width)
     seeds = []
-    for cluster in _support_clusters(mesh, nodes, beta):
+    for cluster in same_sign_groups(mesh.nodes[nodes], beta, 1.5 / n):
         top = max(cluster, key=lambda k: abs(beta[k]))
         r, c = divmod(int(nodes[top]), width)
         f = absz[r - 1 : r + 2, c - 1 : c + 2]

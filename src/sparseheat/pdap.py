@@ -281,15 +281,16 @@ def run(model, u_d, config, seed_nodes=()):
 
     `seed_nodes` warm-starts the loop from a guess of the support, such
     as the seed that `mesh.refine_support` carries from a coarser level
-    of a refinement study: their columns are propagated in batches of at
-    most MAX_INSERTIONS, in order, the subproblem is solved
-    on them from zero coefficients and pruned before the first adjoint
-    evaluation. The first outer iteration's record counts the seed
-    columns in `inserted` and the seed solve in `subproblem_iters`. The
-    gap scale M0 is still that of the empty measure, which the log keeps
-    as its `start` row, numbered 0, so the outer iterations of a
-    warm-started log are numbered from 1. Raises ValueError for seed
-    nodes that are not interior or repeat.
+    of a refinement study. Seeds take the insertion step of an outer
+    iteration before the first adjoint evaluation: their columns are
+    propagated in batches of at most MAX_INSERTIONS, in order, and the
+    subproblem is solved on them from zero coefficients and pruned. The
+    first outer iteration's record counts them, as every record counts
+    the columns and subproblem steps of the insertions since the one
+    before. The gap scale M0 is still that of the empty measure, which
+    the log keeps as its `start` row, numbered 0, so the outer
+    iterations of a warm-started log are numbered from 1. Raises
+    ValueError for seed nodes that are not interior or repeat.
     """
     alpha = config.alpha
     boundary = model.mesh.boundary_mask
@@ -307,9 +308,11 @@ def run(model, u_d, config, seed_nodes=()):
     cols = []  # nodal vectors S(delta_node), aligned with `active`
     G = np.zeros((0, 0))
     c = np.zeros(0)
+    inserted = steps = 0  # columns and subproblem steps the next record counts
 
-    def add_nodes(nodes):
-        nonlocal beta, G, c
+    def insert(nodes):
+        """Activates `nodes`, re-solves the subproblem and prunes."""
+        nonlocal beta, G, c, cols, active, inserted, steps
         m, k = len(cols), len(nodes)
         new = []
         for first in range(0, k, MAX_INSERTIONS):
@@ -330,21 +333,21 @@ def run(model, u_d, config, seed_nodes=()):
         c = np.concatenate([c, model.pairings(ud_m, new)])
         cols.extend(new)
         active.extend(nodes)
-        beta = np.concatenate([beta, np.zeros(k)])
-
-    def prune():
-        nonlocal beta, G, c, cols, active
+        beta, its = solve_subproblem(
+            G, c, alpha, np.concatenate([beta, np.zeros(k)]),
+            SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERATIONS,
+        )
         keep = np.abs(beta) > PRUNE_TOL
         if not keep.all():
             beta = beta[keep]
             G = G[np.ix_(keep, keep)]
             c = c[keep]
-            cols = [col for col, k in zip(cols, keep) if k]
-            active = [a for a, k in zip(active, keep) if k]
+            cols = [col for col, on in zip(cols, keep) if on]
+            active = [a for a, on in zip(active, keep) if on]
+        inserted += k
+        steps += its
 
-    def current_objective():
-        if beta.size == 0:
-            return 0.5 * ud_norm_sq
+    def objective():
         return (
             0.5 * float(beta @ G @ beta)
             - float(c @ beta)
@@ -352,13 +355,12 @@ def run(model, u_d, config, seed_nodes=()):
             + alpha * float(np.abs(beta).sum())
         )
 
-    def record(n, phi, j, support, node, sub_iters, inserted):
-        if n == 0:  # the first record also accounts for the seed solve
-            sub_iters += seed_iters
-            inserted += len(seed_nodes)
+    def record(n, phi, j, support, node):
+        nonlocal inserted, steps
         r = IterationRecord(
-            n + bool(seed_nodes), phi, j, support, node, sub_iters, inserted
+            n + bool(seed_nodes), phi, j, support, node, steps, inserted
         )
+        inserted = steps = 0
         log.append(r)
         _log.info(
             "pdap n=%d phi=%.3e support=%d inserted=%d ms=%.1f",
@@ -366,22 +368,17 @@ def run(model, u_d, config, seed_nodes=()):
             1e3 * (time.perf_counter() - started),
         )
 
-    j = current_objective()
+    j = objective()
     m0 = j / alpha
     tol_abs = config.tol * m0
     log = IterationLog()
-    seed_iters = 0
     if seed_nodes:
         log.start = IterationRecord(0, float("nan"), j, 0, -1, 0, 0)
-        add_nodes(seed_nodes)
-        beta, seed_iters = solve_subproblem(
-            G, c, alpha, beta, SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERATIONS
-        )
-        prune()
-        j = current_objective()
+        insert(seed_nodes)
 
     for n in range(config.max_outer_iterations + 1):
         started = time.perf_counter()
+        j = objective()
         state = np.column_stack(cols) @ beta if cols else np.zeros(len(u_d))
         z = adjoint_dirac(model, state - u_d)
         pairing = float(beta @ z[active])
@@ -392,18 +389,12 @@ def run(model, u_d, config, seed_nodes=()):
         if not converged:
             nodes = select_candidates(z, model.mass, boundary, active, alpha)
         if converged or n == config.max_outer_iterations or nodes[0] in active:
-            record(n, phi, j, len(active), -1, 0, 0)
+            record(n, phi, j, len(active), -1)
             break
 
         support_before = len(active)
-        add_nodes(nodes)
-        beta, sub_iters = solve_subproblem(
-            G, c, alpha, beta, SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERATIONS
-        )
-        prune()
-
-        record(n, phi, j, support_before, nodes[0], sub_iters, len(nodes))
-        j = current_objective()
+        insert(nodes)
+        record(n, phi, j, support_before, nodes[0])
 
     measure = DiscreteMeasure(model.mesh.nodes[active], beta)
     return PdapResult(
