@@ -48,6 +48,11 @@ TWO_LEVEL_MIN_N = 64
 # and the n = 32 level seeded from those took over 200 s. With both levels
 # solved cold the study takes 17 s, its n = 16 level 238 ms.
 MAX_SEED_SUPPORT = 40
+# Largest number of time steps a config may ask for. The Chebyshev weights
+# of a propagation take M - 1 polynomial products, about 0.2 s at 2^16 and
+# 2.5 times as long per doubling of M, and a propagation makes about
+# sqrt(37 M) slab solves, 1557 at 2^16 against 97 at the bundled 256.
+MAX_TIME_STEPS = 2**16
 
 _log = logging.getLogger("sparseheat")
 
@@ -514,6 +519,15 @@ def _levels(name, value):
     return _integer(name, value)
 
 
+def _time_steps(name, value):
+    """`_levels` with every entry at most MAX_TIME_STEPS, or ConfigError."""
+    levels = _levels(name, value)
+    for M in levels if isinstance(levels, list) else [levels]:
+        if M > MAX_TIME_STEPS:
+            raise ConfigError(f"{name} must be at most {MAX_TIME_STEPS}, got {M}")
+    return levels
+
+
 def _point(name, value):
     """A tuple of exactly two finite numbers from a JSON list, or ConfigError."""
     if not isinstance(value, list) or len(value) != 2:
@@ -551,7 +565,7 @@ SCHEMA = {
     "T": _number,
     "truth": _truth,
     "mesh_n": _levels,
-    "time_steps": _levels,
+    "time_steps": _time_steps,
     "dg_order": _integer,
     "alpha": _number,
     "noise_level": _number,

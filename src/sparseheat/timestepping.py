@@ -124,6 +124,8 @@ class TimeGrid:
         self.T = float(T)
         self.M = int(M)
         self.k = self.T / self.M
+        if not self.k > 0:
+            raise ValueError(f"time step T/M = {T:g}/{M} underflows to 0")
 
 
 class HeatModel:

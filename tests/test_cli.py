@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"T": 10**400},
         {"mesh_n": 10**400},
         {"time_steps": 10**400},
+        {"time_steps": 10**15},
+        {"T": 5e-324},
         {"alpha": float("nan")},
         {"noise_level": float("inf")},
         {"pdap": {"tol": float("nan")}},
@@ -105,6 +108,8 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         "T_beyond_float_range",
         "mesh_n_beyond_float_range",
         "time_steps_beyond_float_range",
+        "time_steps_above_bound",
+        "time_step_underflows",
         "alpha_nan",
         "noise_level_inf",
         "pdap_tol_nan",
@@ -773,3 +778,68 @@ def test_main_never_raises_and_fails_in_one_line(command, config, flags):
         ]
         assert len(lines) == 1, err.getvalue()
         assert err.getvalue().endswith(lines[0] + "\n")
+
+
+# Sizes at most 8 that each command accepts: a single `mesh_n` and
+# `time_steps`, or a list of levels for the parameter that it sweeps.
+_SIZES = {
+    "reconstruct": (st.integers(2, 8), st.integers(1, 8)),
+    "study-space": (st.just([2, 4, 8]), st.integers(1, 8)),
+    "study-time": (st.integers(2, 8), st.sampled_from([[1, 2, 4], [2, 4, 8]])),
+    "study-smoothing": (st.just([2, 4, 8]), st.integers(1, 8)),
+}
+# Where a float sits in the config, as a setter of a new value.
+_FLOATS = {
+    "T": lambda cfg, v: cfg.update(T=v),
+    "alpha": lambda cfg, v: cfg.update(alpha=v),
+    "noise_level": lambda cfg, v: cfg.update(noise_level=v),
+    "pdap.tol": lambda cfg, v: cfg["pdap"].update(tol=v),
+    "truth[0].x[0]": lambda cfg, v: cfg["truth"][0]["x"].__setitem__(0, v),
+    "truth[1].x[1]": lambda cfg, v: cfg["truth"][1]["x"].__setitem__(1, v),
+    "truth[0].beta": lambda cfg, v: cfg["truth"][0].update(beta=v),
+    "smoothing.x0[0]": lambda cfg, v: cfg["smoothing"]["x0"].__setitem__(0, v),
+}
+
+
+@st.composite
+def _tiny_runs(draw):
+    """A command and a tiny config for it, `mesh_n` and `time_steps` at
+    most 8, with up to three floats drawn from the whole double range:
+    NaN, the infinities, subnormals and both signs of zero included."""
+    command = draw(st.sampled_from(sorted(_SIZES)))
+    mesh_n, time_steps = (draw(size) for size in _SIZES[command])
+    config = {
+        "T": 0.1,
+        "truth": [{"x": [0.3, 0.5], "beta": 5.0}, {"x": [0.7, 0.6], "beta": -2.0}],
+        "mesh_n": mesh_n,
+        "time_steps": time_steps,
+        "dg_order": draw(st.sampled_from([0, 1])),
+        "alpha": 1e-3,
+        "noise_level": draw(st.sampled_from([0.0, 0.05])),
+        "seed": draw(st.integers(0, 3)),
+        "pdap": {"tol": 1e-8},
+        "smoothing": {"x0": [0.5, 0.5]},
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(_FLOATS)), max_size=3, unique=True)):
+        _FLOATS[key](config, draw(st.floats()))
+    return command, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_tiny_runs())
+def test_main_on_extreme_floats_exits_documented_in_one_line(run):
+    # Warnings count as stderr lines: in-process, pytest would record
+    # them instead of letting them reach stderr.
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert len(lines) <= 1, lines
