@@ -788,17 +788,11 @@ _SIZES = {
     "study-time": (st.integers(2, 8), st.sampled_from([[1, 2, 4], [2, 4, 8]])),
     "study-smoothing": (st.just([2, 4, 8]), st.integers(1, 8)),
 }
-# Where a float sits in the config, as a setter of a new value.
-_FLOATS = {
-    "T": lambda cfg, v: cfg.update(T=v),
-    "alpha": lambda cfg, v: cfg.update(alpha=v),
-    "noise_level": lambda cfg, v: cfg.update(noise_level=v),
-    "pdap.tol": lambda cfg, v: cfg["pdap"].update(tol=v),
-    "truth[0].x[0]": lambda cfg, v: cfg["truth"][0]["x"].__setitem__(0, v),
-    "truth[1].x[1]": lambda cfg, v: cfg["truth"][1]["x"].__setitem__(1, v),
-    "truth[0].beta": lambda cfg, v: cfg["truth"][0].update(beta=v),
-    "smoothing.x0[0]": lambda cfg, v: cfg["smoothing"]["x0"].__setitem__(0, v),
-}
+# Where each float sits in the config, as a path of keys and indices.
+_FLOATS = [
+    ("T",), ("alpha",), ("noise_level",), ("pdap", "tol"), ("truth", 0, "x", 0),
+    ("truth", 1, "x", 1), ("truth", 0, "beta"), ("smoothing", "x0", 0),
+]
 
 
 @st.composite
@@ -820,8 +814,11 @@ def _tiny_runs(draw):
         "pdap": {"tol": 1e-8},
         "smoothing": {"x0": [0.5, 0.5]},
     }
-    for key in draw(st.lists(st.sampled_from(sorted(_FLOATS)), max_size=3, unique=True)):
-        _FLOATS[key](config, draw(st.floats()))
+    for *keys, last in draw(st.lists(st.sampled_from(_FLOATS), max_size=3, unique=True)):
+        target = config
+        for key in keys:
+            target = target[key]
+        target[last] = draw(st.floats())
     return command, config
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseheat import OutOfDomainError, build_uniform, refine
+from sparseheat.measures import same_sign_groups
 from sparseheat.mesh import (
     DISSECTION_LEAF,
     PEAK_SEED_BELOW_N,
@@ -189,8 +190,9 @@ def test_refine_support_adds_the_midpoint_of_a_split_spike():
 
 
 def same_sign_clusters(mesh, idx, beta):
-    """Number of components of the listed nodes under "same sign and at
-    most one lattice step apart per axis", by union-find."""
+    """Components of the listed nodes under "same sign and at most one
+    lattice step apart per axis", by union-find: ascending lists of
+    positions into `idx`, in the order of their first members."""
     parent = list(range(len(idx)))
 
     def root(a):
@@ -203,7 +205,22 @@ def same_sign_clusters(mesh, idx, beta):
         for b in range(a):
             if (beta[a] > 0) == (beta[b] > 0) and np.abs(steps[a] - steps[b]).max() <= 1:
                 parent[root(a)] = root(b)
-    return len({root(a) for a in range(len(idx))})
+    groups = {}
+    for a in range(len(idx)):
+        groups.setdefault(root(a), []).append(a)
+    return list(groups.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 2 * PEAK_SEED_BELOW_N), data=st.data())
+def test_same_sign_groups_at_one_and_a_half_steps_are_the_lattice_clusters(n, data):
+    # The peak seeds group the support with the lumping's rule: lattice
+    # neighbours lie 1/n or sqrt(2)/n apart and the next nodes 2/n.
+    mesh = build_uniform(n)
+    idx = clustered_support(mesh, data)
+    beta, _ = coefficients_and_adjoint(mesh, data, len(idx))
+    groups = same_sign_groups(mesh.nodes[idx], beta, 1.5 / n)
+    assert groups == same_sign_clusters(mesh, idx, beta)
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,7 +234,7 @@ def test_refine_support_below_the_cutoff_seeds_a_fine_square_per_cluster(n, data
     assert len(set(seeds)) == len(seeds)
     assert all(0 <= s < fine.num_nodes for s in seeds)
     assert not fine.boundary_mask[seeds].any()
-    assert len(seeds) <= 4 * same_sign_clusters(mesh, idx, beta)
+    assert len(seeds) <= 4 * len(same_sign_clusters(mesh, idx, beta))
     # A cluster's square lies within half a coarse step of its largest
     # node, so each seed is at most two fine steps from a mapped node.
     mapped = fine.nodes[refine_nodes(mesh, idx)]

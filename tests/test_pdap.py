@@ -453,6 +453,36 @@ def test_seed_of_more_than_max_insertions_nodes_propagates_in_batches(monkeypatc
     assert batches == [seeds[:4], seeds[4:8], seeds[8:]]
 
 
+@pytest.mark.parametrize("seeded", [False, True], ids=["cold", "seeded"])
+def test_log_counts_every_propagated_column_and_subproblem_step(monkeypatch, seeded):
+    # Seeds and each iteration's candidates take one insertion step, and
+    # the log accounts for every column it propagates and every step of
+    # its subproblem solves: a seeded run stopping at its first record
+    # counts the seed there.
+    model, u_d, cfg, cold = off_grid_problem()
+    columns, steps = [], []
+    real_load, real_solve = HeatModel.propagate_load, pdap.solve_subproblem
+
+    def propagate_load(self, b):
+        columns.append(np.shape(b)[1])
+        return real_load(self, b)
+
+    def solve_subproblem(*args):
+        beta, its = real_solve(*args)
+        steps.append(its)
+        return beta, its
+
+    monkeypatch.setattr(HeatModel, "propagate_load", propagate_load)
+    monkeypatch.setattr(pdap, "solve_subproblem", solve_subproblem)
+    res = pdap.run(model, u_d, cfg, cold.active_nodes if seeded else ())
+    assert res.converged
+    assert len(res.log) == (1 if seeded else len(cold.log))
+    assert sum(r.inserted for r in res.log) == sum(columns) > 0
+    assert sum(r.subproblem_iters for r in res.log) == sum(steps) > 0
+    if seeded:
+        assert sum(columns) == len(cold.active_nodes) and len(steps) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_run_from_any_seed_reaches_the_cold_optimum(data):
