@@ -49,9 +49,9 @@ TWO_LEVEL_MIN_N = 64
 # solved cold the study takes 17 s, its n = 16 level 238 ms.
 MAX_SEED_SUPPORT = 40
 # Largest number of time steps a config may ask for. The Chebyshev weights
-# of a propagation take M - 1 polynomial products, about 0.2 s at 2^16 and
-# 2.5 times as long per doubling of M, and a propagation makes about
-# sqrt(37 M) slab solves, 1557 at 2^16 against 97 at the bundled 256.
+# of a propagation take M - 1 polynomial products, 0.22 s at 2^16 on a
+# 2-core Xeon and 2.5 times as long per doubling of M, and a propagation
+# makes about sqrt(37 M) slab solves, 1557 at 2^16 against 97 at 256.
 MAX_TIME_STEPS = 2**16
 
 _log = logging.getLogger("sparseheat")
