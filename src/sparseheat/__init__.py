@@ -47,7 +47,6 @@ from .timestepping import (
 from .experiments import (
     EocTable,
     ExperimentConfig,
-    ReconstructionReport,
     SmoothingSpec,
     compute_eoc,
     config_from_dict,

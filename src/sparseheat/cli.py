@@ -15,14 +15,16 @@ the same with and without it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
+import os
 import sys
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .experiments import load_config, override_config
+from .experiments import load_config
 from . import experiments
 from .measures import DiscreteMeasure
 from .mesh import build_uniform
@@ -78,8 +80,6 @@ def _build_parser():
 
 
 def _resolve_config(name):
-    import os
-
     if os.path.exists(name):
         return name
     bundled = resources.files("sparseheat").joinpath("configs", name)
@@ -89,14 +89,22 @@ def _resolve_config(name):
 
 
 def _load(args):
-    cfg = load_config(_resolve_config(args.config))
-    cfg = override_config(cfg, output_dir=args.out, seed=args.seed, tol=args.tol)
-    if cfg.output_dir is None:
-        import os
+    """The config file with the --out, --seed and --tol overrides applied.
 
+    --out replaces output_dir when it is given, even as ""; a config with
+    no output_dir after that writes to out/<config file stem>.
+    """
+    cfg = load_config(_resolve_config(args.config))
+    output_dir = cfg.output_dir if args.out is None else args.out
+    if output_dir is None:
         stem = os.path.splitext(os.path.basename(args.config))[0]
-        cfg = override_config(cfg, output_dir=os.path.join("out", stem))
-    return cfg
+        output_dir = os.path.join("out", stem)
+    return dataclasses.replace(
+        cfg,
+        output_dir=output_dir,
+        seed=cfg.seed if args.seed is None else args.seed,
+        pdap=cfg.pdap if args.tol is None else dataclasses.replace(cfg.pdap, tol=args.tol),
+    )
 
 
 def _selftest():
@@ -176,14 +184,14 @@ def main(argv=None):
             return 3 if _selftest() else 0
         cfg = _load(args)
         if args.command == "reconstruct":
-            report = experiments.reconstruct(cfg)
+            result, lumped = experiments.reconstruct(cfg)
             print(
-                f"reconstruct: support={len(report.measure)} "
-                f"lumped={len(report.lumped)} objective={report.objective:.6g} "
-                f"phi={report.gap:.3g} adjoint_max={report.adjoint_max:.6g} "
+                f"reconstruct: support={len(result.measure)} "
+                f"lumped={len(lumped)} objective={result.objective:.6g} "
+                f"phi={result.gap:.3g} adjoint_max={np.abs(result.adjoint).max():.6g} "
                 f"out={cfg.output_dir}"
             )
-            return _exit_code(report.converged)
+            return _exit_code(result.converged)
         # A study; study-smoothing solves no PDAP, so it always converges.
         result = getattr(experiments, args.command.replace("-", "_"))(cfg)
         table, converged = (result, True) if args.command == "study-smoothing" else result

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,14 @@ MAX_SEED_SUPPORT = 40
 # 2-core Xeon and 2.5 times as long per doubling of M, and a propagation
 # makes about sqrt(37 M) slab solves, 1557 at 2^16 against 97 at 256.
 MAX_TIME_STEPS = 2**16
+# Largest lattice a config may ask for, every list entry included. The slab
+# LU of a lattice holds 188,416 / 989,240 / 4,931,760 / 23,699,880 nonzeros
+# at n = 64 / 128 / 256 / 512 (nested dissection, the same for both dG
+# orders), about 5 times as many per doubling, and a dG(1) nonzero takes
+# 20 B (complex value plus indices): 0.47 GB at 512, about 2.2 GB at 1024.
+# The n = 512 dG(1) factorization took 2.5 s and peaked at 1.1 GB RSS on a
+# 2-core Xeon.
+MAX_MESH_N = 512
 
 _log = logging.getLogger("sparseheat")
 
@@ -189,7 +197,7 @@ def _study_table(cfg, params, errors):
             "error sequence has %d inversions; study may be unhealthy", inversions
         )
     if cfg.output_dir:
-        _ensure_dir(cfg.output_dir)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         table.write_csv(os.path.join(cfg.output_dir, "errors.csv"))
     return table
 
@@ -209,17 +217,6 @@ def make_observation(model, q_truth, noise_level, seed):
     delta = rng.standard_normal(model.mesh.num_nodes)
     scale = noise_level * l2_norm(model.mass, u) / l2_norm(model.mass, delta)
     return u + scale * delta
-
-
-@dataclass
-class ReconstructionReport:
-    measure: DiscreteMeasure
-    lumped: DiscreteMeasure
-    adjoint_max: float
-    objective: float
-    gap: float
-    converged: bool
-    log: pdap.IterationLog
 
 
 def _single(value, name):
@@ -255,11 +252,6 @@ def _sweep(cfg, swept):
     return [(f"n={mesh.n}", mesh, M) for mesh in meshes], [mesh.h for mesh in meshes]
 
 
-def _ensure_dir(path):
-    if path:
-        os.makedirs(path, exist_ok=True)
-
-
 def reconstruct(cfg):
     """Recover the initial measure from the configured observation.
 
@@ -271,11 +263,12 @@ def reconstruct(cfg):
     at the fitted peak of the coarse adjoint around each same-sign
     cluster of the coarse support. A coarse SolverFailure gives no seed.
     Other n are solved cold. Lumps clustered atoms within twice the mesh
-    size. The report and the artifacts (measure.json, measure_lumped.json,
-    log.csv, field.csv, written to cfg.output_dir when set) describe the
-    n level only; row 0 of a seeded level's log.csv is the empty measure
-    and row 1 counts the seed columns. Solver non-convergence is reported
-    in the result, not raised.
+    size. Returns the n level's `PdapResult` and the lumped measure. They
+    and the artifacts (measure.json, measure_lumped.json, log.csv,
+    field.csv, written to cfg.output_dir when set) describe the n level
+    only; row 0 of a seeded level's log.csv is the empty measure and row
+    1 counts the seed columns. Solver non-convergence is reported in the
+    result, not raised.
     """
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
@@ -293,22 +286,13 @@ def reconstruct(cfg):
             pass
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
-    report = ReconstructionReport(
-        measure=result.measure,
-        lumped=lumped,
-        adjoint_max=float(np.abs(result.adjoint).max()),
-        objective=result.objective,
-        gap=result.gap,
-        converged=result.converged,
-        log=result.log,
-    )
     if cfg.output_dir:
-        _ensure_dir(cfg.output_dir)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         save_measure(result.measure, os.path.join(cfg.output_dir, "measure.json"))
         save_measure(lumped, os.path.join(cfg.output_dir, "measure_lumped.json"))
         result.log.write_csv(os.path.join(cfg.output_dir, "log.csv"))
         field_to_csv(mesh, result.state, os.path.join(cfg.output_dir, "field.csv"))
-    return report
+    return result, lumped
 
 
 def _solve_level(label, model, u_d, cfg, seed_nodes):
@@ -512,20 +496,22 @@ def _integer(name, value):
     return int(value)
 
 
-def _levels(name, value):
-    """An integer, or a list of integers, or ConfigError."""
-    if isinstance(value, list):
-        return [_integer(name, v) for v in value]
-    return _integer(name, value)
+def _levels(bound):
+    """The reader of an integer, or a list of integers, each at most `bound`.
 
+    Every entry is read as an integer before any is compared with the
+    bound; a bad entry raises ConfigError.
+    """
 
-def _time_steps(name, value):
-    """`_levels` with every entry at most MAX_TIME_STEPS, or ConfigError."""
-    levels = _levels(name, value)
-    for M in levels if isinstance(levels, list) else [levels]:
-        if M > MAX_TIME_STEPS:
-            raise ConfigError(f"{name} must be at most {MAX_TIME_STEPS}, got {M}")
-    return levels
+    def read(name, value):
+        entries = value if isinstance(value, list) else [value]
+        levels = [_integer(name, v) for v in entries]
+        for v in levels:
+            if v > bound:
+                raise ConfigError(f"{name} must be at most {bound}, got {v}")
+        return levels if isinstance(value, list) else levels[0]
+
+    return read
 
 
 def _point(name, value):
@@ -564,8 +550,8 @@ def _truth(name, atoms):
 SCHEMA = {
     "T": _number,
     "truth": _truth,
-    "mesh_n": _levels,
-    "time_steps": _time_steps,
+    "mesh_n": _levels(MAX_MESH_N),
+    "time_steps": _levels(MAX_TIME_STEPS),
     "dg_order": _integer,
     "alpha": _number,
     "noise_level": _number,
@@ -626,15 +612,3 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(data)
-
-
-def override_config(cfg, output_dir=None, seed=None, tol=None):
-    """Apply command-line overrides, returning a new config."""
-    updates = {}
-    if output_dir is not None:
-        updates["output_dir"] = output_dir
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if tol is not None:
-        updates["pdap"] = replace(cfg.pdap, tol=float(tol))
-    return replace(cfg, **updates) if updates else cfg

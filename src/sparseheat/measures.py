@@ -27,16 +27,11 @@ class DiscreteMeasure:
         coef = np.asarray(coefficients, dtype=float).reshape(-1)
         if pos.shape[0] != coef.shape[0]:
             raise ValueError("positions and coefficients differ in length")
-        merged = {}
-        order = []
+        merged = {}  # in the order of first occurrence
         for p, b in zip(pos, coef):
             key = (p[0], p[1])
-            if key in merged:
-                merged[key] += b
-            else:
-                merged[key] = b
-                order.append(key)
-        keep = [(k, merged[k]) for k in order if abs(merged[k]) > PRUNE_TOL]
+            merged[key] = merged.get(key, 0.0) + b
+        keep = [(k, b) for k, b in merged.items() if abs(b) > PRUNE_TOL]
         if keep:
             self.positions = np.array([k for k, _ in keep], dtype=float)
             self.coefficients = np.array([b for _, b in keep], dtype=float)

@@ -76,34 +76,23 @@ class IterationRecord:
     inserted: int  # columns propagated in this iteration (first row: seeds too)
 
 
-class IterationLog:
+class IterationLog(list):
     """Per-iteration history of gap, objective and support growth.
 
-    `records` holds one row per outer iteration, each with one adjoint
-    evaluation. A warm-started log also has `start`, the row of the empty
-    measure that the seed solve starts from: its objective is j(0) =
-    alpha * M0, and its phi is NaN, as no adjoint is evaluated there.
-    `write_csv` writes `start` first, so row 0 of every log.csv is the
-    empty measure and gives the stopping threshold tol * M0.
+    A list of one `IterationRecord` per outer iteration, each with one
+    adjoint evaluation. A warm-started log also has `start`, the row of
+    the empty measure that the seed solve starts from: its objective is
+    j(0) = alpha * M0, and its phi is NaN, as no adjoint is evaluated
+    there. `write_csv` writes `start` first, so row 0 of every log.csv is
+    the empty measure and gives the stopping threshold tol * M0.
     """
 
-    def __init__(self):
-        self.start = None
-        self.records = []
-
-    def append(self, record):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+    start = None
 
     def write_csv(self, path):
         with open(path, "w") as f:
             f.write("n,phi,objective,support_size,new_node,subproblem_iters,inserted\n")
-            for r in ([self.start] if self.start else []) + self.records:
+            for r in ([self.start] if self.start else []) + self:
                 f.write(
                     f"{r.n},{r.phi:.17g},{r.objective:.17g},"
                     f"{r.support_size},{r.new_node},{r.subproblem_iters},"
@@ -355,19 +344,6 @@ def run(model, u_d, config, seed_nodes=()):
             + alpha * float(np.abs(beta).sum())
         )
 
-    def record(n, phi, j, support, node):
-        nonlocal inserted, steps
-        r = IterationRecord(
-            n + bool(seed_nodes), phi, j, support, node, steps, inserted
-        )
-        inserted = steps = 0
-        log.append(r)
-        _log.info(
-            "pdap n=%d phi=%.3e support=%d inserted=%d ms=%.1f",
-            r.n, r.phi, r.support_size, r.inserted,
-            1e3 * (time.perf_counter() - started),
-        )
-
     j = objective()
     m0 = j / alpha
     tol_abs = config.tol * m0
@@ -388,13 +364,23 @@ def run(model, u_d, config, seed_nodes=()):
         converged = m0 == 0.0 or phi < tol_abs
         if not converged:
             nodes = select_candidates(z, model.mass, boundary, active, alpha)
-        if converged or n == config.max_outer_iterations or nodes[0] in active:
-            record(n, phi, j, len(active), -1)
+        stop = converged or n == config.max_outer_iterations or nodes[0] in active
+        support = len(active)
+        if not stop:
+            insert(nodes)
+        r = IterationRecord(
+            n + bool(seed_nodes), phi, j, support, -1 if stop else nodes[0],
+            steps, inserted,
+        )
+        log.append(r)
+        _log.info(
+            "pdap n=%d phi=%.3e support=%d inserted=%d ms=%.1f",
+            r.n, r.phi, r.support_size, r.inserted,
+            1e3 * (time.perf_counter() - started),
+        )
+        inserted = steps = 0
+        if stop:
             break
-
-        support_before = len(active)
-        insert(nodes)
-        record(n, phi, j, support_before, nodes[0])
 
     measure = DiscreteMeasure(model.mesh.nodes[active], beta)
     return PdapResult(

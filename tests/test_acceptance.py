@@ -167,7 +167,7 @@ def test_criterion_5_pdap_optimality_and_gap():
     u_d = make_observation(model, TRUTH, 0.0, 0)
     cfg = PdapConfig(alpha=alpha, tol=1e-8, max_outer_iterations=300)
     res = pdap.run(model, u_d, cfg)
-    records = res.log.records
+    records = res.log
     monotone = all(
         b.objective <= a.objective + 1e-12 for a, b in zip(records, records[1:])
     )
@@ -398,8 +398,7 @@ def test_criterion_10_on_grid_reconstruction():
         seed=0,
         pdap=PdapConfig(alpha=1e-4, tol=1e-8, max_outer_iterations=300),
     )
-    report_out = reconstruct(cfg)
-    lumped = report_out.lumped
+    report_out, lumped = reconstruct(cfg)
     h = np.sqrt(2.0) / n
     elapsed = time.time() - start
     two_atoms = len(lumped) == 2
@@ -456,7 +455,7 @@ def test_criterion_10_true_support_is_not_optimal():
         seed=0,
         pdap=PdapConfig(alpha=alpha, tol=1e-8, max_outer_iterations=300),
     )
-    report_out = reconstruct(cfg)
+    report_out, lumped = reconstruct(cfg)
 
     model = HeatModel(build_uniform(n), TimeGrid(cfg.T, 256), 0)
     u_d = make_observation(model, truth, 0.0, 0)

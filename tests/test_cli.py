@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseheat import build_uniform, experiments, pdap, timestepping
+from sparseheat import cli
 from sparseheat.cli import main, _resolve_config
 from sparseheat.errors import ConfigError, SolverFailure
 from sparseheat.mesh import refine_support
@@ -79,6 +80,7 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         {"T": float("nan")},
         {"T": 10**400},
         {"mesh_n": 10**400},
+        {"mesh_n": 100000},
         {"time_steps": 10**400},
         {"time_steps": 10**15},
         {"T": 5e-324},
@@ -107,6 +109,7 @@ def test_invalid_config_key_is_usage_error(tmp_path, capsys):
         "T_nan",
         "T_beyond_float_range",
         "mesh_n_beyond_float_range",
+        "mesh_n_above_bound",
         "time_steps_beyond_float_range",
         "time_steps_above_bound",
         "time_step_underflows",
@@ -511,6 +514,35 @@ def test_study_space_verbose_logs_one_line_per_level(
     assert verbose.out.replace(str(loud), str(quiet)) == plain.out
     assert [p.name for p in loud.iterdir()] == ["errors.csv"]
     assert artifact_bytes(loud) == artifact_bytes(quiet)
+
+
+def test_load_applies_overrides_and_the_default_output_dir(tmp_path, monkeypatch):
+    # --out, --seed and --tol replace the file's values, --out even as "";
+    # out/<config stem> applies only when neither sets a directory; the
+    # config that load_config returned is left untouched.
+    loaded = []
+
+    def load_config(path):
+        loaded.append(experiments.load_config(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_config", load_config)
+
+    def load(payload, *flags):
+        path = write_config(tmp_path, {**TINY_RECONSTRUCT, **payload}, "run.json")
+        args = cli._build_parser().parse_args(["reconstruct", "--config", path, *flags])
+        return cli._load(args)
+
+    cfg = load({"output_dir": "d"}, "--out", "o", "--seed", "9", "--tol", "1e-5")
+    assert (cfg.output_dir, cfg.seed, cfg.pdap.tol, cfg.pdap.alpha) == ("o", 9, 1e-5, 1e-3)
+    file_cfg = loaded[-1]
+    assert (file_cfg.output_dir, file_cfg.seed, file_cfg.pdap.tol) == ("d", 3, 1e-8)
+    cfg = load({"output_dir": "d"})
+    assert (cfg.output_dir, cfg.seed, cfg.pdap.tol) == ("d", 3, 1e-8)
+    assert load({}).output_dir == str(Path("out") / "run")
+    assert load({"output_dir": None}).output_dir == str(Path("out") / "run")
+    assert load({"output_dir": "d"}, "--out", "").output_dir == ""
+    assert load({}, "--out", "").output_dir == ""
 
 
 def test_seed_override_changes_noise(tmp_path):

@@ -429,7 +429,7 @@ def test_seed_with_the_optimal_support_stops_after_one_adjoint(monkeypatch):
     # count in row 0.
     k, size = pdap.MAX_INSERTIONS, len(cold.active_nodes)
     assert loads == [(model.mesh.num_nodes, min(k, size - i)) for i in range(0, size, k)]
-    assert res.log.records[0].inserted == len(cold.active_nodes)
+    assert res.log[0].inserted == len(cold.active_nodes)
     assert res.active_nodes == cold.active_nodes
     scale = np.abs(cold.state).max()
     assert np.allclose(res.state, cold.state, rtol=0.0, atol=1e-12 * scale)
@@ -513,7 +513,7 @@ def test_warm_started_log_keeps_each_row_at_its_own_iterate(tmp_path):
     # alpha * M0 and no gap, as no adjoint is evaluated there.
     model, u_d, cfg, cold = off_grid_problem()
     res = pdap.run(model, u_d, cfg, cold.active_nodes[:2])
-    start, records = res.log.start, res.log.records
+    start, records = res.log.start, res.log
     assert len(records) >= 2
     assert (start.n, start.support_size, start.new_node, start.inserted) == (0, 0, -1, 0)
     assert math.isnan(start.phi) and start.objective == cfg.alpha * res.m0
@@ -581,7 +581,7 @@ def test_gap_forms_agree_after_subproblem():
         )
         assert ident == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
         assert res.gap == pytest.approx(general, abs=1e-10 * max(res.m0, 1.0))
-        assert all(r.phi >= -1e-12 for r in res.log.records)
+        assert all(r.phi >= -1e-12 for r in res.log)
 
 
 def test_gap_zero_when_max_equals_alpha():
@@ -624,7 +624,7 @@ def test_run_monotone_and_gap_bounds():
     u_d = rng.standard_normal(model.mesh.num_nodes)
     res = pdap.run(model, u_d, PdapConfig(alpha=0.02, tol=1e-10))
     assert res.converged
-    records = res.log.records
+    records = res.log
     for a, b in zip(records, records[1:]):
         assert b.objective <= a.objective + 1e-12
     for r in records[1:]:
@@ -667,7 +667,7 @@ def test_run_stops_unconverged_once_the_argmax_node_is_active():
     res = pdap.run(model, u_d, cfg)
     assert not res.converged
     assert len(res.log) < cfg.max_outer_iterations
-    last = res.log.records[-1]
+    last = res.log[-1]
     assert (last.new_node, last.subproblem_iters, last.inserted) == (-1, 0, 0)
     assert select_candidates(
         res.adjoint, model.mass, model.mesh.boundary_mask, res.active_nodes, cfg.alpha
