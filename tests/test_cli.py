@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseheat import build_uniform, experiments, pdap, timestepping
-from sparseheat import cli
+from sparseheat import build_uniform, cli, experiments, pdap, timestepping
 from sparseheat.cli import main, _resolve_config
 from sparseheat.errors import ConfigError, SolverFailure
 from sparseheat.mesh import refine_support
@@ -517,7 +516,7 @@ def test_study_space_verbose_logs_one_line_per_level(
 
 
 def test_load_applies_overrides_and_the_default_output_dir(tmp_path, monkeypatch):
-    # --out, --seed and --tol replace the file's values, --out even as "";
+    # --out, --seed and --tol replace the file's values, even as "" or 0;
     # out/<config stem> applies only when neither sets a directory; the
     # config that load_config returned is left untouched.
     loaded = []
@@ -543,6 +542,7 @@ def test_load_applies_overrides_and_the_default_output_dir(tmp_path, monkeypatch
     assert load({"output_dir": None}).output_dir == str(Path("out") / "run")
     assert load({"output_dir": "d"}, "--out", "").output_dir == ""
     assert load({}, "--out", "").output_dir == ""
+    assert load({}, "--seed", "0").seed == 0
 
 
 def test_seed_override_changes_noise(tmp_path):
