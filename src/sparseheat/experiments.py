@@ -54,10 +54,10 @@ MAX_SEED_SUPPORT = 40
 # makes about sqrt(37 M) slab solves, 1557 at 2^16 against 97 at 256.
 MAX_TIME_STEPS = 2**16
 # Largest lattice a config may ask for, every list entry included. The slab
-# LU of a lattice holds 188,416 / 989,240 / 4,931,760 / 23,699,880 nonzeros
-# at n = 64 / 128 / 256 / 512 (nested dissection, the same for both dG
-# orders), about 5 times as many per doubling, and a dG(1) nonzero takes
-# 20 B (complex value plus indices): 0.47 GB at 512, about 2.2 GB at 1024.
+# LU of a lattice holds 188,416 / 989,240 / 4,931,760 nonzeros at n = 64 /
+# 128 / 256 (nested dissection, the same for both dG orders) and 23,699,880
+# at 512 in dG(1), about 5 times as many per doubling, and a dG(1) nonzero
+# takes 20 B (complex value plus index): 0.47 GB at 512, about 2.2 GB at 1024.
 # The n = 512 dG(1) factorization took 2.5 s and peaked at 1.1 GB RSS on a
 # 2-core Xeon.
 MAX_MESH_N = 512
