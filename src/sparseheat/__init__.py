@@ -7,7 +7,7 @@ initial data from a final-time snapshot, and experiment drivers that
 measure the convergence orders of the scheme.
 """
 
-from .errors import ConfigError, NumericalError, OutOfDomainError, SolverFailure
+from .errors import ConfigError, NumericalError, OutOfDomainError
 from .fem import (
     assemble_mass,
     assemble_stiffness,

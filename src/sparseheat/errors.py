@@ -11,7 +11,3 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A linear solve or factorization produced an unusable result."""
-
-
-class SolverFailure(NumericalError):
-    """An iterative solver exhausted its iteration budget."""

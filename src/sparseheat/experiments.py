@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pdap
-from .errors import ConfigError, SolverFailure
+from .errors import ConfigError
 from .fem import (
     delta_load,
     field_to_csv,
@@ -43,9 +43,9 @@ TWO_LEVEL_MIN_N = 64
 # A level whose coarser level ends on more nodes than this is solved cold.
 # study-space on the paper_fig4 atoms at mesh_n [8, 16, 32], one time step
 # and noise 1.0 ends the n = 8 level on all 49 interior nodes. Seeded from
-# them by midpoints (169 seeds) the n = 16 level stalls in its seed solve;
-# by peaks (20 seeds) it takes 53 outer iterations and ends on 221 nodes,
-# and the n = 32 level seeded from those took over 200 s. With both levels
+# them by midpoints (169 seeds) the n = 16 level spent its subproblem budget
+# in its seed solve; by peaks (20 seeds) it takes 53 outer iterations and
+# ends on 221 nodes, and the n = 32 level seeded from those took over 200 s. With both levels
 # solved cold the study takes 17 s, its n = 16 level 238 ms.
 MAX_SEED_SUPPORT = 40
 # Largest number of time steps a config may ask for. The Chebyshev weights
@@ -261,14 +261,14 @@ def reconstruct(cfg):
     PDAP with the seed of that solve, converged or not. For n below
     2 * PEAK_SEED_BELOW_N = 128 `refine_support` seeds the fine square
     at the fitted peak of the coarse adjoint around each same-sign
-    cluster of the coarse support. A coarse SolverFailure gives no seed.
-    Other n are solved cold. Lumps clustered atoms within twice the mesh
-    size. Returns the n level's `PdapResult` and the lumped measure. They
-    and the artifacts (measure.json, measure_lumped.json, log.csv,
-    field.csv, written to cfg.output_dir when set) describe the n level
-    only; row 0 of a seeded level's log.csv is the empty measure and row
-    1 counts the seed columns. Solver non-convergence is reported in the
-    result, not raised.
+    cluster of the coarse support. Other n are solved cold. Lumps
+    clustered atoms within twice the mesh size. Returns the n level's
+    `PdapResult` and the lumped measure. They and the artifacts
+    (measure.json, measure_lumped.json, log.csv, field.csv, written to
+    cfg.output_dir when set) describe the n level only; row 0 of a
+    seeded level's log.csv is the empty measure and row 1 counts the
+    seed columns. Solver non-convergence is reported in the result, not
+    raised.
     """
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
@@ -277,13 +277,9 @@ def reconstruct(cfg):
     u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
     seed_nodes = []
     if n % 2 == 0 and n >= TWO_LEVEL_MIN_N:
-        coarse_mesh = build_uniform(n // 2)
-        try:
-            _, _, seed_nodes = _level(
-                f"n={n // 2}", coarse_mesh, M, model, u_d, cfg, [], mesh
-            )
-        except SolverFailure:
-            pass
+        _, _, seed_nodes = _level(
+            f"n={n // 2}", build_uniform(n // 2), M, model, u_d, cfg, []
+        )
     result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     if cfg.output_dir:
@@ -313,7 +309,7 @@ def _solve_level(label, model, u_d, cfg, seed_nodes):
     return result
 
 
-def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes, finer):
+def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     """One level of a refinement study against the data u_d on ref_model.
 
     Builds the level's model on `mesh` with M steps and solves it from
@@ -322,11 +318,12 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes, finer):
     by the mass-orthogonal projection, which leaves the optimality system
     unchanged on nested meshes, and interpolates the optimal state back.
     Returns the optimal state on the reference lattice, whether the solve
-    converged, and the seed of the next level, on `finer`: the support as
-    it is when the mesh stays, `refine_support` of the support, its
-    coefficients and its adjoint on the refined lattice, and no seed for
-    a support of more than MAX_SEED_SUPPORT nodes. The level's model,
-    slab LU and PDAP result are freed when this call returns.
+    converged, and the seed of the next level: on the reference lattice
+    the support as it is, as the next level shares the mesh; on a nested
+    lattice `refine_support` of the support, its coefficients and its
+    adjoint onto `refine(mesh)`; and no seed for a support of more than
+    MAX_SEED_SUPPORT nodes. The level's model, slab LU and PDAP result
+    are freed when this call returns.
     """
     # The reference mass is assembled on its first read; reading it before
     # the level's model is built leaves less heap resident.
@@ -347,10 +344,10 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes, finer):
     active = result.active_nodes
     if len(active) > MAX_SEED_SUPPORT:
         seeds = []
-    elif finer.n == mesh.n:
-        seeds = active
-    else:
+    elif nested:
         seeds = refine_support(mesh, active, result.coefficients, result.adjoint)
+    else:
+        seeds = active
     return state, result.converged, seeds
 
 
@@ -372,10 +369,8 @@ def _study(cfg, swept):
     u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
 
     states, converged, seed_nodes = [], True, []
-    for (label, mesh, M), (_, finer, _) in zip(levels, levels[1:]):
-        state, ok, seed_nodes = _level(
-            label, mesh, M, ref_model, u_d, cfg, seed_nodes, finer
-        )
+    for label, mesh, M in levels[:-1]:
+        state, ok, seed_nodes = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
         states.append(state)
         converged = converged and ok
     ref_result = _solve_level(ref_label, ref_model, u_d, cfg, seed_nodes)

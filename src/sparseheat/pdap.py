@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverFailure
 from .measures import PRUNE_TOL, DiscreteMeasure
 from .timestepping import adjoint_dirac
 
@@ -30,8 +29,9 @@ from .timestepping import adjoint_dirac
 # raises the peak RSS (8 seed columns in one batch: about +1 MB on
 # `reconstruct`).
 MAX_INSERTIONS = 4
-# First-order residual target and iteration budget of the coefficient
-# solves; running out of iterations is a SolverFailure.
+# First-order residual target and step budget of the coefficient solves;
+# a solve that spends its budget returns its last iterate, which `run`
+# certifies by its gap as any other.
 SUBPROBLEM_TOL = 1e-11
 SUBPROBLEM_MAX_ITERATIONS = 100
 
@@ -190,8 +190,8 @@ def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
     finitely. The exact solves keep it reliable on the Gram matrices of
     heat columns at neighbouring nodes, whose condition numbers exceed
     1e8 and defeat plain first-order methods. Returns (beta, steps), with
-    steps 0 when beta0 already meets `tol`. Raises SolverFailure when the
-    first-order residual is still above `tol` after `max_iter` steps.
+    steps 0 when beta0 already meets `tol`; after `max_iter` steps it
+    returns the last iterate, whose residual may still be above `tol`.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -203,15 +203,8 @@ def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
         return 0.5 * b @ G @ b - c @ b + alpha * np.abs(b).sum()
 
     for it in range(max_iter + 1):
-        residual = _subgradient_residual(G, c, alpha, beta)
-        if residual <= tol:
+        if it == max_iter or _subgradient_residual(G, c, alpha, beta) <= tol:
             return beta, it
-        if it == max_iter:
-            raise SolverFailure(
-                f"subproblem stalled after {it} iterations at residual "
-                f"{residual:.3e} (tol {tol:.3e}, m={c.size}, "
-                f"cond(G)={np.linalg.cond(G):.3e})"
-            )
         g = G @ beta - c
         active = beta != 0.0
         grow = -1
@@ -262,9 +255,11 @@ def run(model, u_d, config, seed_nodes=()):
     phi = <z, q> + alpha TV(q) + M0 max(max_node |z| - alpha, 0). Stops
     when phi falls below config.tol * M0. Otherwise it returns the
     current iterate flagged as non-converged once the iteration cap is
-    hit or the argmax node is already active: the subproblem is solved
-    exactly on its sign pattern, so the gap is then at round-off and no
-    further iteration can lower it.
+    hit or the argmax node is already active. When the last subproblem
+    solve met its tolerance, it is exact on its sign pattern, so the gap
+    is then at round-off and no further iteration can lower it; a solve
+    that spent its SUBPROBLEM_MAX_ITERATIONS steps leaves its last
+    iterate, which the gap certifies all the same.
     Logs one progress line per iteration to the "sparseheat" logger at
     INFO level.
 

@@ -426,9 +426,9 @@ def test_study_space_peak_seed_costs_one_adjoint(monkeypatch):
 
 def test_study_space_solves_a_level_cold_after_a_large_support(monkeypatch):
     # Noise as large as the data ends the 8-lattice on all 49 interior
-    # nodes. Seeded from them, the 16-lattice stalled in its seed solve
-    # (169 midpoint seeds, exit 3) or took 53 outer iterations (20 peak
-    # seeds); above MAX_SEED_SUPPORT nodes it is solved cold. The study
+    # nodes. Seeded from them, the 16-lattice spent its subproblem budget
+    # in its seed solve (169 midpoint seeds) or took 53 outer iterations
+    # (20 peak seeds); above MAX_SEED_SUPPORT nodes it is solved cold. The study
     # stops at the 32-lattice, which takes most of a full run (about 17 s).
     class Stop(Exception):
         pass

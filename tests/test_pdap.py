@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sparseheat import (
     tv_norm,
 )
 from sparseheat import pdap
-from sparseheat.errors import ConfigError, SolverFailure
+from sparseheat.errors import ConfigError
 from sparseheat.experiments import config_from_dict, make_observation
 from sparseheat.pdap import (
     MAX_INSERTIONS,
@@ -228,13 +229,15 @@ def test_subproblem_matches_oracle_on_random_instances():
         assert np.allclose(beta, oracle, atol=1e-9)
 
 
-def test_subproblem_stall_raises_with_its_condition_number():
+def test_subproblem_spent_budget_returns_its_last_iterate():
+    # A solve cut short does not raise: `run` certifies the iterate it
+    # returns by the gap, as any other.
     offsets = [(0, 0), (0, 1), (1, 0), (1, 1), (-1, 0)]
     weights = [3.0, -2.0, 1.0, 4.0, -1.0]
     G, c, alpha = heat_subproblem(0.1, (7, 7), offsets, weights, 0, 1e-4)
-    with pytest.raises(SolverFailure, match="subproblem stalled after 1 iterations") as info:
-        solve_subproblem(G, c, alpha, np.zeros(c.size), 1e-11, 1)
-    assert "cond(G)" in str(info.value)
+    beta, steps = solve_subproblem(G, c, alpha, np.zeros(c.size), 1e-11, 1)
+    assert steps == 1
+    assert _subgradient_residual(G, c, alpha, beta) > 1e-11
 
 
 @settings(max_examples=60, deadline=None)
@@ -673,6 +676,26 @@ def test_run_stops_unconverged_once_the_argmax_node_is_active():
         res.adjoint, model.mass, model.mesh.boundary_mask, res.active_nodes, cfg.alpha
     )[0] in res.active_nodes
     assert res.gap < 1e-13 * res.m0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), alpha=st.floats(0.005, 0.05))
+def test_gap_bounds_the_objective_after_a_spent_subproblem_budget(seed, alpha):
+    # Coefficient solves cut at 0-3 steps leave iterates that the gap
+    # still certifies: j(q) - j* <= phi, with j* from a full-budget solve
+    # to tol 1e-12. A run that converges anyway ends on the full-budget
+    # support; one that does not is flagged unconverged.
+    model = make_model(n=8, M=4)
+    u_d = np.random.default_rng(seed).standard_normal(model.mesh.num_nodes)
+    best = pdap.run(model, u_d, PdapConfig(alpha=alpha, tol=1e-12))
+    assert best.converged
+    cfg = PdapConfig(alpha=alpha, tol=1e-10, max_outer_iterations=50)
+    for budget in range(4):
+        with mock.patch.object(pdap, "SUBPROBLEM_MAX_ITERATIONS", budget):
+            res = pdap.run(model, u_d, cfg)
+        assert res.objective - best.objective <= res.gap + 1e-14 * alpha * res.m0
+        if res.converged:
+            assert sorted(res.active_nodes) == sorted(best.active_nodes)
 
 
 def test_objective_of_empty_measure():
