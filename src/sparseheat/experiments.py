@@ -604,6 +604,6 @@ def load_config(path):
     try:
         with open(path) as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(data)

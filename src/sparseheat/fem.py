@@ -55,8 +55,8 @@ def spd_solve(mat, rhs):
 
 # Lattice offsets (row, column) of the vertices of the two cells of a
 # square, below and above its lower-left to upper-right diagonal, in the
-# order of `TriMesh.cells`; and the node offsets of the 7-point P1
-# stencil, in node order.
+# vertex order of `TriMesh.cell_nodes`; and the node offsets of the
+# 7-point P1 stencil, in node order.
 _CELL_VERTICES = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 _STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 # Element stiffness (e_a . e_b) / (4 |T|) of the two cells, e_a the edge
@@ -145,7 +145,7 @@ def delta_load(mesh, q):
     """
     cells, lam = mesh.locate(q.positions)
     b = np.zeros(mesh.num_nodes)
-    np.add.at(b, mesh.cells[cells], q.coefficients[:, None] * lam)
+    np.add.at(b, mesh.cell_nodes(cells), q.coefficients[:, None] * lam)
     return b
 
 
@@ -202,7 +202,7 @@ def eval_field(mesh, v, points):
     `lam[i] @ v[cell_i]`.
     """
     cells, lam = mesh.locate(points)
-    return (lam[:, None, :] @ v[mesh.cells[cells]][:, :, None])[:, 0, 0]
+    return (lam[:, None, :] @ v[mesh.cell_nodes(cells)][:, :, None])[:, 0, 0]
 
 
 def l2_inner(mass, u, v):

@@ -39,14 +39,13 @@ class TriMesh:
     below and 2 (r n + c) + 1 above it. The mesh has (n+1)^2 nodes, 2 n^2
     cells and mesh size sqrt(2)/n. Every array is built from n, so the
     lattice indices of a node or cell are closed form, which point
-    location and the stencils of `fem` rely on.
+    location and the stencils of `fem` rely on; no cell table is stored,
+    and `cell_nodes(cells)` gives the node triples of the cells asked for.
 
     Attributes
     ----------
     nodes : ndarray, shape (n_nodes, 2)
         Node coordinates in [0,1]^2.
-    cells : ndarray, shape (n_cells, 3)
-        Node-index triples, positively oriented.
     boundary_mask : ndarray of bool, shape (n_nodes,)
         True exactly for nodes on the boundary of the square.
     n : int
@@ -64,17 +63,8 @@ class TriMesh:
         cols, rows = np.meshgrid(side, side)  # row-major: index = row*(n+1)+col
         self.nodes = np.column_stack([cols.ravel(), rows.ravel()])
 
-        r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ll = (r * (n + 1) + c).ravel()
-        lr = ll + 1
-        ul = ll + n + 1
-        ur = ul + 1
-        self.cells = np.empty((2 * n * n, 3), dtype=np.int64)
-        self.cells[0::2] = np.column_stack([ll, lr, ur])
-        self.cells[1::2] = np.column_stack([ll, ur, ul])
-
         self.boundary_mask = ((self.nodes == 0.0) | (self.nodes == 1.0)).any(axis=1)
-        for array in (self.nodes, self.cells, self.boundary_mask):
+        for array in (self.nodes, self.boundary_mask):
             array.setflags(write=False)
         self._interior = None
 
@@ -84,7 +74,7 @@ class TriMesh:
 
     @property
     def num_cells(self):
-        return self.cells.shape[0]
+        return 2 * self.n**2
 
     def interior_nodes(self):
         """Indices of the non-boundary nodes in nested-dissection order.
@@ -98,11 +88,20 @@ class TriMesh:
             self._interior = interior
         return self._interior
 
-    def cell_areas(self):
-        tri = self.nodes[self.cells]
-        d1 = tri[:, 1] - tri[:, 0]
-        d2 = tri[:, 2] - tri[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    def cell_nodes(self, cells):
+        """Node triples of the cells `cells`, an int or an int array.
+
+        Returns shape `np.shape(cells) + (3,)`. The square s = r n + c has
+        lower-left node ll = r (n + 1) + c = s + s // n; its cell 2 s below
+        the diagonal is [ll, ll + 1, ll + n + 2] (lower-left, lower-right,
+        upper-right) and its cell 2 s + 1 above it is [ll, ll + n + 2,
+        ll + n + 1] (lower-left, upper-right, upper-left), both positively
+        oriented. The only code that maps a cell to its nodes.
+        """
+        n = self.n
+        square, upper = np.divmod(cells, 2)
+        ll = square + square // n
+        return np.stack([ll, ll + 1 + upper * (n + 1), ll + n + 2 - upper], axis=-1)
 
     # -- point location ------------------------------------------------
 
@@ -135,7 +134,7 @@ class TriMesh:
         cells = np.full(len(p), self.num_cells)
         lam = np.zeros((len(p), 3))
         for cand in candidates.T:
-            a, b, c = (self.nodes[self.cells[cand, v]].T for v in range(3))
+            a, b, c = self.nodes[self.cell_nodes(cand)].transpose(1, 2, 0)
             det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             l1 = ((px - a[0]) * (c[1] - a[1]) - (py - a[1]) * (c[0] - a[0])) / det
             l2 = ((b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])) / det

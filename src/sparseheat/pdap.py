@@ -255,11 +255,14 @@ def run(model, u_d, config, seed_nodes=()):
     phi = <z, q> + alpha TV(q) + M0 max(max_node |z| - alpha, 0). Stops
     when phi falls below config.tol * M0. Otherwise it returns the
     current iterate flagged as non-converged once the iteration cap is
-    hit or the argmax node is already active. When the last subproblem
-    solve met its tolerance, it is exact on its sign pattern, so the gap
-    is then at round-off and no further iteration can lower it; a solve
-    that spent its SUBPROBLEM_MAX_ITERATIONS steps leaves its last
-    iterate, which the gap certifies all the same.
+    hit, or once the argmax node is already active after a subproblem
+    solve that met its tolerance: that solve is exact on its sign
+    pattern, so the gap is then at round-off and no further iteration
+    can lower it. A solve that spent its SUBPROBLEM_MAX_ITERATIONS steps
+    leaves its last iterate, which the gap certifies all the same; if
+    the argmax node is then already active, the iteration inserts no
+    node and solves the subproblem again from that iterate with a fresh
+    budget, and prunes.
     Logs one progress line per iteration to the "sparseheat" logger at
     INFO level.
 
@@ -293,10 +296,11 @@ def run(model, u_d, config, seed_nodes=()):
     G = np.zeros((0, 0))
     c = np.zeros(0)
     inserted = steps = 0  # columns and subproblem steps the next record counts
+    spent = False  # whether the last subproblem solve spent its budget
 
     def insert(nodes):
         """Activates `nodes`, re-solves the subproblem and prunes."""
-        nonlocal beta, G, c, cols, active, inserted, steps
+        nonlocal beta, G, c, cols, active, inserted, steps, spent
         m, k = len(cols), len(nodes)
         new = []
         for first in range(0, k, MAX_INSERTIONS):
@@ -330,6 +334,7 @@ def run(model, u_d, config, seed_nodes=()):
             active = [a for a, on in zip(active, keep) if on]
         inserted += k
         steps += its
+        spent = its == SUBPROBLEM_MAX_ITERATIONS
 
     def objective():
         return (
@@ -359,10 +364,15 @@ def run(model, u_d, config, seed_nodes=()):
         converged = m0 == 0.0 or phi < tol_abs
         if not converged:
             nodes = select_candidates(z, model.mass, boundary, active, alpha)
-        stop = converged or n == config.max_outer_iterations or nodes[0] in active
+        # An active argmax node comes alone and ends the solve, unless the
+        # last coefficient solve spent its budget: then `insert` gets no
+        # node and solves again from the current iterate, with a fresh budget.
+        stop = converged or n == config.max_outer_iterations or (
+            nodes[0] in active and not spent
+        )
         support = len(active)
         if not stop:
-            insert(nodes)
+            insert([i for i in nodes if i not in active])
         r = IterationRecord(
             n + bool(seed_nodes), phi, j, support, -1 if stop else nodes[0],
             steps, inserted,

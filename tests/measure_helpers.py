@@ -13,7 +13,10 @@ is the explicit M-step loop, the oracle of the Chebyshev propagation;
 oracles of the lattice stencil of `sparseheat.fem`, and `per_cell_l2_load`
 is the cell-by-cell oracle of `sparseheat.fem.l2_load`;
 `AscendingHeatModel` is the model on the ascending interior numbering,
-the oracle of the nested-dissection order.
+the oracle of the nested-dissection order; `cell_table` is the cell
+table of a lattice built by meshgrid, the oracle of
+`sparseheat.mesh.TriMesh.cell_nodes`, and `cell_areas` gives the signed
+area of every cell for the per-cell oracles.
 """
 
 import json
@@ -65,9 +68,36 @@ def propagate_by_stepping(model, load):
     return model.embed(u)
 
 
+def cell_table(mesh):
+    """Node triples of every cell of `mesh`, built from a lattice meshgrid:
+    [ll, lr, ur] below and [ll, ur, ul] above each square's diagonal."""
+    n = mesh.n
+    r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ll = (r * (n + 1) + c).ravel()
+    lr = ll + 1
+    ul = ll + n + 1
+    ur = ul + 1
+    cells = np.empty((2 * n * n, 3), dtype=np.int64)
+    cells[0::2] = np.column_stack([ll, lr, ur])
+    cells[1::2] = np.column_stack([ll, ur, ul])
+    return cells
+
+
+def all_cells(mesh):
+    """`mesh.cell_nodes` of every cell, in cell order."""
+    return mesh.cell_nodes(np.arange(mesh.num_cells))
+
+
+def cell_areas(mesh):
+    tri = mesh.nodes[all_cells(mesh)]
+    d1 = tri[:, 1] - tri[:, 0]
+    d2 = tri[:, 2] - tri[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def _per_cell(mesh, local):
     """CSR matrix summing the 3x3 cell matrices local[cell] by `tocsr`."""
-    cells = mesh.cells
+    cells = all_cells(mesh)
     rows, cols, vals = [], [], []
     for a in range(3):
         for b in range(3):
@@ -83,14 +113,15 @@ def _per_cell(mesh, local):
 
 def per_cell_mass(mesh):
     """P1 mass matrix assembled per cell: area/12 * [2,1,1] pattern."""
-    w = mesh.cell_areas() / 12.0
+    w = cell_areas(mesh) / 12.0
     return _per_cell(mesh, w[:, None, None] * (1.0 + np.eye(3)))
 
 
 def per_cell_l2_load(mesh, f):
     """L2 load of f by the edge-midpoint rule, cell by cell: each vertex
     gets area/3 times the mean of f at the midpoints of its two edges."""
-    tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
+    cells = all_cells(mesh)
+    tri, area = mesh.nodes[cells], cell_areas(mesh)
     mids = [
         0.5 * (tri[:, 0] + tri[:, 1]),
         0.5 * (tri[:, 1] + tri[:, 2]),
@@ -101,13 +132,13 @@ def per_cell_l2_load(mesh, f):
     # Each vertex sees the two midpoints of its adjacent edges with hat value 1/2.
     adjacent = {0: (0, 2), 1: (0, 1), 2: (1, 2)}
     for vert, (ea, eb) in adjacent.items():
-        np.add.at(F, mesh.cells[:, vert], area / 3.0 * 0.5 * (fvals[ea] + fvals[eb]))
+        np.add.at(F, cells[:, vert], area / 3.0 * 0.5 * (fvals[ea] + fvals[eb]))
     return F
 
 
 def per_cell_stiffness(mesh):
     """P1 stiffness matrix assembled per cell: (e_a . e_b) / (4 |T|)."""
-    tri, area = mesh.nodes[mesh.cells], mesh.cell_areas()
+    tri, area = mesh.nodes[all_cells(mesh)], cell_areas(mesh)
     # Edge opposite each vertex.
     e = np.stack(
         [tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0]],

@@ -59,6 +59,20 @@ def test_missing_config_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["reconstruct", "study-space", "study-time", "study-smoothing"]
+)
+def test_deeply_nested_config_is_one_line_exit_1(tmp_path, capsys, command):
+    # Past the recursion limit the JSON decoder raises RecursionError, a
+    # RuntimeError, which must still end as a config error.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_invalid_config_key_is_usage_error(tmp_path, capsys):
     cfg = dict(TINY_RECONSTRUCT)
     cfg["surprise"] = 1
@@ -472,8 +486,9 @@ def test_reconstruct_coarse_level_that_spends_its_budget_still_seeds(
     tmp_path, capsys, monkeypatch
 ):
     # Cut at one step, a coarse coefficient solve returns an iterate above
-    # its tolerance; the coarse level ends unconverged on it and seeds the
-    # n level all the same.
+    # its tolerance. When the argmax node is then already active, the
+    # coarse level solves again from that iterate instead of stopping, so
+    # it converges and seeds the n level.
     residuals = []
 
     def solve_subproblem(G, c, alpha, beta0, tol, max_iter):
@@ -490,7 +505,30 @@ def test_reconstruct_coarse_level_that_spends_its_budget_still_seeds(
     real_run, real_solve = pdap.run, pdap.solve_subproblem
     partial = coarse_level_seeds(tmp_path, capsys, monkeypatch, coarse)
     assert max(residuals) > pdap.SUBPROBLEM_TOL
-    assert not partial.converged and partial.active_nodes
+    assert partial.converged and partial.active_nodes
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_reconstruct_recovers_from_spent_subproblem_budgets(
+    tmp_path, capsys, monkeypatch, budget
+):
+    # Cut at 1-3 steps, coefficient solves of NOISY_RECONSTRUCT end above
+    # their tolerance. A level whose argmax node is then already active
+    # re-solves from its last iterate instead of stopping unconverged, so
+    # both levels converge on the supports of the full budget.
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
+    path = write_config(tmp_path, NOISY_RECONSTRUCT)
+    argv = ["reconstruct", "--config", path, "--out", str(tmp_path / "o")]
+    calls = record_runs(monkeypatch)
+    assert main(argv) == 0
+    monkeypatch.setattr(pdap, "SUBPROBLEM_MAX_ITERATIONS", budget)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    full, cut = calls[:2], calls[2:]
+    assert [(n, sorted(r.active_nodes)) for n, _, r in cut] == [
+        (n, sorted(r.active_nodes)) for n, _, r in full
+    ]
+    assert all(r.converged for _, _, r in cut)
 
 
 @pytest.mark.parametrize(

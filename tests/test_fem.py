@@ -106,10 +106,10 @@ def test_delta_load_at_node():
 def test_delta_load_at_centroid():
     mesh = build_uniform(4)
     cell = 5
-    centroid = mesh.nodes[mesh.cells[cell]].mean(axis=0)
+    centroid = mesh.nodes[mesh.cell_nodes(cell)].mean(axis=0)
     b = delta_load(mesh, DiscreteMeasure([centroid], [3.0]))
     assert b.sum() == pytest.approx(3.0, abs=1e-12)
-    assert np.allclose(b[mesh.cells[cell]], 1.0, atol=1e-12)
+    assert np.allclose(b[mesh.cell_nodes(cell)], 1.0, atol=1e-12)
 
 
 def test_delta_load_rejects_outside_atom():
@@ -290,10 +290,10 @@ def test_eval_field_nodal_and_centroid():
     v = rng.standard_normal(mesh.num_nodes)
     i = lattice_node(4, 1, 2)
     cell = 7
-    centroid = mesh.nodes[mesh.cells[cell]].mean(axis=0)
+    centroid = mesh.nodes[mesh.cell_nodes(cell)].mean(axis=0)
     values = eval_field(mesh, v, [mesh.nodes[i], centroid])
     assert values == pytest.approx(
-        [v[i], v[mesh.cells[cell]].mean()], abs=1e-13
+        [v[i], v[mesh.cell_nodes(cell)].mean()], abs=1e-13
     )
 
 
@@ -397,7 +397,7 @@ def locate_interpolation_oracle(coarse, fine):
     barycentric weights of its containing coarse cell."""
     cells, lam = coarse.locate(fine.nodes)
     rows = np.repeat(np.arange(fine.num_nodes), 3)
-    cols = coarse.cells[cells].ravel()
+    cols = coarse.cell_nodes(cells).ravel()
     keep = lam.ravel() != 0.0
     return sp.csr_matrix(
         (lam.ravel()[keep], (rows[keep], cols[keep])),

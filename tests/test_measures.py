@@ -54,7 +54,7 @@ def test_project_splits_centroid_atom():
     mesh = build_uniform(4)
     # Cell whose three vertices are all interior.
     for cell in range(mesh.num_cells):
-        verts = mesh.cells[cell]
+        verts = mesh.cell_nodes(cell)
         if not mesh.boundary_mask[verts].any():
             break
     centroid = mesh.nodes[verts].mean(axis=0)

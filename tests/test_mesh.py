@@ -16,10 +16,12 @@ from sparseheat.mesh import (
     refine_support,
 )
 
+from measure_helpers import all_cells, cell_areas, cell_table
+
 
 def edge_counts(mesh):
     counts = {}
-    for cell in mesh.cells:
+    for cell in all_cells(mesh):
         for a, b in ((0, 1), (1, 2), (2, 0)):
             key = tuple(sorted((cell[a], cell[b])))
             counts[key] = counts.get(key, 0) + 1
@@ -55,7 +57,7 @@ def assert_same_mesh(mesh, target):
     assert mesh.n == target.n
     assert mesh.h == target.h
     assert np.array_equal(mesh.nodes, target.nodes)
-    assert np.array_equal(mesh.cells, target.cells)
+    assert np.array_equal(all_cells(mesh), all_cells(target))
     assert np.array_equal(mesh.boundary_mask, target.boundary_mask)
 
 
@@ -77,8 +79,24 @@ def test_build_uniform_counts_n4():
 
 def test_cells_cover_unit_square():
     mesh = build_uniform(2)
-    assert mesh.cell_areas().sum() == pytest.approx(1.0, abs=1e-15)
-    assert (mesh.cell_areas() > 0).all()
+    assert cell_areas(mesh).sum() == pytest.approx(1.0, abs=1e-15)
+    assert (cell_areas(mesh) > 0).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_cell_nodes_is_the_meshgrid_cell_table(n):
+    mesh = build_uniform(n)
+    assert np.array_equal(mesh.cell_nodes(np.arange(mesh.num_cells)), cell_table(mesh))
+    assert mesh.cell_nodes(2 * n + 1).shape == (3,)
+    assert np.array_equal(mesh.cell_nodes(2 * n + 1), cell_table(mesh)[2 * n + 1])
+
+
+def test_mesh_stores_no_per_cell_array():
+    # A mesh holds its node table and boundary mask, both per node: the
+    # node triples of a cell come from `cell_nodes`, not from a table.
+    mesh = build_uniform(64)
+    arrays = [a for a in vars(mesh).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 65**2 * 17
 
 
 def test_mesh_size():
@@ -272,7 +290,7 @@ def brute_force_locate(mesh, point):
     `point` are >= -1e-12, with weights clamped and renormalized."""
     p = np.asarray(point, dtype=float)
     for cell in range(mesh.num_cells):
-        a, b, c = mesh.nodes[mesh.cells[cell]]
+        a, b, c = mesh.nodes[mesh.cell_nodes(cell)]
         det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         l1 = ((p[0] - a[0]) * (c[1] - a[1]) - (p[1] - a[1]) * (c[0] - a[0])) / det
         l2 = ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])) / det
@@ -286,7 +304,7 @@ def brute_force_locate(mesh, point):
 def test_locate_vertex():
     mesh = build_uniform(4)
     cell, lam = locate_one(mesh, mesh.nodes[12])
-    assert 12 in mesh.cells[cell]
+    assert 12 in mesh.cell_nodes(cell)
     lam_sorted = np.sort(lam)
     assert lam_sorted[-1] == pytest.approx(1.0, abs=1e-12)
     assert lam_sorted[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -294,7 +312,7 @@ def test_locate_vertex():
 
 def test_locate_centroid():
     mesh = build_uniform(2)
-    centroid = mesh.nodes[mesh.cells[3]].mean(axis=0)
+    centroid = mesh.nodes[mesh.cell_nodes(3)].mean(axis=0)
     cell, lam = locate_one(mesh, centroid)
     assert cell == 3
     assert lam == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
@@ -305,14 +323,14 @@ def test_locate_reconstruction_identity():
     points = np.random.default_rng(5).random((50, 2))
     cells, lam = mesh.locate(points)
     assert cells.shape == (50,) and lam.shape == (50, 3)
-    rebuilt = np.einsum("kv,kvd->kd", lam, mesh.nodes[mesh.cells[cells]])
+    rebuilt = np.einsum("kv,kvd->kd", lam, mesh.nodes[mesh.cell_nodes(cells)])
     assert np.abs(rebuilt - points).max() < 1e-12
 
 
 def test_locate_center_of_coarse_mesh():
     mesh = build_uniform(2)
     cell, lam = locate_one(mesh, (0.5, 0.5))
-    assert np.linalg.norm(lam @ mesh.nodes[mesh.cells[cell]] - [0.5, 0.5]) < 1e-12
+    assert np.linalg.norm(lam @ mesh.nodes[mesh.cell_nodes(cell)] - [0.5, 0.5]) < 1e-12
 
 
 def test_locate_edge_point_takes_lowest_cell():
@@ -350,7 +368,7 @@ def lattice_points(draw, mesh):
         return (draw(UNIT), draw(UNIT))
     if kind == "corner":
         return draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))
-    cell = mesh.cells[draw(st.integers(0, mesh.num_cells - 1))]
+    cell = mesh.cell_nodes(draw(st.integers(0, mesh.num_cells - 1)))
     a, b = draw(st.permutations(range(3)))[:2]
     pa, pb = mesh.nodes[cell[a]], mesh.nodes[cell[b]]
     if kind == "node":

@@ -30,7 +30,7 @@ from sparseheat.pdap import (
 )
 from sparseheat.timestepping import HeatModel, TimeGrid, forward_dirac
 
-from measure_helpers import adjoint_state, objective
+from measure_helpers import adjoint_state, all_cells, objective
 
 
 def make_model(n=8, M=8, r=0):
@@ -319,7 +319,7 @@ def test_select_candidate_prefers_largest_and_lowest():
 def lattice_neighbours(mesh):
     """Each node's P1 neighbours, itself included, read off the cells."""
     nbrs = [{i} for i in range(mesh.num_nodes)]
-    for cell in mesh.cells:
+    for cell in all_cells(mesh):
         for a in cell:
             nbrs[a].update(int(b) for b in cell)
     return nbrs
