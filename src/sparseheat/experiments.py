@@ -313,7 +313,8 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     """One level of a refinement study against the data u_d on ref_model.
 
     Builds the level's model on `mesh` with M steps and solves it from
-    `seed_nodes`. On the reference lattice it solves u_d as it is; on a
+    `seed_nodes`. On the reference lattice it solves u_d as it is, with a
+    model that shares the reference model's mass blocks; on a
     coarser lattice nested in the reference one it carries the data down
     by the mass-orthogonal projection, which leaves the optimality system
     unchanged on nested meshes, and interpolates the optimal state back.
@@ -329,7 +330,9 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
     # the level's model is built leaves less heap resident.
     nested = mesh.n != ref_model.mesh.n
     data = ref_model.mass @ u_d if nested else u_d
-    model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
+    model = HeatModel(
+        mesh, TimeGrid(cfg.T, M), cfg.dg_order, share=None if nested else ref_model
+    )
     # Neither the interpolation matrix nor the data on the reference
     # lattice is held across the solve, so the matrix is built twice:
     # held, they raised the peak RSS of study-space by about 0.5 MB.

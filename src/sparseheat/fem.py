@@ -59,6 +59,18 @@ def spd_solve(mat, rhs):
 # 7-point P1 stencil, in node order.
 _CELL_VERTICES = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 _STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+# The element terms (cell, a, b) that couple a node as vertex a with its
+# neighbour as vertex b, for each stencil offset, in cell, a, b order.
+_TERMS = tuple(
+    tuple(
+        (cell, a, b)
+        for cell, vertices in enumerate(_CELL_VERTICES)
+        for a, (ar, ac) in enumerate(vertices)
+        for b, (br, bc) in enumerate(vertices)
+        if (br - ar, bc - ac) == offset
+    )
+    for offset in _STENCIL
+)
 # Element stiffness (e_a . e_b) / (4 |T|) of the two cells, e_a the edge
 # opposite vertex a; in lattice units, since it does not depend on h.
 _EDGES = np.roll(_CELL_VERTICES, -2, axis=1) - np.roll(_CELL_VERTICES, -1, axis=1)
@@ -76,29 +88,48 @@ def _lattice_matrix(mesh, nodes, values):
     edge (one on the boundary) and two at a diagonal edge. Rows and
     columns follow `nodes`; each row lists its columns in node order, as
     slicing the full matrix does, and keeps the entries that cancel.
+    The entries are written one stencil offset at a time, with int32
+    lattice indices: the first pass finds which entries exist, the
+    second writes the columns and values of each offset into its slots.
     """
     n = mesh.n
-    r, c = np.divmod(nodes, n + 1)
-    vals = np.zeros((len(_STENCIL), nodes.size))
-    keep = np.zeros(vals.shape, dtype=bool)
-    for vertices, local in zip(_CELL_VERTICES, values):
-        for a, (ar, ac) in enumerate(vertices):
-            # Square whose cell has the node as vertex a; elsewhere the
-            # terms are 0.0, which leaves every sum as it is.
-            inside = (np.minimum(r - ar, c - ac) >= 0) & (np.maximum(r - ar, c - ac) < n)
-            for b, (br, bc) in enumerate(vertices):
-                k = _STENCIL.index((br - ar, bc - ac))
-                vals[k] += local[a][b] * inside
-                keep[k] |= inside
-    positions = np.full(mesh.num_nodes, -1)
-    positions[nodes] = np.arange(nodes.size)
-    dr, dc = np.array(_STENCIL).T[:, :, None]
-    cols = positions.take((r + dr) * (n + 1) + c + dc, mode="clip")
-    keep &= cols >= 0
+    r, c = np.divmod(nodes.astype(np.int32), n + 1)
+    # inside[cell][a]: the square whose cell has the node as vertex a
+    # exists; elsewhere that cell's terms are 0.0, which leaves every sum
+    # as it is.
+    inside = [
+        [
+            (np.minimum(r - ar, c - ac) >= 0) & (np.maximum(r - ar, c - ac) < n)
+            for ar, ac in vertices
+        ]
+        for vertices in _CELL_VERTICES
+    ]
+    positions = np.full(mesh.num_nodes, -1, dtype=np.int32)
+    positions[nodes] = np.arange(nodes.size, dtype=np.int32)
+
+    def columns(dr, dc):
+        return positions.take((r + dr) * (n + 1) + c + dc, mode="clip")
+
+    keep = np.zeros((len(_STENCIL), nodes.size), dtype=bool)
+    for row, terms, offset in zip(keep, _TERMS, _STENCIL):
+        for cell, a, _ in terms:
+            row |= inside[cell][a]
+        row &= columns(*offset) >= 0
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=0), out=indptr[1:])
     # Row by row, each in stencil order.
-    keep, vals, cols = keep.T, vals.T, cols.T
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(nodes.size,) * 2)
+    slots = indptr[:-1].copy()
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for row, terms, offset in zip(keep, _TERMS, _STENCIL):
+        vals = np.zeros(nodes.size)
+        for cell, a, b in terms:
+            vals += values[cell][a][b] * inside[cell][a]
+        at = slots[row]
+        indices[at] = columns(*offset)[row]
+        data[at] = vals[row]
+        slots += row
+    return sp.csr_matrix((data, indices, indptr), shape=(nodes.size,) * 2)
 
 
 def _mass_values(mesh):

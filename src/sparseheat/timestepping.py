@@ -37,6 +37,7 @@ import functools
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
@@ -131,46 +132,69 @@ class TimeGrid:
 class HeatModel:
     """Assembled discretization of the homogeneous heat equation.
 
-    Bundles the mesh, the interior index set, the interior mass and
-    stiffness blocks, the time grid and the dG order; the slab matrix is
-    factored, and the Chebyshev weights are computed, on the first
-    propagation or pairing and reused, and the full mass matrix is
-    assembled when `mass` is first read.
+    Bundles the mesh, the interior index set, the interior mass block,
+    the time grid and the dG order. It holds no stiffness block: the slab
+    matrix kA - sigma M is written from the stencil and factored on the
+    first propagation or pairing, and only its LU is kept. The Chebyshev
+    weights are computed once per step count, and the full mass matrix
+    is assembled when `mass` is first read.
     Propagations take a nodal load, a column or a batch, ignore its
     boundary rows and return the nodal end state, zero on the boundary.
     Inside, `interior` lists the interior nodes in the nested-dissection
     order of `mesh.interior_nodes()`, and the interior blocks follow it,
     so the slab matrix is factored without a column permutation
     (`SPLU_SLAB`).
-    Both blocks are written from the lattice stencil
-    (`fem.interior_mass`, `fem.interior_stiffness`), so propagation
-    assembles no full matrix. The full mass serves the L2 loads and
-    pairings of `forward_field`, `adjoint_dirac`, PDAP and the drivers;
-    the smoothing study never reads it.
+    The blocks are written from the lattice stencil (`fem.interior_mass`,
+    `fem.interior_stiffness`), so propagation assembles no full matrix.
+    The full mass serves the L2 loads and pairings of `forward_field`,
+    `adjoint_dirac`, PDAP and the drivers; the smoothing study never
+    reads it. A model built with `share`, another model on the same
+    mesh, takes that model's interior mass and, on first read, its full
+    mass, as the levels of a time sweep do.
+    A model's memory is thus `mass_int`, the full mass once read, and
+    the slab LU. The peak resident set of a run is about the import
+    baseline (61 MB for `import sparseheat.cli` with numpy 2.4 and
+    scipy 1.17), plus the blocks and vectors alive when the largest slab
+    is factored, plus that factorization (48 MB for dG(0) at n = 256).
     """
 
-    def __init__(self, mesh, grid, order):
+    def __init__(self, mesh, grid, order, share=None):
         if order not in (0, 1):
             raise ValueError("dG order must be 0 or 1")
         self.mesh = mesh
         self.grid = grid
         self.order = int(order)
+        self._share = share
         self.interior = mesh.interior_nodes()
-        self.mass_int = interior_mass(mesh)
-        self.stiff_int = interior_stiffness(mesh)
+        self.mass_int = interior_mass(mesh) if share is None else share.mass_int
         self._weights = {}
 
     @functools.cached_property
     def mass(self):
-        """Full mass matrix, assembled on first use."""
-        return assemble_mass(self.mesh)
+        """Full mass matrix, assembled (or read from the shared model) on first use."""
+        return assemble_mass(self.mesh) if self._share is None else self._share.mass
 
     @functools.cached_property
     def _slab_lu(self):
-        """LU factors of the slab matrix kA - sigma M, computed on first use."""
+        """LU factors of the slab matrix kA - sigma M, computed on first use.
+
+        The stiffness block is written here and dropped before the
+        factorization. Each slab entry is k s - sigma m, on the pattern
+        that both blocks share; both are symmetric, so the CSR arrays
+        read as CSC are the slab matrix. `splu` sorts that matrix's
+        indices in place, so they are the stiffness block's, not those
+        of `mass_int`.
+        """
         sigma = _POLES[self.order][0]
+        stiffness = interior_stiffness(self.mesh)
+        stiffness.data *= self.grid.k
+        values = sigma * self.mass_int.data
+        np.subtract(stiffness.data, values, out=values)
+        mat = sp.csc_matrix(
+            (values, stiffness.indices, stiffness.indptr), shape=stiffness.shape
+        )
+        del stiffness
         try:
-            mat = (self.grid.k * self.stiff_int - sigma * self.mass_int).tocsc()
             return spla.splu(mat, **SPLU_SLAB)
         except RuntimeError as exc:
             raise NumericalError(f"slab factorization failed: {exc}") from exc

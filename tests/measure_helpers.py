@@ -12,23 +12,28 @@ is the explicit M-step loop, the oracle of the Chebyshev propagation;
 `per_cell_mass` and `per_cell_stiffness` assemble cell by cell, the
 oracles of the lattice stencil of `sparseheat.fem`, and `per_cell_l2_load`
 is the cell-by-cell oracle of `sparseheat.fem.l2_load`;
-`AscendingHeatModel` is the model on the ascending interior numbering,
-the oracle of the nested-dissection order; `cell_table` is the cell
+`slab_lu` factors the slab matrix of given blocks as `(k A - sigma M).tocsc()`,
+the oracle of `HeatModel._slab_lu`; `AscendingHeatModel` is the model on
+the ascending interior numbering, the oracle of the nested-dissection
+order; `cell_table` is the cell
 table of a lattice built by meshgrid, the oracle of
 `sparseheat.mesh.TriMesh.cell_nodes`, and `cell_areas` gives the signed
 area of every cell for the per-cell oracles.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sparseheat import pdap
 from sparseheat.fem import delta_load
 from sparseheat.measures import PRUNE_TOL, DiscreteMeasure, tv_norm
-from sparseheat.timestepping import HeatModel, adjoint_dirac, forward_dirac
+from sparseheat.timestepping import _POLES, SPLU_SLAB, HeatModel, adjoint_dirac
+from sparseheat.timestepping import forward_dirac
 
 
 def project_to_nodes(mesh, q):
@@ -147,12 +152,20 @@ def per_cell_stiffness(mesh):
     return _per_cell(mesh, np.einsum("iad,ibd->iab", e, e) / (4.0 * area)[:, None, None])
 
 
+def slab_lu(stiffness, mass, k, order):
+    """SuperLU factors of the slab matrix k A - sigma M of the dG order,
+    summed as sparse matrices and converted to CSC."""
+    sigma = _POLES[order][0]
+    return spla.splu((k * stiffness - sigma * mass).tocsc(), **SPLU_SLAB)
+
+
 class AscendingHeatModel(HeatModel):
     """HeatModel with the interior nodes numbered in ascending order.
 
     The interior blocks are sliced from the per-cell assemblies, so
     neither the nested-dissection order nor the stencil enters; the slab
-    matrix is factored in that order, as banded.
+    matrix is summed from those blocks and factored in that order, as
+    banded.
     """
 
     def __init__(self, mesh, grid, order):
@@ -161,6 +174,10 @@ class AscendingHeatModel(HeatModel):
         self.interior = interior
         self.mass_int = per_cell_mass(mesh)[interior][:, interior].tocsr()
         self.stiff_int = per_cell_stiffness(mesh)[interior][:, interior].tocsr()
+
+    @functools.cached_property
+    def _slab_lu(self):
+        return slab_lu(self.stiff_int, self.mass_int, self.grid.k, self.order)
 
 
 def load_measure(path):

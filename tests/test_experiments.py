@@ -19,7 +19,7 @@ from sparseheat import (
     study_space,
     study_time,
 )
-from sparseheat import experiments, fem, pdap
+from sparseheat import experiments, fem, pdap, timestepping
 from sparseheat.errors import ConfigError
 from sparseheat.experiments import ExperimentConfig, SmoothingSpec
 from sparseheat.mesh import refine_nodes, refine_support
@@ -271,6 +271,52 @@ def test_study_time_smoke(tmp_path):
     first = (tmp_path / "st" / "errors.csv").read_bytes()
     study_time(cfg)
     assert (tmp_path / "st" / "errors.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("noise_level", [0.0, 0.02])
+def test_study_time_builds_the_mass_blocks_once(tmp_path, monkeypatch, noise_level):
+    # The levels of a time sweep share the reference model's interior and
+    # full mass: one `interior_mass` and one `assemble_mass` call on the
+    # one mesh, and the same artifacts, byte for byte, as levels that
+    # build their own blocks. With noise the observation reads the full
+    # mass first, without it the first level's PDAP does.
+    class Unshared(HeatModel):
+        def __init__(self, mesh, grid, order, share=None):
+            super().__init__(mesh, grid, order)
+
+    cfg = ExperimentConfig(
+        T=0.1,
+        truth=CENTER_ATOM,
+        mesh_n=8,
+        time_steps=[4, 8, 16],
+        dg_order=1,
+        noise_level=noise_level,
+        pdap=PdapConfig(alpha=1e-3, tol=1e-8),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "HeatModel", Unshared)
+        study_time(replace(cfg, output_dir=str(tmp_path / "unshared")))
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(mesh):
+            calls.append((name, mesh))
+            return fn(mesh)
+
+        return wrapper
+
+    for name in ("interior_mass", "assemble_mass"):
+        monkeypatch.setattr(timestepping, name, counted(name, getattr(timestepping, name)))
+    study_time(replace(cfg, output_dir=str(tmp_path / "shared")))
+    assert sorted(name for name, _ in calls) == ["assemble_mass", "interior_mass"]
+    assert calls[0][1] is calls[1][1]
+    files = sorted(p.name for p in (tmp_path / "unshared").iterdir())
+    assert files and files == sorted(p.name for p in (tmp_path / "shared").iterdir())
+    for name in files:
+        assert (tmp_path / "shared" / name).read_bytes() == (
+            tmp_path / "unshared" / name
+        ).read_bytes()
 
 
 def test_study_space_smoke():

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sparseheat import (
     DiscreteMeasure,
@@ -19,7 +22,7 @@ from sparseheat import (
     refine,
     spd_solve,
 )
-from sparseheat import fem
+from sparseheat import fem, timestepping
 from sparseheat.errors import NumericalError
 from sparseheat.fem import interior_stiffness
 from sparseheat.timestepping import _POLES, HeatModel, TimeGrid
@@ -178,13 +181,24 @@ def test_stencil_is_the_per_cell_assembly(name, n):
 
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("order", [0, 1])
-def test_slab_matrix_is_unchanged_by_the_stencil(n, order):
+def test_slab_matrix_is_unchanged_by_the_stencil(monkeypatch, n, order):
     # The slab matrix kA - sigma M that HeatModel factors equals, array for
-    # array, the one built from the sliced per-cell assemblies.
+    # array and in canonical order, the one built from the sliced per-cell
+    # assemblies. It is caught at the `splu` call of `_slab_lu`.
+    factored = []
+
+    def splu(mat, **options):
+        factored.append(mat)
+        return spla.splu(mat, **options)
+
+    monkeypatch.setattr(timestepping, "spla", SimpleNamespace(splu=splu))
     model = HeatModel(build_uniform(n), TimeGrid(0.1, 16), order)
+    model._slab_lu
+    (ours,) = factored
+    ours.sum_duplicates()
+    assert ours.format == "csc" and ours.has_canonical_format
     sigma = _POLES[order][0]
     k = model.grid.k
-    ours = (k * model.stiff_int - sigma * model.mass_int).tocsc()
     mass, stiffness = (
         interior_block(f(model.mesh), model.mesh) for f in (per_cell_mass, per_cell_stiffness)
     )
