@@ -434,8 +434,8 @@ def test_slab_setup_memory_is_the_blocks_it_keeps(monkeypatch, r):
     # block, or the temporaries of a sparse sum and a CSC copy, exceed
     # it: a model that stored both blocks and summed them read 3.03 for
     # dG(0) and 3.50 for dG(1), one stored stiffness block on top of
-    # today's design reads 1.88 and 1.69, and today's one stencil pass
-    # reads 1.38 and 1.31. The traced peak repeats to within about
+    # today's design reads 2.02 and 1.69, and today's one stencil pass
+    # reads 1.52 and 1.31. The traced peak repeats to within about
     # 30 kB; SuperLU's own heap is not traced.
     seen = {}
 
