@@ -75,7 +75,11 @@ def _build_parser():
     add("study-space", "EOC study of the optimal state under mesh refinement")
     add("study-time", "EOC study of the optimal state under time-grid refinement")
     add("study-smoothing", "pointwise EOC study of the plain forward solver")
-    add("selftest", "run the built-in adjoint-identity and step-oracle checks", needs_config=False)
+    add(
+        "selftest",
+        "run the built-in step-oracle, adjoint-identity and symmetric-pairing checks",
+        needs_config=False,
+    )
     return parser
 
 
@@ -144,6 +148,21 @@ def _selftest():
                     gn = fem.l2_norm(model.mass, g)
                     worst = max(worst, abs(lhs - rhs) / (tv * gn))
     check(f"adjoint identity (worst defect {worst:.2e})", worst <= 1e-10)
+
+    # The eigenmode load is invariant under the lattice maps, so its
+    # pairing runs in the folded sector; the full pairing is the dot
+    # product with the propagated state.
+    worst = 0.0
+    for n in (4, 8):
+        mesh = build_uniform(n)
+        load = fem.l2_load(mesh, experiments.first_eigenmode)
+        point = fem.delta_load(mesh, DiscreteMeasure([(0.3, 0.62)], [1.0]))
+        for M in (1, 4):
+            for r in (0, 1):
+                model = HeatModel(mesh, TimeGrid(0.1, M), r)
+                full = float(point @ model.propagate_load(load))
+                worst = max(worst, abs(model.pair_end_state(point, load) - full) / full)
+    check(f"invariant-sector pairing (worst defect {worst:.2e})", worst <= 1e-12)
     return failures
 
 

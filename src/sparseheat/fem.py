@@ -23,7 +23,8 @@ _RESIDUAL_TOL = 1e-12
 # minimum degree on the pattern of A^T + A, diagonal pivots only. No
 # pivoting is safe because each matrix factored is symmetric with a
 # positive definite real part (mass, kA + M, and kA - s1 M of dG(1)).
-# The slab matrices keep the pivots but not the ordering
+# The folded slab matrices of the invariant-sector pairing use it too;
+# the full slab matrices keep the pivots but not the ordering
 # (`timestepping.SPLU_SLAB`).
 SPLU_SYMMETRIC = dict(
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
@@ -77,7 +78,7 @@ _EDGES = np.roll(_CELL_VERTICES, -2, axis=1) - np.roll(_CELL_VERTICES, -1, axis=
 _STIFFNESS = np.einsum("kad,kbd->kab", _EDGES, _EDGES) / 2.0
 
 
-def _lattice_matrix(mesh, nodes, values):
+def _lattice_matrix(mesh, nodes, values, rows=None):
     """Matrix of a P1 form on the listed nodes, written from the lattice.
 
     `values` holds the 3x3 element matrix of the cells below and above
@@ -85,9 +86,11 @@ def _lattice_matrix(mesh, nodes, values):
     element entries of the cells holding both nodes, one term after
     another, as `tocsr` adds the duplicates of a per-cell assembly: six
     cells at an interior node and fewer on the boundary, two at an axis
-    edge (one on the boundary) and two at a diagonal edge. Rows and
-    columns follow `nodes`; each row lists its columns in node order, as
-    slicing the full matrix does, and keeps the entries that cancel.
+    edge (one on the boundary) and two at a diagonal edge. Columns
+    follow `nodes`, and rows follow `rows`, some of those nodes (default
+    all of them), so a subset of rows is written alone, each as in the
+    whole matrix. Each row lists its columns in node order, as slicing
+    the full matrix does, and keeps the entries that cancel.
     The entries are written one stencil offset at a time: the first
     pass finds which entries exist, the second writes the columns and
     values of each offset into its slots. The index arithmetic runs in
@@ -96,7 +99,8 @@ def _lattice_matrix(mesh, nodes, values):
     arrays they save below n = 64. Only the stored indices are int32.
     """
     n = mesh.n
-    r, c = np.divmod(nodes, n + 1)
+    rows = nodes if rows is None else rows
+    r, c = np.divmod(rows, n + 1)
     # inside[cell][a]: the square whose cell has the node as vertex a
     # exists; elsewhere that cell's terms are 0.0, which leaves every sum
     # as it is.
@@ -113,19 +117,19 @@ def _lattice_matrix(mesh, nodes, values):
     def columns(dr, dc):
         return positions.take((r + dr) * (n + 1) + c + dc, mode="clip")
 
-    keep = np.zeros((len(_STENCIL), nodes.size), dtype=bool)
+    keep = np.zeros((len(_STENCIL), rows.size), dtype=bool)
     for row, terms, offset in zip(keep, _TERMS, _STENCIL):
         for cell, a, _ in terms:
             row |= inside[cell][a]
         row &= columns(*offset) >= 0
-    indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=0), out=indptr[1:])
     # Row by row, each in stencil order.
     slots = indptr[:-1].copy()
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
     for row, terms, offset in zip(keep, _TERMS, _STENCIL):
-        vals = np.zeros(nodes.size)
+        vals = np.zeros(rows.size)
         for cell, a, b in terms:
             vals += values[cell][a][b] * inside[cell][a]
         at = slots[row]
@@ -133,7 +137,7 @@ def _lattice_matrix(mesh, nodes, values):
         data[at] = vals[row]
         slots += row
     indptr = indptr.astype(np.int32)
-    return sp.csr_matrix((data, indices, indptr), shape=(nodes.size,) * 2)
+    return sp.csr_matrix((data, indices, indptr), shape=(rows.size, nodes.size))
 
 
 def _mass_values(mesh):
@@ -154,23 +158,26 @@ def assemble_stiffness(mesh):
     return _lattice_matrix(mesh, np.arange(mesh.num_nodes), _STIFFNESS)
 
 
-def interior_mass(mesh):
+def interior_mass(mesh, rows=None):
     """Mass block on `mesh.interior_nodes()`, in that order.
 
     Equal, array for array, to `assemble_mass(mesh)` sliced to the
-    interior, without the full assembly.
+    interior, without the full assembly. Given `rows`, some interior
+    nodes, only their rows are written, in that order.
     """
-    return _lattice_matrix(mesh, mesh.interior_nodes(), _mass_values(mesh))
+    return _lattice_matrix(mesh, mesh.interior_nodes(), _mass_values(mesh), rows)
 
 
-def interior_stiffness(mesh):
+def interior_stiffness(mesh, rows=None):
     """Stiffness block on `mesh.interior_nodes()`, in that order.
 
     The 5-point stencil (4 on the diagonal, -1 for each axis neighbour)
     with the cancelled diagonal couplings as explicit zeros: equal,
     array for array, to `assemble_stiffness(mesh)` sliced to the interior.
+    Given `rows`, some interior nodes, only their rows are written, in
+    that order.
     """
-    return _lattice_matrix(mesh, mesh.interior_nodes(), _STIFFNESS)
+    return _lattice_matrix(mesh, mesh.interior_nodes(), _STIFFNESS, rows)
 
 
 def delta_load(mesh, q):

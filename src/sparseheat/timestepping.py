@@ -27,8 +27,10 @@ Trends Theor. Comput. Sci. 9, 2014, section 3). The result is a polynomial
 in S applied to a symmetric solve, so the adjoint is the same series as
 the forward solve, and a pairing of the end state with a fixed vector
 (`HeatModel.pair_end_state`) is a sum of Chebyshev moments that two
-columns reach in half the steps. `pade_step_oracle` computes the
-amplification independently from the raw dG(1) slab system.
+columns reach in half the steps; for a load that the lattice's
+symmetries leave unchanged it runs on a quarter of the unknowns
+(`_InvariantSector`). `pade_step_oracle` computes the amplification
+independently from the raw dG(1) slab system.
 """
 
 from __future__ import annotations
@@ -114,6 +116,28 @@ def power_weights(M, a, b):
     return w[: kept[-1] + 1 if kept.size else 1]
 
 
+def _slab_matrix(stiffness, mass, k, order):
+    """k A - sigma M in CSR, from CSR blocks of A and M or the same rows of both.
+
+    Each entry is k s - sigma m, on the pattern that both share; the
+    stiffness values are scaled in place, and the result keeps the
+    stiffness indices, which `splu` may sort in place, rather than those
+    of the mass block.
+    """
+    stiffness.data *= k
+    values = _POLES[order][0] * mass.data
+    np.subtract(stiffness.data, values, out=values)
+    return sp.csr_matrix((values, stiffness.indices, stiffness.indptr), shape=stiffness.shape)
+
+
+def _factor(mat, options):
+    """`spla.splu(mat, **options)`, with a failure raised as NumericalError."""
+    try:
+        return spla.splu(mat, **options)
+    except RuntimeError as exc:
+        raise NumericalError(f"slab factorization failed: {exc}") from exc
+
+
 class TimeGrid:
     """Uniform partition of (0, T] into M steps of length k = T / M."""
 
@@ -151,11 +175,16 @@ class HeatModel:
     reads it. A model built with `share`, another model on the same
     mesh, takes that model's interior mass and, on first read, its full
     mass, as the levels of a time sweep do.
+    `pair_end_state` of a load that the lattice maps leave unchanged
+    runs on the folded blocks of the invariant sector instead
+    (`_InvariantSector`), whose slab LU replaces the full one.
     A model's memory is thus `mass_int`, the full mass once read, and
-    the slab LU. The peak resident set of a run is about the import
-    baseline (61 MB for `import sparseheat.cli` with numpy 2.4 and
-    scipy 1.17), plus the blocks and vectors alive when the largest slab
-    is factored, plus that factorization (48 MB for dG(0) at n = 256).
+    the full slab LU or the sector's folded mass and slab LU, or both if
+    both kinds of load are seen. The peak resident set of a run is about
+    the import baseline (61 MB for `import sparseheat.cli` with numpy
+    2.4 and scipy 1.17), plus the blocks and vectors alive when the
+    largest slab is factored, plus that factorization (48 MB for the full
+    dG(0) slab at n = 256, about a fifth of that for the folded one).
     """
 
     def __init__(self, mesh, grid, order, share=None):
@@ -176,28 +205,14 @@ class HeatModel:
 
     @functools.cached_property
     def _slab_lu(self):
-        """LU factors of the slab matrix kA - sigma M, computed on first use.
+        """LU factors of the slab matrix, computed on first use.
 
-        The stiffness block is written here and dropped before the
-        factorization. Each slab entry is k s - sigma m, on the pattern
-        that both blocks share; both are symmetric, so the CSR arrays
-        read as CSC are the slab matrix. `splu` sorts that matrix's
-        indices in place, so they are the stiffness block's, not those
-        of `mass_int`.
+        Only the LU is kept: the stiffness block is written for it and
+        dropped before the factorization. The slab matrix is symmetric,
+        so the CSR arrays of `_slab_matrix` read as CSC are the matrix.
         """
-        sigma = _POLES[self.order][0]
-        stiffness = interior_stiffness(self.mesh)
-        stiffness.data *= self.grid.k
-        values = sigma * self.mass_int.data
-        np.subtract(stiffness.data, values, out=values)
-        mat = sp.csc_matrix(
-            (values, stiffness.indices, stiffness.indptr), shape=stiffness.shape
-        )
-        del stiffness
-        try:
-            return spla.splu(mat, **SPLU_SLAB)
-        except RuntimeError as exc:
-            raise NumericalError(f"slab factorization failed: {exc}") from exc
+        slab = _slab_matrix(interior_stiffness(self.mesh), self.mass_int, self.grid.k, self.order)
+        return _factor(slab.T, SPLU_SLAB)
 
     def _step(self, f):
         return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))
@@ -258,11 +273,36 @@ class HeatModel:
         for M = 1 and 1 + ceil(d/2) two-column ones otherwise. The long
         products are einsum loops, not BLAS dot products, whose worker
         thread costs more than the product at these sizes.
+
+        A load that every map of `mesh.symmetric_images` leaves unchanged,
+        to within 8 eps max|load| on the interior (a zero load included),
+        has its whole propagation in the invariant sector, and the
+        pairing runs there (`_InvariantSector`, built on first use) on a
+        quarter of the unknowns, with the same steps. Any other load
+        takes the full slab LU.
         """
+        model = self._invariant_sector if self._is_invariant(load) else self
         # Factored first: the factorization's transient memory adds to the
         # resident set it starts from, which the batch would raise.
-        self._slab_lu
+        model._slab_lu
         functional, load = functional[self.interior], load[self.interior]
+        if model is not self:
+            functional, load = model.fold @ functional, model.fold @ load
+        return model._pair(functional, load)
+
+    def _is_invariant(self, load):
+        """Whether every lattice map leaves the load's interior values
+        unchanged, to within 8 eps times their largest magnitude."""
+        values, *images = (v[1:-1, 1:-1] for v in self.mesh.symmetric_images(load))
+        bound = 8.0 * np.finfo(float).eps * np.abs(values).max()
+        return all(np.abs(image - values).max() <= bound for image in images)
+
+    @functools.cached_property
+    def _invariant_sector(self):
+        return _InvariantSector(self)
+
+    def _pair(self, functional, load):
+        """`pair_end_state` of interior vectors in this model's numbering."""
         if self.grid.M == 1:
             return float(np.einsum("i,i", functional, self._step(load)))
         weights = self._power_weights(self.grid.M - 1)
@@ -290,6 +330,52 @@ class HeatModel:
         values = np.zeros((self.mesh.num_nodes,) + np.shape(interior_values)[1:])
         values[self.interior] = interior_values
         return values
+
+
+class _InvariantSector(HeatModel):
+    """A model's step restricted to the loads its lattice maps leave unchanged.
+
+    The maps of `mesh.symmetric_images` permute the interior nodes and
+    commute with the interior mass and stiffness blocks, hence with the
+    slab matrix and the step S. So S maps the span of the invariant
+    loads onto itself. Its orthonormal basis Q0 holds the orbit sums of
+    `mesh.interior_orbits()`, each orbit's indicator over the square root
+    of its size, and for an invariant load u, S^p u = Q0 S0^p Q0^T u,
+    where S0 is the step of the folded blocks Q0^T B Q0 (Bossavit, Comput.
+    Methods Appl. Mech. Engrg. 56, 1986). Hence <f, S^p u> =
+    <Q0^T f, S0^p Q0^T u> for any f. `fold` is Q0^T; `mass_int` and the
+    slab LU are the folded blocks', on (n/2)^2 unknowns at even n against
+    (n - 1)^2, written from the stencil rows of one node per orbit, so no
+    full block is formed. The folded numbering carries no dissection
+    order, so the slab matrix is factored under minimum degree
+    (`fem.SPLU_SYMMETRIC`). The spectrum of S0 is part of that of S, so
+    `spectral_interval` holds it, and `_step`, `_chebyshev` and `_pair`
+    serve the sector as they are; it sets only the attributes that they
+    read, and no other method of `HeatModel` serves it. It is factored
+    when built and holds no reference to its model, so it is freed with
+    the model.
+    """
+
+    def __init__(self, model):
+        mesh, self.grid, self.order = model.mesh, model.grid, model.order
+        self._weights = model._weights
+        orbit = mesh.interior_orbits()
+        size = np.bincount(orbit)
+        self.fold = sp.csr_matrix(
+            (1.0 / np.sqrt(size[orbit]), (orbit, np.arange(orbit.size))),
+            shape=(size.size, orbit.size),
+        )
+        # Every node of an orbit has the same row sums over each orbit, so
+        # row a of Q0^T B Q0 is sqrt(|a|) times row r of B Q0, for r the
+        # first node of orbit a: only those rows of the blocks are written.
+        rows = model.interior[np.unique(orbit, return_index=True)[1]]
+        weight = sp.diags(np.sqrt(size))
+        mass = interior_mass(mesh, rows)
+        self.mass_int = weight @ mass @ self.fold.T
+        slab = _slab_matrix(interior_stiffness(mesh, rows), mass, self.grid.k, self.order)
+        slab = (weight @ slab @ self.fold.T).tocsc()
+        del mass
+        self._slab_lu = _factor(slab, SPLU_SYMMETRIC)
 
 
 def forward_dirac(model, q):

@@ -539,6 +539,8 @@ def test_smoothing_factors_once_per_level_and_solves_no_mass(
     # Every splu call goes through scipy's module (fem and timestepping
     # both call spla.splu), and a checked mass solve fails the test. x0
     # must lie more than 4h inside, so the coarsest space level is n = 16.
+    # The eigenmode load is invariant under the lattice maps, so each
+    # level factors the folded slab matrix, one unknown per orbit.
     shapes = []
     splu = spla.splu
 
@@ -560,7 +562,8 @@ def test_smoothing_factors_once_per_level_and_solves_no_mass(
     )
     table = study_smoothing(cfg)
     levels = mesh_n if sweep == "space" else [mesh_n] * len(time_steps)
-    assert shapes == [((n - 1) ** 2, (n - 1) ** 2) for n in levels]
+    orbits = [n * n // 4 for n in levels]  # (n/2)^2 or (n^2 - 1)/4
+    assert shapes == [(size, size) for size in orbits]
     assert all(e > 0 for e in table.errors)
 
 

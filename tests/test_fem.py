@@ -179,6 +179,21 @@ def test_stencil_is_the_per_cell_assembly(name, n):
         np.testing.assert_array_max_ulp(stencil.data, oracle.data, maxulp=maxulp)
 
 
+@pytest.mark.parametrize("n", [2, 7, 64])
+@pytest.mark.parametrize("name", ["interior_mass", "interior_stiffness"])
+def test_stencil_rows_are_those_of_the_whole_block(name, n):
+    # Rows written alone, for any interior nodes in any order, equal
+    # array for array the same rows of the whole block.
+    mesh = build_uniform(n)
+    interior = mesh.interior_nodes()
+    picks = np.random.default_rng(n).permutation(interior.size)[: max(1, interior.size // 3)]
+    rows = getattr(fem, name)(mesh, interior[picks])
+    whole = getattr(fem, name)(mesh)[picks]
+    assert rows.shape == (picks.size, interior.size)
+    for attr in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(rows, attr), getattr(whole, attr))
+
+
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("order", [0, 1])
 def test_slab_matrix_is_unchanged_by_the_stencil(monkeypatch, n, order):

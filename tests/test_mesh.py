@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseheat import OutOfDomainError, build_uniform, refine
+from sparseheat.fem import interior_mass, interior_stiffness
 from sparseheat.measures import same_sign_groups
 from sparseheat.mesh import (
     DISSECTION_LEAF,
@@ -434,3 +435,51 @@ def test_interior_nodes_are_a_nested_dissection_order(n):
         first = set(first)
         for a, b in p1_edges(mesh, first.union(second)):
             assert (a in first) == (b in first)
+
+
+def coordinate_maps(mesh):
+    """The four lattice maps from the node coordinates: identity,
+    (x, y) -> (y, x), (1 - x, 1 - y) and (1 - y, 1 - x), as node arrays."""
+    x, y = mesh.nodes.T
+    images = [(x, y), (y, x), (1.0 - x, 1.0 - y), (1.0 - y, 1.0 - x)]
+    n = mesh.n
+    return np.array([np.rint(v * n) * (n + 1) + np.rint(u * n) for u, v in images], int)
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 64])
+def test_lattice_maps_preserve_the_triangulation_and_the_interior_blocks(n):
+    # The fold of the invariant-sector pairing relies on this: each map
+    # takes cells to cells, and the interior mass and stiffness blocks
+    # equal their conjugates under it, bit for bit.
+    mesh = build_uniform(n)
+    maps = np.array([g.ravel() for g in mesh.symmetric_images(np.arange(mesh.num_nodes))])
+    assert (maps == coordinate_maps(mesh)).all()
+    cells = {frozenset(cell) for cell in all_cells(mesh).tolist()}
+    interior = mesh.interior_nodes()
+    position = np.full(mesh.num_nodes, -1)
+    position[interior] = np.arange(interior.size)
+    for g in maps:
+        assert {frozenset(g[list(cell)].tolist()) for cell in cells} == cells
+        p = position[g[interior]]
+        assert (p >= 0).all()
+        for block in (interior_mass(mesh), interior_stiffness(mesh)):
+            conjugate = block[p][:, p]
+            assert (conjugate != block).nnz == 0
+            assert conjugate.nnz == block.nnz
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 64])
+def test_interior_orbits_partition_the_interior(n):
+    # One number per interior node, every node's four images in its own
+    # orbit, orbits of 1, 2 or 4 nodes: (n/2)^2 of them at even n and
+    # (n^2 - 1)/4 at odd n.
+    mesh = build_uniform(n)
+    orbit = mesh.interior_orbits()
+    interior = mesh.interior_nodes()
+    assert orbit.shape == interior.shape
+    count = n * n // 4 if n % 2 == 0 else (n * n - 1) // 4
+    assert set(orbit.tolist()) == set(range(count))
+    label = dict(zip(interior.tolist(), orbit.tolist()))
+    for g in coordinate_maps(mesh):
+        assert [label[i] for i in g[interior].tolist()] == orbit.tolist()
+    assert set(np.bincount(orbit).tolist()) <= {1, 2, 4}

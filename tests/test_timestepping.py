@@ -19,7 +19,8 @@ from sparseheat import (
     tv_norm,
 )
 from sparseheat import pdap, timestepping
-from sparseheat.fem import delta_load, interior_mass, interior_stiffness
+from sparseheat.experiments import first_eigenmode
+from sparseheat.fem import delta_load, interior_mass, interior_stiffness, l2_load
 from sparseheat.timestepping import (
     LAMBDA_1,
     HeatModel,
@@ -348,15 +349,20 @@ def test_propagation_solve_count(monkeypatch, r, many):
     r=st.sampled_from([0, 1]),
     x0=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
     dirac=st.booleans(),
+    invariant=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, seed):
+def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, invariant, seed):
     # The Dirac load of x0 carries the barycentric weights of eval_field,
     # so the pairing is the point value of the propagated state, up to the
     # round-off of two Chebyshev sums, each about eps rho^(M-1) |u1|
     # (`spectral_interval`). Random loads put them up to 2.4e-13 max|u|
     # apart (the series alone is up to 3.8e-13 max|u| from stepping
     # there), never more than 9 eps rho^(M-1) max|u1| in 3000 cases.
+    # A load averaged over the four lattice maps is invariant, and so is
+    # a Dirac load next to the boundary, zero on the interior: its
+    # pairing runs on the folded slab LU, one unknown per orbit, to the
+    # same bound. Any other load factors the full slab matrix.
     model = make_model(n=n, M=M, r=r, T=0.1)
     mesh = model.mesh
     rng = np.random.default_rng(seed)
@@ -364,13 +370,37 @@ def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, seed)
         load = delta_load(mesh, DiscreteMeasure([rng.uniform(0.0, 1.0, 2)], [1.0]))
     else:
         load = rng.standard_normal(mesh.num_nodes)
+    if invariant:
+        load = np.mean(mesh.symmetric_images(load), axis=0).ravel()
     u = model.propagate_load(load)
     point = delta_load(mesh, DiscreteMeasure([x0], [1.0]))
     value = model.pair_end_state(point, load)
+    if invariant or not load[model.interior].any():
+        orbits = n * n // 4
+        assert model._invariant_sector._slab_lu.shape == (orbits, orbits)
+    else:
+        assert "_invariant_sector" not in vars(model)
     a, b = spectral_interval(model.grid.k, r)
     u1 = model._step(load[model.interior])
     scale = max(np.abs(u).max(), max(b, -a) ** (M - 1) * np.abs(u1).max())
     assert abs(value - eval_field(mesh, u, [x0])[0]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_pairing_of_a_near_invariant_load_factors_the_full_slab(monkeypatch, r):
+    # The eigenmode load, perturbed by 1e-8 at one node, is no longer
+    # invariant: the pairing factors the full slab matrix, not the
+    # folded one, and is still the point value of the propagation.
+    shapes = record_shapes(monkeypatch)
+    model = make_model(n=16, M=16, r=r)
+    mesh = model.mesh
+    load = l2_load(mesh, first_eigenmode)
+    load[model.interior[5]] += 1e-8
+    point = delta_load(mesh, DiscreteMeasure([(0.3, 0.62)], [1.0]))
+    value = model.pair_end_state(point, load)
+    assert shapes == [(model.interior.size, model.interior.size)]
+    u = model.propagate_load(load)
+    assert abs(value - eval_field(mesh, u, [(0.3, 0.62)])[0]) <= 1e-13 * np.abs(u).max()
 
 
 @pytest.mark.parametrize(
@@ -525,6 +555,19 @@ def test_power_weights_sum_to_the_power_at_b():
                 assert abs(w.sum() - b ** (M - 1)) <= 1e-13 * np.abs(w).sum()
 
 
+def record_shapes(monkeypatch):
+    """Shapes of the matrices of every later splu call, in call order."""
+    shapes = []
+    splu = timestepping.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
+    return shapes
+
+
 def record_fills(monkeypatch):
     """LU fill L.nnz + U.nnz of every later splu call, in call order."""
     fills = []
@@ -562,6 +605,18 @@ def test_slab_fill_at_n_256_is_below_minimum_degree(monkeypatch):
     model = make_model(n=256, M=2, r=0)
     model.propagate_load(np.ones(model.mesh.num_nodes))
     assert fills[0] < 5_000_000
+
+
+def test_folded_slab_fill_at_n_256_is_below_a_quarter_of_the_full_slab(monkeypatch):
+    # An invariant load pairs on the folded dG(0) slab matrix, 16,384
+    # unknowns under minimum degree: 981,618 LU nonzeros (an exact count),
+    # against 4,931,760 for the full slab. A quarter of that bounds it.
+    fills = record_fills(monkeypatch)
+    model = make_model(n=256, M=2, r=0)
+    load = l2_load(model.mesh, first_eigenmode)
+    model.pair_end_state(load, load)
+    assert len(fills) == 1
+    assert fills[0] < 4_931_760 / 4
 
 
 def test_power_weights_match_the_full_chebpow_build():
