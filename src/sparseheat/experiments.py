@@ -32,7 +32,7 @@ from .fem import (
 from .measures import DiscreteMeasure, lump_clusters, save_measure
 from .mesh import build_uniform, refine, refine_support
 from .pdap import PdapConfig
-from .timestepping import HeatModel, TimeGrid, forward_dirac
+from .timestepping import HeatModel, InvariantSector, TimeGrid, forward_dirac
 
 LUMP_RADIUS_FACTOR = 2.0  # lumping radius in units of the mesh size
 # Smallest even n that `reconstruct` seeds from an n/2 solve. On the
@@ -420,23 +420,7 @@ def first_eigenmode(x, y):
     return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
-def _point_value(label, model, load, x0):
-    """Value at x0 of the end-time state from an initial L2 load vector.
-
-    The load F_j = (v0, phi_j) on all nodes is paired with the Dirac load
-    of x0, the barycentric weights that `eval_field` interpolates with, by
-    `HeatModel.pair_end_state`, so the end state is never formed; the
-    level (`label`, such as "n=32") and its milliseconds are logged as
-    one INFO line.
-    """
-    started = time.perf_counter()
-    point = delta_load(model.mesh, DiscreteMeasure([x0], [1.0]))
-    value = model.pair_end_state(point, load)
-    _log.info("level %s ms=%.1f", label, 1e3 * (time.perf_counter() - started))
-    return value
-
-
-def study_smoothing(cfg, v0=first_eigenmode):
+def study_smoothing(cfg):
     """Pointwise rate study for the plain forward solver at an interior point.
 
     Sweeps the time grid (fixed mesh) if time_steps is a list, else the
@@ -444,17 +428,16 @@ def study_smoothing(cfg, v0=first_eigenmode):
     |v_ref(T, x0) - v_level(T, x0)| against the finest level. Since the
     reference shares the fixed discretization axis, the sweep isolates
     one error component: the expected slopes are 2r+1 in time and 2 (up
-    to a log factor) in space. The initial datum enters as its L2 load
-    `l2_load(mesh, v0)`, the mass matrix applied to the L2 projection of
-    v0, so no mass system is solved; each level builds it after its model,
-    which keeps less heap resident before the finest factorization than
-    one load held across levels, and pairs it with x0 (`_point_value`)
-    without propagating the state. The default v0 is invariant under the
-    lattice maps, so each level pairs on the folded slab LU of the
-    invariant sector (`HeatModel.pair_end_state`), about a fifth of the
-    full LU's memory: at n = 256 in dG(0), 981,618 LU nonzeros against
-    4,931,760. x0 must stay well inside the domain: dist(x0, boundary)
-    > 4h on the coarsest level.
+    to a log factor) in space. The initial datum is `first_eigenmode`,
+    which the lattice maps leave unchanged, so each level builds only
+    the `InvariantSector` of its mesh and grid, factored first, and then
+    pairs the datum's L2 load `l2_load(mesh, first_eigenmode)`, the mass
+    matrix applied to its L2 projection, with the Dirac load of x0, the
+    barycentric weights that `eval_field` interpolates with. So no mass
+    system is solved, no end state is formed, and no full block is
+    written. Each level (such as "n=32") and its milliseconds are logged
+    as one INFO line. x0 must stay well inside the domain:
+    dist(x0, boundary) > 4h on the coarsest level.
     """
     if cfg.smoothing is None:
         raise ConfigError("smoothing study needs a smoothing block")
@@ -466,9 +449,12 @@ def study_smoothing(cfg, v0=first_eigenmode):
 
     values = []
     for label, mesh, M in levels:
-        model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-        values.append(_point_value(label, model, l2_load(mesh, v0), x0))
-        del model  # free the level's slab LU before the next level factors
+        started = time.perf_counter()
+        sector = InvariantSector(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
+        point = delta_load(mesh, DiscreteMeasure([x0], [1.0]))
+        values.append(sector.pair_end_state(point, l2_load(mesh, first_eigenmode)))
+        del sector  # free the level's slab LU before the next level factors
+        _log.info("level %s ms=%.1f", label, 1e3 * (time.perf_counter() - started))
     errors = [abs(v - values[-1]) for v in values[:-1]]
     return _study_table(cfg, params[:-1], errors)
 

@@ -25,18 +25,16 @@ instead of M, with the same factorization (the Chebyshev propagator of
 Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Sachdeva & Vishnoi, Found.
 Trends Theor. Comput. Sci. 9, 2014, section 3). The result is a polynomial
 in S applied to a symmetric solve, so the adjoint is the same series as
-the forward solve, and a pairing of the end state with a fixed vector
-(`HeatModel.pair_end_state`) is a sum of Chebyshev moments that two
-columns reach in half the steps; for a load that the lattice's
-symmetries leave unchanged it runs on a quarter of the unknowns
-(`_InvariantSector`). `pade_step_oracle` computes the amplification
-independently from the raw dG(1) slab system.
+the forward solve. A load that the lattice's symmetries leave unchanged
+propagates within their invariant sector, and `InvariantSector` pairs
+its end state with a fixed vector by the same series on a quarter of the
+unknowns. `pade_step_oracle` computes the amplification independently
+from the raw dG(1) slab system.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,76 +151,27 @@ class TimeGrid:
             raise ValueError(f"time step T/M = {T:g}/{M} underflows to 0")
 
 
-class HeatModel:
-    """Assembled discretization of the homogeneous heat equation.
+class _SlabSeries:
+    """The step and the Chebyshev series that a model and its sector share.
 
-    Bundles the mesh, the interior index set, the interior mass block,
-    the time grid and the dG order. It holds no stiffness block: the slab
-    matrix kA - sigma M is written from the stencil and factored on the
-    first propagation or pairing, and only its LU is kept. The Chebyshev
-    weights are computed once per step count, and the full mass matrix
-    is assembled when `mass` is first read.
-    Propagations take a nodal load, a column or a batch, ignore its
-    boundary rows and return the nodal end state, zero on the boundary.
-    Inside, `interior` lists the interior nodes in the nested-dissection
-    order of `mesh.interior_nodes()`, and the interior blocks follow it,
-    so the slab matrix is factored without a column permutation
-    (`SPLU_SLAB`).
-    The blocks are written from the lattice stencil (`fem.interior_mass`,
-    `fem.interior_stiffness`), so propagation assembles no full matrix.
-    The full mass serves the L2 loads and pairings of `forward_field`,
-    `adjoint_dirac`, PDAP and the drivers; the smoothing study never
-    reads it. A model built with `share`, another model on the same
-    mesh, takes that model's interior mass and, on first read, its full
-    mass, as the levels of a time sweep do.
-    `pair_end_state` of a load that the lattice maps leave unchanged
-    runs on the folded blocks of the invariant sector instead
-    (`_InvariantSector`), whose slab LU replaces the full one.
-    A model's memory is thus `mass_int`, the full mass once read, and
-    the full slab LU or the sector's folded mass and slab LU, or both if
-    both kinds of load are seen. The peak resident set of a run is about
-    the import baseline (61 MB for `import sparseheat.cli` with numpy
-    2.4 and scipy 1.17), plus the blocks and vectors alive when the
-    largest slab is factored, plus that factorization (48 MB for the full
-    dG(0) slab at n = 256, about a fifth of that for the folded one).
+    A subclass provides `mass_int` and `_slab_lu`, the mass block and slab
+    LU in its own numbering, and `_gather`, which takes a nodal load to
+    that numbering. `_series` sums sum_j w_j T_j(L) u1 = S^(M-1) u1 with the
+    weights of t^(M-1) on the model's interval, computed on first use.
     """
 
-    def __init__(self, mesh, grid, order, share=None):
+    def __init__(self, grid, order):
         if order not in (0, 1):
             raise ValueError("dG order must be 0 or 1")
-        self.mesh = mesh
         self.grid = grid
         self.order = int(order)
-        self._share = share
-        self.interior = mesh.interior_nodes()
-        self.mass_int = interior_mass(mesh) if share is None else share.mass_int
-        self._weights = {}
 
     @functools.cached_property
-    def mass(self):
-        """Full mass matrix, assembled (or read from the shared model) on first use."""
-        return assemble_mass(self.mesh) if self._share is None else self._share.mass
-
-    @functools.cached_property
-    def _slab_lu(self):
-        """LU factors of the slab matrix, computed on first use.
-
-        Only the LU is kept: the stiffness block is written for it and
-        dropped before the factorization. The slab matrix is symmetric,
-        so the CSR arrays of `_slab_matrix` read as CSC are the matrix.
-        """
-        slab = _slab_matrix(interior_stiffness(self.mesh), self.mass_int, self.grid.k, self.order)
-        return _factor(slab.T, SPLU_SLAB)
+    def _weights(self):
+        return power_weights(self.grid.M, *spectral_interval(self.grid.k, self.order))
 
     def _step(self, f):
         return np.real(_POLES[self.order][1] * self._slab_lu.solve(f))
-
-    def _power_weights(self, M):
-        """`power_weights(M, a, b)` on this model's interval, computed once."""
-        if M not in self._weights:
-            interval = spectral_interval(self.grid.k, self.order)
-            self._weights[M] = power_weights(M, *interval)
-        return self._weights[M]
 
     def _chebyshev(self, y):
         # T_j(L) y for j = 1, 2, ... with L = (2S - (a + b)) / (b - a), by
@@ -241,80 +190,83 @@ class HeatModel:
             y_prev, y = y, y_next
             scale = 4.0 / (b - a)
 
-    def propagate_load(self, load):
-        """End-time state from a first-slab load."""
-        # S^(M-1) u1 = sum_j w_j T_j(L) u1.
-        weights = self._power_weights(self.grid.M)
-        y = self._step(load[self.interior])
+    def _series(self, load):
+        """S^(M-1) u1 in this numbering, u1 the first step from the gathered load."""
+        weights = self._weights
+        y = self._step(self._gather(load))
         acc = weights[0] * y
         for w, y in zip(weights[1:], self._chebyshev(y)):
             acc += w * y
-        return self.embed(acc)
+        return acc
+
+
+class HeatModel(_SlabSeries):
+    """Assembled discretization of the homogeneous heat equation.
+
+    Bundles the mesh, the interior index set, the interior mass block,
+    the time grid and the dG order. It holds no stiffness block: the slab
+    matrix kA - sigma M is written from the stencil and factored on the
+    first propagation, and only its LU is kept. The Chebyshev weights are
+    computed once, and the full mass matrix is assembled when `mass` is
+    first read.
+    Propagations take a nodal load, a column or a batch, ignore its
+    boundary rows and return the nodal end state, zero on the boundary.
+    Inside, `interior` lists the interior nodes in the nested-dissection
+    order of `mesh.interior_nodes()`, and the interior blocks follow it,
+    so the slab matrix is factored without a column permutation
+    (`SPLU_SLAB`).
+    The blocks are written from the lattice stencil (`fem.interior_mass`,
+    `fem.interior_stiffness`), so propagation assembles no full matrix.
+    The full mass serves the L2 loads and pairings of `forward_field`,
+    `adjoint_dirac`, PDAP and the drivers. A model built with `share`,
+    another model on the same mesh, takes that model's interior mass and,
+    on first read, its full mass, as the levels of a time sweep do.
+    The pairing of an end state with a fixed vector g is
+    `g @ model.propagate_load(load)`; for a load that the lattice maps
+    leave unchanged, `InvariantSector` computes it on a quarter of the
+    unknowns without a model.
+    A model's memory is thus `mass_int`, the full mass once read, and the
+    slab LU. The peak resident set of a run is about the import baseline
+    (61 MB for `import sparseheat.cli` with numpy 2.4 and scipy 1.17),
+    plus the blocks and vectors alive when the largest slab is factored,
+    plus that factorization (48 MB for the dG(0) slab at n = 256).
+    """
+
+    def __init__(self, mesh, grid, order, share=None):
+        super().__init__(grid, order)
+        self.mesh = mesh
+        self._share = share
+        self.interior = mesh.interior_nodes()
+        self.mass_int = interior_mass(mesh) if share is None else share.mass_int
+
+    @functools.cached_property
+    def mass(self):
+        """Full mass matrix, assembled (or read from the shared model) on first use."""
+        return assemble_mass(self.mesh) if self._share is None else self._share.mass
+
+    @functools.cached_property
+    def _slab_lu(self):
+        """LU factors of the slab matrix, computed on first use.
+
+        Only the LU is kept: the stiffness block is written for it and
+        dropped before the factorization. The slab matrix is symmetric,
+        so the CSR arrays of `_slab_matrix` read as CSC are the matrix.
+        """
+        slab = _slab_matrix(interior_stiffness(self.mesh), self.mass_int, self.grid.k, self.order)
+        return _factor(slab.T, SPLU_SLAB)
+
+    def _gather(self, load):
+        return load[self.interior]
+
+    def propagate_load(self, load):
+        """End-time state from a first-slab load."""
+        return self.embed(self._series(load))
 
     # The propagator is self-adjoint in the M inner product, so the
     # transposed propagation (terminal pairing back to the initial trace)
     # is the same map; the second name lets perfbench/tracing.py count
     # adjoints apart from forward propagations.
     propagate_adjoint = propagate_load
-
-    def pair_end_state(self, functional, load):
-        """functional . propagate_load(load), without forming the end state.
-
-        S = R M with R = Re(c (kA - sigma M)^{-1}) symmetric, so with
-        v = R functional and u1 = R load, solved as one two-column batch,
-        the value is <v, S^(M-2) u1>_M: the weights of t^(M-2) summed
-        against the moments mu_j = <v, T_j(L) u1>_M. L is self-adjoint in
-        the M inner product, so T_{i+k} = 2 T_i T_k - T_{|i-k|} gives
-        mu_{2k} = 2 <T_k v, T_k u1>_M - mu_0 and mu_{2k+1} =
-        2 <T_{k+1} v, T_k u1>_M - mu_1, and both columns run only
-        ceil(d/2) steps of the recurrence for d + 1 weights (the moment
-        doubling of the kernel polynomial method; Weisse, Wellein,
-        Alvermann & Fehske, Rev. Mod. Phys. 78, 2006). That is one solve
-        for M = 1 and 1 + ceil(d/2) two-column ones otherwise. The long
-        products are einsum loops, not BLAS dot products, whose worker
-        thread costs more than the product at these sizes.
-
-        A load that every map of `mesh.symmetric_images` leaves unchanged,
-        to within 8 eps max|load| on the interior (a zero load included),
-        has its whole propagation in the invariant sector, and the
-        pairing runs there (`_InvariantSector`, built on first use) on a
-        quarter of the unknowns, with the same steps. Any other load
-        takes the full slab LU.
-        """
-        model = self._invariant_sector if self._is_invariant(load) else self
-        # Factored first: the factorization's transient memory adds to the
-        # resident set it starts from, which the batch would raise.
-        model._slab_lu
-        functional, load = functional[self.interior], load[self.interior]
-        if model is not self:
-            functional, load = model.fold @ functional, model.fold @ load
-        return model._pair(functional, load)
-
-    def _is_invariant(self, load):
-        """Whether every lattice map leaves the load's interior values
-        unchanged, to within 8 eps times their largest magnitude."""
-        values, *images = (v[1:-1, 1:-1] for v in self.mesh.symmetric_images(load))
-        bound = 8.0 * np.finfo(float).eps * np.abs(values).max()
-        return all(np.abs(image - values).max() <= bound for image in images)
-
-    @functools.cached_property
-    def _invariant_sector(self):
-        return _InvariantSector(self)
-
-    def _pair(self, functional, load):
-        """`pair_end_state` of interior vectors in this model's numbering."""
-        if self.grid.M == 1:
-            return float(np.einsum("i,i", functional, self._step(load)))
-        weights = self._power_weights(self.grid.M - 1)
-        y = self._step(np.column_stack([functional, load]))
-        mass_u = self.mass_int @ y[:, 1]
-        moments = [np.einsum("i,i", y[:, 0], mass_u)]
-        for y in itertools.islice(self._chebyshev(y), weights.size // 2):
-            pair = np.einsum("i,i", y[:, 0], mass_u)
-            moments.append(2.0 * pair - moments[1] if len(moments) > 1 else pair)
-            mass_u = self.mass_int @ y[:, 1]
-            moments.append(2.0 * np.einsum("i,i", y[:, 0], mass_u) - moments[0])
-        return float(np.einsum("i,i", weights, moments[: weights.size]))
 
     def pairings(self, a, vectors):
         """Dot products of nodal a with each of `vectors` over the interior.
@@ -332,8 +284,8 @@ class HeatModel:
         return values
 
 
-class _InvariantSector(HeatModel):
-    """A model's step restricted to the loads its lattice maps leave unchanged.
+class InvariantSector(_SlabSeries):
+    """The heat propagation restricted to loads that the lattice maps leave unchanged.
 
     The maps of `mesh.symmetric_images` permute the interior nodes and
     commute with the interior mass and stiffness blocks, hence with the
@@ -348,17 +300,17 @@ class _InvariantSector(HeatModel):
     (n - 1)^2, written from the stencil rows of one node per orbit, so no
     full block is formed. The folded numbering carries no dissection
     order, so the slab matrix is factored under minimum degree
-    (`fem.SPLU_SYMMETRIC`). The spectrum of S0 is part of that of S, so
-    `spectral_interval` holds it, and `_step`, `_chebyshev` and `_pair`
-    serve the sector as they are; it sets only the attributes that they
-    read, and no other method of `HeatModel` serves it. It is factored
-    when built and holds no reference to its model, so it is freed with
-    the model.
+    (`fem.SPLU_SYMMETRIC`), when the sector is built. The spectrum of S0
+    is part of that of S, so `spectral_interval` holds it, and the series
+    of `HeatModel.propagate_load` serves the sector as it is. The sector
+    holds the folded mass and slab LU, about a fifth of a model's memory:
+    at n = 256 in dG(0), 981,618 LU nonzeros against 4,931,760.
     """
 
-    def __init__(self, model):
-        mesh, self.grid, self.order = model.mesh, model.grid, model.order
-        self._weights = model._weights
+    def __init__(self, mesh, grid, order):
+        super().__init__(grid, order)
+        self.mesh = mesh
+        self.interior = mesh.interior_nodes()
         orbit = mesh.interior_orbits()
         size = np.bincount(orbit)
         self.fold = sp.csr_matrix(
@@ -368,14 +320,38 @@ class _InvariantSector(HeatModel):
         # Every node of an orbit has the same row sums over each orbit, so
         # row a of Q0^T B Q0 is sqrt(|a|) times row r of B Q0, for r the
         # first node of orbit a: only those rows of the blocks are written.
-        rows = model.interior[np.unique(orbit, return_index=True)[1]]
+        rows = self.interior[np.unique(orbit, return_index=True)[1]]
         weight = sp.diags(np.sqrt(size))
         mass = interior_mass(mesh, rows)
         self.mass_int = weight @ mass @ self.fold.T
-        slab = _slab_matrix(interior_stiffness(mesh, rows), mass, self.grid.k, self.order)
+        slab = _slab_matrix(interior_stiffness(mesh, rows), mass, grid.k, self.order)
         slab = (weight @ slab @ self.fold.T).tocsc()
         del mass
         self._slab_lu = _factor(slab, SPLU_SYMMETRIC)
+
+    def _gather(self, load):
+        return self.fold @ load[self.interior]
+
+    def pair_end_state(self, functional, load):
+        """functional . propagate_load(load) of the model on this mesh and grid.
+
+        The value is <Q0^T f, S0^(M-1) u1> with u1 the first step from
+        Q0^T load, one series on the folded blocks with the steps of a
+        propagation; the product is an einsum loop, not a BLAS dot
+        product, whose worker thread costs more than the product at these
+        sizes. `load` must be unchanged by every map of
+        `mesh.symmetric_images`, to within 8 eps max|load| on the interior
+        (a zero load included); any other load raises ValueError. Its
+        pairing is `functional @ HeatModel(mesh, grid, order).propagate_load(load)`.
+        """
+        values, *images = (v[1:-1, 1:-1] for v in self.mesh.symmetric_images(load))
+        bound = 8.0 * np.finfo(float).eps * np.abs(values).max()
+        if not all(np.abs(image - values).max() <= bound for image in images):
+            raise ValueError(
+                "load is not invariant under the lattice maps; pair it with "
+                "functional @ HeatModel.propagate_load(load)"
+            )
+        return float(np.einsum("i,i", self._gather(functional), self._series(load)))
 
 
 def forward_dirac(model, q):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -302,9 +303,10 @@ def test_study_sweep_errors_build_no_model(
 ):
     # The level list is checked in full before the first model is built.
     def refuse(*args, **kwargs):
-        raise AssertionError("HeatModel built before the sweep was checked")
+        raise AssertionError("model built before the sweep was checked")
 
     monkeypatch.setattr(experiments, "HeatModel", refuse)
+    monkeypatch.setattr(experiments, "InvariantSector", refuse)
     payload = {
         **TINY_RECONSTRUCT,
         "mesh_n": mesh_n,
@@ -632,12 +634,37 @@ def test_study_smoothing_cli(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
+def perfbench_checks():
+    """perfbench/checks.py, the benchmark's output checks, as a module."""
+    spec = importlib.util.spec_from_file_location("checks", ROOT / "perfbench" / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "config", ["smoothing_space.json", "smoothing_time_dg0.json", "smoothing_time_dg1.json"]
+)
+def test_bundled_smoothing_studies_pair_every_level(tmp_path, capsys, config):
+    # Every level of the bundled smoothing configs pairs in the invariant
+    # sector, whose guard would exit 1 on a load it refuses, and the space
+    # sweep reproduces the benchmark's recorded errors.csv to within its
+    # tolerance (perfbench/references.json).
+    out = tmp_path / "out"
+    assert main(["study-smoothing", "--config", config, "--out", str(out)]) == 0
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    reference = references["smoothing-space"]
+    if config == reference["config"]:
+        stdout = capsys.readouterr().out
+        assert perfbench_checks().check_study(0, stdout, str(out), reference) == []
+
+
 @pytest.mark.parametrize("mesh_n, time_steps", [([16, 32, 64], 4), (16, [2, 4, 8])])
 def test_study_smoothing_never_assembles_the_full_mass(
     tmp_path, monkeypatch, mesh_n, time_steps
 ):
-    # Its models propagate from the interior blocks and never read
-    # HeatModel.mass, so the full mass is never built.
+    # Each level builds only the invariant sector: no HeatModel, no full
+    # mass and no full interior mass block, only the folded rows.
     payload = {
         "T": 0.1,
         "mesh_n": mesh_n,
@@ -651,7 +678,17 @@ def test_study_smoothing_never_assembles_the_full_mass(
     def refuse(mesh):
         raise AssertionError("full mass assembled")
 
+    def rows_only(mesh, rows=None):
+        assert rows is not None, "full interior mass block written"
+        return interior_mass(mesh, rows)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("HeatModel built")
+
+    interior_mass = timestepping.interior_mass
     monkeypatch.setattr(timestepping, "assemble_mass", refuse)
+    monkeypatch.setattr(timestepping, "interior_mass", rows_only)
+    monkeypatch.setattr(experiments, "HeatModel", no_model)
     assert main(["study-smoothing", "--config", path, "--out", str(lazy)]) == 0
     assert (lazy / "errors.csv").read_bytes() == (plain / "errors.csv").read_bytes()
 

@@ -24,6 +24,7 @@ from sparseheat.fem import delta_load, interior_mass, interior_stiffness, l2_loa
 from sparseheat.timestepping import (
     LAMBDA_1,
     HeatModel,
+    InvariantSector,
     TimeGrid,
     adjoint_dirac,
     forward_dirac,
@@ -314,7 +315,7 @@ def test_propagation_is_stepping_to_its_computed_round_off(n, M, T, r, unit, see
         load = rng.standard_normal(model.mesh.num_nodes)
     a, b = spectral_interval(model.grid.k, r)
     u1 = model._step(load[model.interior])
-    d = model._power_weights(M).size
+    d = model._weights.size
     bound = 8 * np.finfo(float).eps * d * max(b, -a) ** (M - 1) * np.abs(u1).max()
     error = np.abs(model.propagate_load(load) - propagate_by_stepping(model, load)).max()
     assert error <= bound
@@ -323,7 +324,8 @@ def test_propagation_is_stepping_to_its_computed_round_off(n, M, T, r, unit, see
 @pytest.mark.parametrize("r, many", [(0, {256: 96, 64: 47}), (1, {256: 100, 64: 48})])
 def test_propagation_solve_count(monkeypatch, r, many):
     # Slab solves per propagation at T = 0.1: one per Chebyshev term, about
-    # sqrt(37 M) instead of M, and exactly M up to M = 16.
+    # sqrt(37 M) instead of M, and exactly M up to M = 16. The sector's
+    # pairing sums the same series on the folded blocks, with as many.
     calls = []
     step = HeatModel._step
 
@@ -332,11 +334,17 @@ def test_propagation_solve_count(monkeypatch, r, many):
         return step(self, f)
 
     monkeypatch.setattr(HeatModel, "_step", counting_step)
+    monkeypatch.setattr(InvariantSector, "_step", counting_step)
     expected = {M: M for M in range(1, 17)} | many
     for M, solves in expected.items():
         model = make_model(n=4, M=M, r=r, T=0.1)
+        sector = InvariantSector(model.mesh, model.grid, r)
         load = np.ones(model.mesh.num_nodes)
-        for propagate in (model.propagate_load, model.propagate_adjoint):
+        for propagate in (
+            model.propagate_load,
+            model.propagate_adjoint,
+            lambda load: sector.pair_end_state(load, load),
+        ):
             calls.clear()
             propagate(load)
             assert len(calls) == solves, M
@@ -356,15 +364,16 @@ def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, invar
     # The Dirac load of x0 carries the barycentric weights of eval_field,
     # so the pairing is the point value of the propagated state, up to the
     # round-off of two Chebyshev sums, each about eps rho^(M-1) |u1|
-    # (`spectral_interval`). Random loads put them up to 2.4e-13 max|u|
-    # apart (the series alone is up to 3.8e-13 max|u| from stepping
-    # there), never more than 9 eps rho^(M-1) max|u1| in 3000 cases.
-    # A load averaged over the four lattice maps is invariant, and so is
-    # a Dirac load next to the boundary, zero on the interior: its
-    # pairing runs on the folded slab LU, one unknown per orbit, to the
-    # same bound. Any other load factors the full slab matrix.
+    # (`spectral_interval`), one on the model and one on the folded
+    # blocks of the sector, one unknown per orbit: at most 6.4e-15 times
+    # the scale below in 1500 random invariant cases. A load averaged over
+    # the four lattice maps is invariant, and so is a Dirac load next to
+    # the boundary, zero on the interior. Any other load is refused.
     model = make_model(n=n, M=M, r=r, T=0.1)
     mesh = model.mesh
+    sector = InvariantSector(mesh, model.grid, r)
+    orbits = n * n // 4
+    assert sector._slab_lu.shape == (orbits, orbits)
     rng = np.random.default_rng(seed)
     if dirac:
         load = delta_load(mesh, DiscreteMeasure([rng.uniform(0.0, 1.0, 2)], [1.0]))
@@ -372,14 +381,13 @@ def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, invar
         load = rng.standard_normal(mesh.num_nodes)
     if invariant:
         load = np.mean(mesh.symmetric_images(load), axis=0).ravel()
-    u = model.propagate_load(load)
     point = delta_load(mesh, DiscreteMeasure([x0], [1.0]))
-    value = model.pair_end_state(point, load)
-    if invariant or not load[model.interior].any():
-        orbits = n * n // 4
-        assert model._invariant_sector._slab_lu.shape == (orbits, orbits)
-    else:
-        assert "_invariant_sector" not in vars(model)
+    if not invariant and load[model.interior].any():
+        with pytest.raises(ValueError, match="not invariant"):
+            sector.pair_end_state(point, load)
+        return
+    value = sector.pair_end_state(point, load)
+    u = model.propagate_load(load)
     a, b = spectral_interval(model.grid.k, r)
     u1 = model._step(load[model.interior])
     scale = max(np.abs(u).max(), max(b, -a) ** (M - 1) * np.abs(u1).max())
@@ -387,52 +395,27 @@ def test_pairing_is_the_point_value_of_the_propagation(n, M, r, x0, dirac, invar
 
 
 @pytest.mark.parametrize("r", [0, 1])
-def test_pairing_of_a_near_invariant_load_factors_the_full_slab(monkeypatch, r):
-    # The eigenmode load, perturbed by 1e-8 at one node, is no longer
-    # invariant: the pairing factors the full slab matrix, not the
-    # folded one, and is still the point value of the propagation.
-    shapes = record_shapes(monkeypatch)
-    model = make_model(n=16, M=16, r=r)
-    mesh = model.mesh
+def test_pairing_rejects_a_near_invariant_load(r):
+    # The eigenmode load pairs in the sector; perturbed by 1e-8 at one
+    # node it is no longer invariant, and the sector, which would pair
+    # only its invariant part, refuses it rather than return that value.
+    mesh = build_uniform(16)
+    sector = InvariantSector(mesh, TimeGrid(0.1, 16), r)
     load = l2_load(mesh, first_eigenmode)
-    load[model.interior[5]] += 1e-8
     point = delta_load(mesh, DiscreteMeasure([(0.3, 0.62)], [1.0]))
-    value = model.pair_end_state(point, load)
-    assert shapes == [(model.interior.size, model.interior.size)]
-    u = model.propagate_load(load)
-    assert abs(value - eval_field(mesh, u, [(0.3, 0.62)])[0]) <= 1e-13 * np.abs(u).max()
-
-
-@pytest.mark.parametrize(
-    "r, many", [(0, {32: 16, 64: 24, 256: 49}), (1, {32: 16, 64: 25, 256: 51})]
-)
-def test_pairing_solve_count(monkeypatch, r, many):
-    # One step for M = 1; otherwise one two-column first step and
-    # ceil(d/2) more for the d + 1 weights of t^(M-2): ceil(M/2) up to
-    # M = 17, about half of a propagation's solves beyond.
-    calls = []
-    step = HeatModel._step
-
-    def counting_step(self, f):
-        calls.append(1)
-        return step(self, f)
-
-    monkeypatch.setattr(HeatModel, "_step", counting_step)
-    expected = {M: (M + 1) // 2 for M in range(1, 18)} | many
-    for M, solves in expected.items():
-        model = make_model(n=4, M=M, r=r, T=0.1)
-        load = np.ones(model.mesh.num_nodes)
-        calls.clear()
-        model.pair_end_state(load, load)
-        assert len(calls) == solves, M
+    assert sector.pair_end_state(point, load) > 0.0
+    load[sector.interior[5]] += 1e-8
+    with pytest.raises(ValueError, match="not invariant"):
+        sector.pair_end_state(point, load)
 
 
 @pytest.mark.parametrize("r", [0, 1])
 @pytest.mark.parametrize("M", [1, 2, 3, 64])
 def test_pairing_of_a_zero_load_is_zero(r, M):
-    model = make_model(n=8, M=M, r=r)
-    point = delta_load(model.mesh, DiscreteMeasure([(0.3, 0.6)], [1.0]))
-    assert model.pair_end_state(point, np.zeros(model.mesh.num_nodes)) == 0.0
+    mesh = build_uniform(8)
+    sector = InvariantSector(mesh, TimeGrid(0.1, M), r)
+    point = delta_load(mesh, DiscreteMeasure([(0.3, 0.6)], [1.0]))
+    assert sector.pair_end_state(point, np.zeros(mesh.num_nodes)) == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -555,19 +538,6 @@ def test_power_weights_sum_to_the_power_at_b():
                 assert abs(w.sum() - b ** (M - 1)) <= 1e-13 * np.abs(w).sum()
 
 
-def record_shapes(monkeypatch):
-    """Shapes of the matrices of every later splu call, in call order."""
-    shapes = []
-    splu = timestepping.spla.splu
-
-    def recording_splu(mat, *args, **kwargs):
-        shapes.append(mat.shape)
-        return splu(mat, *args, **kwargs)
-
-    monkeypatch.setattr(timestepping.spla, "splu", recording_splu)
-    return shapes
-
-
 def record_fills(monkeypatch):
     """LU fill L.nnz + U.nnz of every later splu call, in call order."""
     fills = []
@@ -608,13 +578,15 @@ def test_slab_fill_at_n_256_is_below_minimum_degree(monkeypatch):
 
 
 def test_folded_slab_fill_at_n_256_is_below_a_quarter_of_the_full_slab(monkeypatch):
-    # An invariant load pairs on the folded dG(0) slab matrix, 16,384
+    # The sector factors the folded dG(0) slab matrix when built, 16,384
     # unknowns under minimum degree: 981,618 LU nonzeros (an exact count),
-    # against 4,931,760 for the full slab. A quarter of that bounds it.
+    # against 4,931,760 for the full slab. A quarter of that bounds it,
+    # and the pairing factors nothing more.
     fills = record_fills(monkeypatch)
-    model = make_model(n=256, M=2, r=0)
-    load = l2_load(model.mesh, first_eigenmode)
-    model.pair_end_state(load, load)
+    mesh = build_uniform(256)
+    sector = InvariantSector(mesh, TimeGrid(0.1, 2), 0)
+    load = l2_load(mesh, first_eigenmode)
+    sector.pair_end_state(load, load)
     assert len(fills) == 1
     assert fills[0] < 4_931_760 / 4
 
