@@ -678,6 +678,8 @@ def test_study_smoothing_never_assembles_the_full_mass(
     def refuse(mesh):
         raise AssertionError("full mass assembled")
 
+    interior_mass = timestepping.interior_mass
+
     def rows_only(mesh, rows=None):
         assert rows is not None, "full interior mass block written"
         return interior_mass(mesh, rows)
@@ -685,7 +687,6 @@ def test_study_smoothing_never_assembles_the_full_mass(
     def no_model(*args, **kwargs):
         raise AssertionError("HeatModel built")
 
-    interior_mass = timestepping.interior_mass
     monkeypatch.setattr(timestepping, "assemble_mass", refuse)
     monkeypatch.setattr(timestepping, "interior_mass", rows_only)
     monkeypatch.setattr(experiments, "HeatModel", no_model)
