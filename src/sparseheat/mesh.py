@@ -18,6 +18,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -131,14 +132,20 @@ class TriMesh:
         position of their first node in that order, which keeps the fill
         of a folded matrix under minimum degree low (981,618 LU nonzeros
         for the dG(0) slab at n = 256, against 1,162,484 with orbits
-        numbered by their smallest node). An orbit holds 1, 2 or 4
-        nodes: there are (n/2)^2 orbits at even n and (n^2 - 1)/4 at odd n.
+        numbered by their smallest node). So the numbers first appear in
+        increasing order, each at the first node of its orbit, where
+        `timestepping.InvariantSector` takes its stencil rows. A node is
+        the first of its orbit exactly when its position is the least of
+        its four images', so the orbits are counted off at those nodes,
+        with no sort. An orbit holds 1, 2 or 4 nodes: there are (n/2)^2
+        orbits at even n and (n^2 - 1)/4 at odd n.
         """
         interior = self.interior_nodes()
         position = np.zeros(self.num_nodes, dtype=np.int64)
         position[interior] = np.arange(interior.size)
-        first = np.minimum.reduce(self.symmetric_images(position)).ravel()
-        return np.unique(first[interior], return_inverse=True)[1]
+        first = functools.reduce(np.minimum, self.symmetric_images(position)).ravel()[interior]
+        start = first == np.arange(interior.size)
+        return (np.cumsum(start) - 1)[first]
 
     # -- point location ------------------------------------------------
 

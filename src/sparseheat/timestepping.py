@@ -28,8 +28,14 @@ in S applied to a symmetric solve, so the adjoint is the same series as
 the forward solve. A load that the lattice's symmetries leave unchanged
 propagates within their invariant sector, and `InvariantSector` pairs
 its end state with a fixed vector by the same series on a quarter of the
-unknowns. `pade_step_oracle` computes the amplification independently
-from the raw dG(1) slab system.
+unknowns. The sector works in the orbit-indicator basis P of
+`mesh.interior_orbits()` (P[i, a] = 1 when interior node i lies in orbit
+a), whose folded blocks P^T B P = D B[rows] P, D = diag(|a|), are the
+stencil rows of one node per orbit with their columns summed by orbit
+and scaled by the orbit size. It accepts a load whose interior values
+lie within 4 eps max|load| of their orbit means, so that no two images
+of a node differ by more than 8 eps max|load|. `pade_step_oracle`
+computes the amplification independently from the raw dG(1) slab system.
 """
 
 from __future__ import annotations
@@ -129,7 +135,12 @@ def _slab_matrix(stiffness, mass, k, order):
 
 
 def _factor(mat, options):
-    """`spla.splu(mat, **options)`, with a failure raised as NumericalError."""
+    """`spla.splu(mat, **options)`, with a failure raised as NumericalError.
+
+    Both callers hand it `slab.T`, a slab matrix written in CSR: the slab
+    matrices are symmetric, so their CSR arrays read as CSC are the
+    matrix, and no copy is made.
+    """
     try:
         return spla.splu(mat, **options)
     except RuntimeError as exc:
@@ -249,8 +260,7 @@ class HeatModel(_SlabSeries):
         """LU factors of the slab matrix, computed on first use.
 
         Only the LU is kept: the stiffness block is written for it and
-        dropped before the factorization. The slab matrix is symmetric,
-        so the CSR arrays of `_slab_matrix` read as CSC are the matrix.
+        dropped before the factorization.
         """
         slab = _slab_matrix(interior_stiffness(self.mesh), self.mass_int, self.grid.k, self.order)
         return _factor(slab.T, SPLU_SLAB)
@@ -289,64 +299,79 @@ class InvariantSector(_SlabSeries):
 
     The maps of `mesh.symmetric_images` permute the interior nodes and
     commute with the interior mass and stiffness blocks, hence with the
-    slab matrix and the step S. So S maps the span of the invariant
-    loads onto itself. Its orthonormal basis Q0 holds the orbit sums of
-    `mesh.interior_orbits()`, each orbit's indicator over the square root
-    of its size, and for an invariant load u, S^p u = Q0 S0^p Q0^T u,
-    where S0 is the step of the folded blocks Q0^T B Q0 (Bossavit, Comput.
-    Methods Appl. Mech. Engrg. 56, 1986). Hence <f, S^p u> =
-    <Q0^T f, S0^p Q0^T u> for any f. `fold` is Q0^T; `mass_int` and the
-    slab LU are the folded blocks', on (n/2)^2 unknowns at even n against
-    (n - 1)^2, written from the stencil rows of one node per orbit, so no
-    full block is formed. The folded numbering carries no dissection
-    order, so the slab matrix is factored under minimum degree
-    (`fem.SPLU_SYMMETRIC`), when the sector is built. The spectrum of S0
-    is part of that of S, so `spectral_interval` holds it, and the series
-    of `HeatModel.propagate_load` serves the sector as it is. The sector
-    holds the folded mass and slab LU, about a fifth of a model's memory:
-    at n = 256 in dG(0), 981,618 LU nonzeros against 4,931,760.
+    slab matrix K = kA - sigma M and the step S. So an invariant load f
+    has an invariant solve K^-1 f = P y, where P, the orbit-indicator
+    basis, has P[i, a] = 1 when interior node i lies in orbit a of
+    `mesh.interior_orbits()`, and y solves the folded system
+    (P^T K P) y = P^T f (Bossavit, Comput. Methods Appl. Mech. Engrg.
+    56, 1986). Hence S P = P S', with S' the step of the folded blocks
+    P^T B P, and <g, S^p u1> = <P^T g, S'^p u1'> for any g, with u1' the
+    first step from P^T f. Every node of an orbit has the same row sums
+    over each orbit, so P^T B P = D B[rows] P, with D = diag(|a|) the
+    orbit sizes and `rows` the first node of each orbit: `_fold` writes
+    the folded blocks from the stencil rows of those nodes alone, with
+    their columns replaced by orbit numbers and the rows scaled by the
+    orbit sizes, so no full block is formed. `orbit` alone defines the
+    sector. `mass_int` and the slab LU are the folded blocks', on
+    (n/2)^2 unknowns at even n against (n - 1)^2; the folded numbering
+    carries no dissection order, so the slab matrix is factored under
+    minimum degree (`fem.SPLU_SYMMETRIC`), when the sector is built. The
+    spectrum of S' is part of that of S, so `spectral_interval` holds
+    it, and the series of `HeatModel.propagate_load` serves the sector
+    as it is. The sector holds the folded mass and slab LU, about a
+    fifth of a model's memory: at n = 256 in dG(0), 981,618 LU nonzeros
+    against 4,931,760.
     """
 
     def __init__(self, mesh, grid, order):
         super().__init__(grid, order)
-        self.mesh = mesh
         self.interior = mesh.interior_nodes()
-        orbit = mesh.interior_orbits()
-        size = np.bincount(orbit)
-        self.fold = sp.csr_matrix(
-            (1.0 / np.sqrt(size[orbit]), (orbit, np.arange(orbit.size))),
-            shape=(size.size, orbit.size),
-        )
-        # Every node of an orbit has the same row sums over each orbit, so
-        # row a of Q0^T B Q0 is sqrt(|a|) times row r of B Q0, for r the
-        # first node of orbit a: only those rows of the blocks are written.
-        rows = self.interior[np.unique(orbit, return_index=True)[1]]
-        weight = sp.diags(np.sqrt(size))
-        mass = interior_mass(mesh, rows)
-        self.mass_int = weight @ mass @ self.fold.T
-        slab = _slab_matrix(interior_stiffness(mesh, rows), mass, grid.k, self.order)
-        slab = (weight @ slab @ self.fold.T).tocsc()
-        del mass
-        self._slab_lu = _factor(slab, SPLU_SYMMETRIC)
+        self.orbit = mesh.interior_orbits()
+        self.size = np.bincount(self.orbit)
+        # Orbit numbers first appear in increasing order, each at the
+        # first node of its orbit: where their running maximum steps up.
+        rows = self.interior[np.diff(np.maximum.accumulate(self.orbit), prepend=-1) > 0]
+        self.mass_int = self._fold(interior_mass(mesh, rows))
+        stiffness = self._fold(interior_stiffness(mesh, rows))
+        slab = _slab_matrix(stiffness, self.mass_int, grid.k, self.order)
+        self._slab_lu = _factor(slab.T, SPLU_SYMMETRIC)
+
+    def _fold(self, block):
+        """P^T B P in CSR, from the rows of B at the first node of each orbit.
+
+        The columns become orbit numbers, with the entries of one orbit
+        summed, and row a is scaled by |a|: D B[rows] P. The arrays of
+        `block` are reused.
+        """
+        shape = (self.size.size, self.size.size)
+        folded = sp.csr_matrix((block.data, self.orbit[block.indices], block.indptr), shape=shape)
+        folded.sum_duplicates()
+        folded.data *= np.repeat(self.size, np.diff(folded.indptr))
+        return folded
 
     def _gather(self, load):
-        return self.fold @ load[self.interior]
+        return np.bincount(self.orbit, load[self.interior])
 
     def pair_end_state(self, functional, load):
         """functional . propagate_load(load) of the model on this mesh and grid.
 
-        The value is <Q0^T f, S0^(M-1) u1> with u1 the first step from
-        Q0^T load, one series on the folded blocks with the steps of a
+        The value is <P^T f, S'^(M-1) u1'> with u1' the first step from
+        P^T load, one series on the folded blocks with the steps of a
         propagation; the product is an einsum loop, not a BLAS dot
         product, whose worker thread costs more than the product at these
         sizes. `load` must be unchanged by every map of
-        `mesh.symmetric_images`, to within 8 eps max|load| on the interior
-        (a zero load included); any other load raises ValueError. Its
-        pairing is `functional @ HeatModel(mesh, grid, order).propagate_load(load)`.
+        `mesh.symmetric_images`: each interior value must lie within
+        4 eps max|load| of its orbit's mean, the maximum taken over the
+        interior (a zero load included); any other load raises
+        ValueError. Two images of a node then differ by at most
+        8 eps max|load|, so the rule is no looser than asking the images
+        to agree to within that, and it refuses one node of an orbit of 4
+        moved by more than about 5.3 eps max|load|. Its pairing is
+        `functional @ HeatModel(mesh, grid, order).propagate_load(load)`.
         """
-        values, *images = (v[1:-1, 1:-1] for v in self.mesh.symmetric_images(load))
-        bound = 8.0 * np.finfo(float).eps * np.abs(values).max()
-        if not all(np.abs(image - values).max() <= bound for image in images):
+        values = load[self.interior]
+        deviation = values - (self._gather(load) / self.size)[self.orbit]
+        if not np.abs(deviation).max() <= 4.0 * np.finfo(float).eps * np.abs(values).max():
             raise ValueError(
                 "load is not invariant under the lattice maps; pair it with "
                 "functional @ HeatModel.propagate_load(load)"

@@ -601,11 +601,13 @@ def test_smoothing_level_memory_is_the_folded_blocks(monkeypatch, r):
     # the study to its first slab `splu` call, over the bytes of the
     # folded blocks there: the sector's mass and the slab matrix handed
     # to splu. The mesh is built inside the study, so it counts. A level
-    # that builds only the sector reads 4.10 for dG(0) and 4.12 for dG(1);
-    # one that first built a HeatModel, writing the full interior mass
-    # block, and formed its loads read 6.48 and 5.92. The traced peak
-    # repeats to within about 100 B here; SuperLU's own heap is not
-    # traced.
+    # whose sector folds the stencil rows of one node per orbit in the
+    # orbit-indicator basis reads 2.52 for dG(0) and 2.07 for dG(1); one
+    # that formed the folded blocks by sparse products with an
+    # orthonormal fold matrix read 4.10 and 4.12, and one that first
+    # built a HeatModel, writing the full interior mass block, and formed
+    # its loads read 6.48 and 5.92. The traced peak repeats to within
+    # about 100 B here; SuperLU's own heap is not traced.
     mesh, grid = build_uniform(128), TimeGrid(0.1, 2)
     mass = InvariantSector(mesh, grid, r).mass_int
     seen = {}
@@ -636,7 +638,7 @@ def test_smoothing_level_memory_is_the_folded_blocks(monkeypatch, r):
     finally:
         tracemalloc.stop()
     ratio = seen["peak"] / (nbytes(mass) + seen["slab"])
-    assert ratio <= 5.0, ratio
+    assert ratio <= 3.0, ratio
 
 
 def test_study_table_logs_inversions_as_one_warning_line(caplog):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -418,6 +419,86 @@ def test_pairing_of_a_zero_load_is_zero(r, M):
     assert sector.pair_end_state(point, np.zeros(mesh.num_nodes)) == 0.0
 
 
+def images_agree(mesh, load):
+    """The lattice images of `load` agree to within 8 eps max|load| on the interior."""
+    values, *images = (v[1:-1, 1:-1] for v in mesh.symmetric_images(load))
+    bound = 8.0 * np.finfo(float).eps * np.abs(values).max()
+    return all(np.abs(image - values).max() <= bound for image in images)
+
+
+def sector_accepts(sector, load):
+    try:
+        sector.pair_end_state(load, load)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([4, 5, 7, 8, 16, 32, 33]),
+    dirac=st.booleans(),
+    exponent=st.integers(-200, 200),
+    shift=st.floats(0.0, 16.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_accepts_no_load_whose_images_disagree(n, dirac, exponent, shift, seed):
+    # The sector compares each interior value with its orbit mean, to
+    # within 4 eps max|load|; two images of a node then differ by at most
+    # 8 eps max|load|, the rule the sector applied before, kept here as
+    # the oracle. A load averaged over the four lattice maps deviates
+    # from its orbit means by at most 1.23 eps max|load| in 2800 random
+    # and Dirac loads of magnitude 1e-200 to 1e200, and is accepted. One
+    # node shifted by `shift` eps max|load| is refused from about 5.3 on
+    # in an orbit of 4, and never accepted with images further apart
+    # than the oracle allows; a shift of 1e-8 is refused
+    # (`test_pairing_rejects_a_near_invariant_load`).
+    mesh = build_uniform(n)
+    sector = InvariantSector(mesh, TimeGrid(0.1, 2), 0)
+    rng = np.random.default_rng(seed)
+    if dirac:
+        load = delta_load(mesh, DiscreteMeasure([rng.uniform(0.0, 1.0, 2)], [1.0]))
+    else:
+        load = rng.standard_normal(mesh.num_nodes)
+    load = np.mean(mesh.symmetric_images(load * 10.0**exponent), axis=0).ravel()
+    assert sector_accepts(sector, load)
+    node = rng.choice(sector.interior)
+    load[node] += shift * np.finfo(float).eps * np.abs(load[sector.interior]).max()
+    if sector_accepts(sector, load):
+        assert images_agree(mesh, load)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
+@pytest.mark.parametrize("r", [0, 1])
+def test_sector_blocks_are_the_full_blocks_folded(monkeypatch, r, n):
+    # With P the orbit-indicator basis, P[i, a] = 1 when interior node i
+    # lies in orbit a, the sector's mass is P^T M P, the slab matrix it
+    # hands to splu is P^T (kA - sigma M) P, both formed here from the
+    # full interior blocks, and its gather is P^T, to round-off.
+    mesh, grid = build_uniform(n), TimeGrid(0.1, 4)
+    orbit = mesh.interior_orbits()
+    P = sp.csr_matrix((np.ones(orbit.size), (np.arange(orbit.size), orbit)))
+    handed = []
+    splu = timestepping.spla.splu
+
+    def capturing_splu(mat, *args, **kwargs):
+        handed.append(mat.toarray())
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(timestepping.spla, "splu", capturing_splu)
+    sector = InvariantSector(mesh, grid, r)
+    mass, stiffness = interior_mass(mesh), interior_stiffness(mesh)
+    slab = grid.k * stiffness - timestepping._POLES[r][0] * mass
+    load = np.random.default_rng(n).standard_normal(mesh.num_nodes)
+    for ours, oracle in (
+        (sector.mass_int.toarray(), (P.T @ mass @ P).toarray()),
+        (handed[0], (P.T @ slab @ P).toarray()),
+        (sector._gather(load), P.T @ load[sector.interior]),
+    ):
+        assert ours.shape == oracle.shape
+        assert np.abs(ours - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("r", [0, 1])
 def test_slab_lu_is_the_lu_of_the_summed_blocks(r, n):
@@ -578,17 +659,18 @@ def test_slab_fill_at_n_256_is_below_minimum_degree(monkeypatch):
 
 
 def test_folded_slab_fill_at_n_256_is_below_a_quarter_of_the_full_slab(monkeypatch):
-    # The sector factors the folded dG(0) slab matrix when built, 16,384
-    # unknowns under minimum degree: 981,618 LU nonzeros (an exact count),
-    # against 4,931,760 for the full slab. A quarter of that bounds it,
-    # and the pairing factors nothing more.
+    # The sector factors the folded slab matrix when built, 16,384
+    # unknowns under minimum degree: 981,618 LU nonzeros (an exact count)
+    # for either dG order, against 4,931,760 for the full slab. A quarter
+    # of that bounds it, and the pairing factors nothing more.
     fills = record_fills(monkeypatch)
     mesh = build_uniform(256)
-    sector = InvariantSector(mesh, TimeGrid(0.1, 2), 0)
     load = l2_load(mesh, first_eigenmode)
-    sector.pair_end_state(load, load)
-    assert len(fills) == 1
-    assert fills[0] < 4_931_760 / 4
+    for r in (0, 1):
+        InvariantSector(mesh, TimeGrid(0.1, 2), r).pair_end_state(load, load)
+    assert len(fills) == 2
+    assert all(fill < 4_931_760 / 4 for fill in fills)
+    assert fills == [981_618, 981_618]
 
 
 def test_power_weights_match_the_full_chebpow_build():
