@@ -138,7 +138,8 @@ def _factor(mat, options):
     """`spla.splu(mat, **options)`, with a failure raised as NumericalError.
 
     Both callers hand it `slab.T`, a slab matrix written in CSR: the slab
-    matrices are symmetric, so their CSR arrays read as CSC are the
+    matrices are symmetric (the folded one of `InvariantSector` to the
+    round-off of its orbit sums), so their CSR arrays read as CSC are the
     matrix, and no copy is made.
     """
     try:

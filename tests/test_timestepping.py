@@ -445,13 +445,13 @@ def sector_accepts(sector, load):
 def test_sector_accepts_no_load_whose_images_disagree(n, dirac, exponent, shift, seed):
     # The sector compares each interior value with its orbit mean, to
     # within 4 eps max|load|; two images of a node then differ by at most
-    # 8 eps max|load|, the rule the sector applied before, kept here as
+    # 8 eps max|load|, and `images_agree`, which asks exactly that, is
     # the oracle. A load averaged over the four lattice maps deviates
-    # from its orbit means by at most 1.23 eps max|load| in 2800 random
-    # and Dirac loads of magnitude 1e-200 to 1e200, and is accepted. One
-    # node shifted by `shift` eps max|load| is refused from about 5.3 on
-    # in an orbit of 4, and never accepted with images further apart
-    # than the oracle allows; a shift of 1e-8 is refused
+    # from its orbit means by at most 1.62 eps max|load| in 2772 random
+    # and Dirac loads of magnitude 1e-200 to 1e200 at these n, and is
+    # accepted. One node shifted by `shift` eps max|load| is refused from
+    # about 5.3 on in an orbit of 4, and never accepted with images
+    # further apart than the oracle allows; a shift of 1e-8 is refused
     # (`test_pairing_rejects_a_near_invariant_load`).
     mesh = build_uniform(n)
     sector = InvariantSector(mesh, TimeGrid(0.1, 2), 0)
