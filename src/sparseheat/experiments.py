@@ -255,15 +255,15 @@ def _sweep(cfg, swept):
 def reconstruct(cfg):
     """Recover the initial measure from the configured observation.
 
-    Makes the observation on the n lattice. For an even n of at least
-    TWO_LEVEL_MIN_N it first solves the n/2 lattice on the same time grid,
-    as a level of `study_space` (`_level`), and seeds the n level's
-    PDAP with the seed of that solve, converged or not. For n below
-    2 * PEAK_SEED_BELOW_N = 128 `refine_support` seeds the fine square
-    at the fitted peak of the coarse adjoint around each same-sign
-    cluster of the coarse support. Other n are solved cold. Lumps
-    clustered atoms within twice the mesh size. Returns the n level's
-    `PdapResult` and the lumped measure. They and the artifacts
+    Solves the levels [n/2, n] on one time grid for an even n of at least
+    TWO_LEVEL_MIN_N, else [n] alone, through `_solve_levels`: the
+    observation is made on the n lattice, the n/2 level is a level of
+    `study_space`, and the n level's PDAP starts from the seed of its
+    solve, converged or not. For n below 2 * PEAK_SEED_BELOW_N = 128
+    `refine_support` seeds the fine square at the fitted peak of the
+    coarse adjoint around each same-sign cluster of the coarse support.
+    Lumps clustered atoms within twice the mesh size. Returns the n
+    level's `PdapResult` and the lumped measure. They and the artifacts
     (measure.json, measure_lumped.json, log.csv, field.csv, written to
     cfg.output_dir when set) describe the n level only; row 0 of a
     seeded level's log.csv is the empty measure and row 1 counts the
@@ -272,15 +272,10 @@ def reconstruct(cfg):
     """
     n = _single(cfg.mesh_n, "mesh_n")
     M = _single(cfg.time_steps, "time_steps")
-    mesh = build_uniform(n)
-    model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
-    u_d = make_observation(model, cfg.truth, cfg.noise_level, cfg.seed)
-    seed_nodes = []
-    if n % 2 == 0 and n >= TWO_LEVEL_MIN_N:
-        _, _, seed_nodes = _level(
-            f"n={n // 2}", build_uniform(n // 2), M, model, u_d, cfg, []
-        )
-    result = _solve_level(f"n={n}", model, u_d, cfg, seed_nodes)
+    sizes = [n // 2, n] if n % 2 == 0 and n >= TWO_LEVEL_MIN_N else [n]
+    meshes = [build_uniform(k) for k in sizes]
+    results, _ = _solve_levels(cfg, [(f"n={mesh.n}", mesh, M) for mesh in meshes])
+    result, mesh = results[-1], meshes[-1]
     lumped = lump_clusters(result.measure, LUMP_RADIUS_FACTOR * mesh.h)
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -291,59 +286,66 @@ def reconstruct(cfg):
     return result, lumped
 
 
-def _solve_level(label, model, u_d, cfg, seed_nodes):
-    """`pdap.run` on one study level, logged as one INFO line.
+def _solve_levels(cfg, levels):
+    """Solve the `(label, mesh, M)` levels coarse to fine against one observation.
 
-    The line gives the level (`label`, such as "n=32"), the number of
-    seed nodes, the outer iterations (one adjoint solve each), the
-    columns propagated and the milliseconds of the solve.
+    Builds the reference model on the last level, makes the observation
+    on it and solves every level with `_level`, each PDAP seeded with
+    the seed that `_level` makes of the previous level's solve. Returns
+    the levels' `PdapResult`s, each state on its own lattice, and the
+    reference model.
     """
+    _, ref_mesh, ref_M = levels[-1]
+    ref_model = HeatModel(ref_mesh, TimeGrid(cfg.T, ref_M), cfg.dg_order)
+    u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
+    results, seed_nodes = [], []
+    for label, mesh, M in levels:
+        result, seed_nodes = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
+        results.append(result)
+    return results, ref_model
+
+
+def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
+    """One level of a refinement study against the data u_d on ref_model.
+
+    Solves the level on `mesh` with M steps from `seed_nodes`. The
+    reference level runs on ref_model with u_d as it is; a level on the
+    reference lattice with other M builds a model that shares the
+    reference model's mass blocks and solves u_d as it is; a coarser
+    lattice nested in the reference one gets a model of its own and the
+    data carried down by the mass-orthogonal projection, which leaves
+    the optimality system unchanged on nested meshes. The solve is
+    logged as one INFO line: the level (`label`, such as "n=32"), the
+    number of seed nodes, the outer iterations (one adjoint solve each),
+    the columns propagated and the milliseconds of the solve. Returns
+    the level's `PdapResult`, whose state lies on `mesh`, and the seed of
+    the next level: on the reference lattice the support as it is, as the
+    next level shares the mesh; on a nested lattice `refine_support` of
+    the support, its coefficients and its adjoint onto `refine(mesh)`;
+    and no seed for a support of more than MAX_SEED_SUPPORT nodes. A
+    model built here, and its slab LU, are freed when this call returns.
+    """
+    nested = mesh.n != ref_model.mesh.n
+    model, data = ref_model, u_d
+    if nested:
+        # The reference mass is assembled on its first read; reading it
+        # before the level's model is built leaves less heap resident.
+        data = ref_model.mass @ u_d
+        model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order)
+        # The interpolation matrix is not held across the solve.
+        data = spd_solve(
+            model.mass, interpolation_matrix(mesh, ref_model.mesh).T @ data
+        )
+    elif M != ref_model.grid.M:
+        model = HeatModel(mesh, TimeGrid(cfg.T, M), cfg.dg_order, share=ref_model)
     started = time.perf_counter()
-    result = pdap.run(model, u_d, cfg.pdap, seed_nodes)
+    result = pdap.run(model, data, cfg.pdap, seed_nodes)
     _log.info(
         "level %s seeds=%d outer=%d columns=%d ms=%.1f",
         label, len(seed_nodes), len(result.log),
         sum(r.inserted for r in result.log),
         1e3 * (time.perf_counter() - started),
     )
-    return result
-
-
-def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
-    """One level of a refinement study against the data u_d on ref_model.
-
-    Builds the level's model on `mesh` with M steps and solves it from
-    `seed_nodes`. On the reference lattice it solves u_d as it is, with a
-    model that shares the reference model's mass blocks; on a
-    coarser lattice nested in the reference one it carries the data down
-    by the mass-orthogonal projection, which leaves the optimality system
-    unchanged on nested meshes, and interpolates the optimal state back.
-    Returns the optimal state on the reference lattice, whether the solve
-    converged, and the seed of the next level: on the reference lattice
-    the support as it is, as the next level shares the mesh; on a nested
-    lattice `refine_support` of the support, its coefficients and its
-    adjoint onto `refine(mesh)`; and no seed for a support of more than
-    MAX_SEED_SUPPORT nodes. The level's model, slab LU and PDAP result
-    are freed when this call returns.
-    """
-    # The reference mass is assembled on its first read; reading it before
-    # the level's model is built leaves less heap resident.
-    nested = mesh.n != ref_model.mesh.n
-    data = ref_model.mass @ u_d if nested else u_d
-    model = HeatModel(
-        mesh, TimeGrid(cfg.T, M), cfg.dg_order, share=None if nested else ref_model
-    )
-    # Neither the interpolation matrix nor the data on the reference
-    # lattice is held across the solve, so the matrix is built twice:
-    # held, they raised the peak RSS of study-space by about 0.5 MB.
-    if nested:
-        data = spd_solve(
-            model.mass, interpolation_matrix(mesh, ref_model.mesh).T @ data
-        )
-    result = _solve_level(label, model, data, cfg, seed_nodes)
-    state = result.state
-    if nested:
-        state = interpolation_matrix(mesh, ref_model.mesh) @ state
     active = result.active_nodes
     if len(active) > MAX_SEED_SUPPORT:
         seeds = []
@@ -351,34 +353,27 @@ def _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes):
         seeds = refine_support(mesh, active, result.coefficients, result.adjoint)
     else:
         seeds = active
-    return state, result.converged, seeds
+    return result, seeds
 
 
 def _study(cfg, swept):
     """Refinement study of the optimal terminal state along `swept`.
 
-    Makes the observation on the finest level, the reference, then
-    solves the coarser levels (`_level`) coarse to fine and the reference
-    last, each PDAP seeded with the seed that `_level` makes of the
-    previous level's solve: its support as it is when the mesh stays,
-    and `refine_support` of it onto a finer lattice, unless it has more
-    than MAX_SEED_SUPPORT nodes. Returns the EOC table of the coarse
-    levels' L2 distances from the reference state, and whether every
+    Solves the `_sweep` levels with `_solve_levels`, the finest level the
+    reference. Each coarse state is interpolated onto the reference
+    lattice only here, where its L2 distance from the reference state is
+    formed; on the one mesh of a time sweep that interpolation is the
+    identity. Returns the EOC table of those distances, and whether every
     solve converged.
     """
     levels, params = _sweep(cfg, swept)
-    ref_label, ref_mesh, ref_M = levels[-1]
-    ref_model = HeatModel(ref_mesh, TimeGrid(cfg.T, ref_M), cfg.dg_order)
-    u_d = make_observation(ref_model, cfg.truth, cfg.noise_level, cfg.seed)
-
-    states, converged, seed_nodes = [], True, []
-    for label, mesh, M in levels[:-1]:
-        state, ok, seed_nodes = _level(label, mesh, M, ref_model, u_d, cfg, seed_nodes)
-        states.append(state)
-        converged = converged and ok
-    ref_result = _solve_level(ref_label, ref_model, u_d, cfg, seed_nodes)
-    errors = [l2_norm(ref_model.mass, u - ref_result.state) for u in states]
-    return _study_table(cfg, params[:-1], errors), converged and ref_result.converged
+    results, ref_model = _solve_levels(cfg, levels)
+    ref, ref_mesh = results[-1].state, ref_model.mesh
+    errors = [
+        l2_norm(ref_model.mass, interpolation_matrix(mesh, ref_mesh) @ r.state - ref)
+        for (_, mesh, _), r in zip(levels[:-1], results)
+    ]
+    return _study_table(cfg, params[:-1], errors), all(r.converged for r in results)
 
 
 def study_space(cfg):

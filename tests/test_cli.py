@@ -424,8 +424,8 @@ def cold_run(tmp_path, capsys, monkeypatch, payload):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 32, 63])
-def test_reconstruct_below_the_two_level_cutoff_runs_cold(
+@pytest.mark.parametrize("n", [2, 3, 5, 32, 63, 65])
+def test_reconstruct_below_the_cutoff_or_odd_runs_cold(
     tmp_path, capsys, monkeypatch, n
 ):
     calls = record_runs(monkeypatch)

@@ -254,6 +254,33 @@ def test_reconstruct_coarse_level_gets_the_study_space_data(monkeypatch):
     assert np.array_equal(data[0][1], data[3][1])
 
 
+def test_levels_interpolate_only_to_carry_data_down_and_form_errors(monkeypatch):
+    # Every level is one pass of the same loop: a coarse level builds its
+    # interpolation matrix once, to carry the data down before its solve,
+    # and keeps its state on its own lattice. reconstruct interpolates
+    # nothing more; a study interpolates each coarse state once, after
+    # every solve, to form its error.
+    monkeypatch.setattr(experiments, "TWO_LEVEL_MIN_N", 16)
+    events, real_interp, real_run = [], experiments.interpolation_matrix, pdap.run
+
+    def interpolation_matrix(coarse, fine):
+        events.append(f"I{coarse.n}->{fine.n}")
+        return real_interp(coarse, fine)
+
+    def run(model, u_d, config, seed_nodes=()):
+        events.append(f"run{model.mesh.n}")
+        return real_run(model, u_d, config, seed_nodes)
+
+    monkeypatch.setattr(experiments, "interpolation_matrix", interpolation_matrix)
+    monkeypatch.setattr(pdap, "run", run)
+    cfg = noisy_config(20)
+    reconstruct(cfg)
+    assert events == ["I8->16", "run8", "run16"]
+    events.clear()
+    study_space(replace(cfg, mesh_n=[4, 8, 16]))
+    assert events == ["I4->16", "run4", "I8->16", "run8", "run16", "I4->16", "I8->16"]
+
+
 def test_study_time_smoke(tmp_path):
     cfg = ExperimentConfig(
         T=0.1,
